@@ -13,6 +13,9 @@ log-space arithmetic with explicit truncation budgets, and every simulation
 is driven by counter-based streams keyed on a declared seed.
 """
 
+# Set before the submodule imports: figures and cli stamp it into CSV headers.
+__version__ = "0.1.0"
+
 from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test
 from .cohort import (
     CausalSpec,
@@ -79,8 +82,6 @@ from .scenarios import (
     load_scenario,
     parse_scenario,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -26,33 +26,10 @@ from pathlib import Path
 
 from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test
 from .cohort import CausalSpec, ReplicationReport, replication_study
-from .comparison import (
-    ExposureScenario,
-    SplitComparison,
-    lives_saved_bounds,
-    prob_equal,
-    prob_greater,
-    prob_less,
-    summarize,
-)
-from .comparison import split_vs_counterfactual as _fixed_split
-from .distributions import (
-    DEFAULT_EPS,
-    CountDistribution,
-    DomainError,
-    binomial_distribution,
-    central_interval,
-    mode,
-)
-from .predictive import (
-    CalibrationError,
-    UncertainScenario,
-    calibrate_prior,
-    calibrated_scenario,
-    predictive_arms,
-    spread_report,
-)
-from .predictive import split_vs_counterfactual as _predictive_split
+from . import __version__
+from .comparison import ExposureScenario, ScenarioAnalysis, UncertainScenario
+from .distributions import DEFAULT_EPS, CountDistribution, DomainError, central_interval, mode
+from .predictive import CalibrationError, _calibrate, calibrated_scenario
 from .figures import (
     FIGURE_IDS,
     build_figure,
@@ -62,7 +39,6 @@ from .figures import (
 )
 from .scenarios import (
     ScenarioError,
-    ScenarioFile,
     compact_json,
     load_scenario,
     parse_scenario,
@@ -125,116 +101,75 @@ def _fail(message: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_fixed_summary(s: ExposureScenario, coverage: float, eps: float) -> None:
-    summary = summarize(s, eps)
-    comp = _fixed_split(s, eps)
-    lives = lives_saved_bounds(s, coverage, eps)
-    arm_e = binomial_distribution(s.n_exposed, s.p_exposed, eps)
-    arm_u = binomial_distribution(s.n_unexposed, s.p_unexposed, eps)
-
-    print("two-arm risk scenario (fixed per-person risks)")
-    print(f"  exposed arm:   n={s.n_exposed}  p={s.p_exposed!r}")
-    print(f"  unexposed arm: n={s.n_unexposed}  p={s.p_unexposed!r}")
-    _print_comparison_block(summary, arm_e, arm_u, comp, lives, coverage)
-
-
-def _print_predictive_summary(u: UncertainScenario, coverage: float, eps: float) -> None:
-    arm_e, arm_u = predictive_arms(u, eps)
-    gt, eq, lt = prob_greater(arm_e, arm_u), prob_equal(arm_e, arm_u), prob_less(arm_e, arm_u)
-    nobody_e = arm_e.pmf(0)
-    nobody_u = arm_u.pmf(0)
-    rr = u.prior_exposed.mean / u.prior_unexposed.mean
-    eff = (1.0 - nobody_e) / (1.0 - nobody_u) if nobody_u < 1.0 else None
-    comp = _predictive_split(u, eps)
-
-    print("two-arm risk scenario (beta-uncertain per-person risks)")
-    print(
-        f"  exposed arm:   n={u.n_exposed}  "
-        f"prior alpha={u.prior_exposed.alpha!r} beta={u.prior_exposed.beta!r}"
-    )
-    print(
-        f"  unexposed arm: n={u.n_unexposed}  "
-        f"prior alpha={u.prior_unexposed.alpha!r} beta={u.prior_unexposed.beta!r}"
-    )
-    print(f"per-person relative risk (prior means): {rr:#.6g}")
-    if eff is None:
-        print("effective relative risk: undefined (no mass on zero cases)")
+def _summary_lines(a: ScenarioAnalysis, coverage: float) -> list[str]:
+    """The summarize report; only the header lines and the lives-saved
+    block depend on the scenario kind."""
+    s, summary, comp = a.scenario, a.summary, a.split_comparison
+    if isinstance(s, ExposureScenario):
+        lines = [
+            "two-arm risk scenario (fixed per-person risks)",
+            f"  exposed arm:   n={s.n_exposed}  p={s.p_exposed!r}",
+            f"  unexposed arm: n={s.n_unexposed}  p={s.p_unexposed!r}",
+        ]
+        rr_label = "per-person relative risk"
     else:
-        print(f"effective relative risk: {eff:#.6g} (~ {eff:.2g})")
-    print(f"P(no cases in exposed arm):   {_prob(nobody_e)}")
-    print(f"P(no cases in unexposed arm): {_prob(nobody_u)}")
-    bound = max(r.error_bound for r in (gt, eq, lt))
-    print(f"arm-versus-arm comparison (error bound <= {bound:.2e}):")
-    print(f"  P(exposed arm counts more):   {_prob(gt.value)}")
-    print(f"  P(arms count exactly equal):  {_prob(eq.value)}")
-    print(f"  P(unexposed arm counts more): {_prob(lt.value)}")
-    print("arm count summaries:")
-    print(f"  exposed:   {_interval_line(arm_e, coverage)}")
-    print(f"  unexposed: {_interval_line(arm_u, coverage)}")
-    _print_split_block(comp, coverage)
-
-
-def _print_comparison_block(
-    summary,
-    arm_e: CountDistribution,
-    arm_u: CountDistribution,
-    comp: SplitComparison,
-    lives,
-    coverage: float,
-) -> None:
+        lines = [
+            "two-arm risk scenario (beta-uncertain per-person risks)",
+            f"  exposed arm:   n={s.n_exposed}  "
+            f"prior alpha={s.prior_exposed.alpha!r} beta={s.prior_exposed.beta!r}",
+            f"  unexposed arm: n={s.n_unexposed}  "
+            f"prior alpha={s.prior_unexposed.alpha!r} beta={s.prior_unexposed.beta!r}",
+        ]
+        rr_label = "per-person relative risk (prior means)"
     if summary.per_person_rr is None:
-        print("per-person relative risk: undefined (both risks are zero)")
+        lines.append("per-person relative risk: undefined (both risks are zero)")
     else:
-        print(f"per-person relative risk: {summary.per_person_rr:#.6g}")
+        lines.append(f"{rr_label}: {summary.per_person_rr:#.6g}")
     if summary.effective_rr is None:
-        print("effective relative risk: undefined (neither arm can see a case)")
+        lines.append("effective relative risk: undefined (neither arm can see a case)")
     else:
-        print(
+        lines.append(
             f"effective relative risk: {summary.effective_rr:#.6g} "
             f"(~ {summary.effective_rr:.2g})"
         )
-    print(f"P(no cases in exposed arm):   {_prob(summary.p_nobody_exposed)}")
-    print(f"P(no cases in unexposed arm): {_prob(summary.p_nobody_unexposed)}")
-    print(f"arm-versus-arm comparison (error bound <= {summary.error_bound:.2e}):")
-    print(f"  P(exposed arm counts more):   {_prob(summary.p_exposed_more)}")
-    print(f"  P(arms count exactly equal):  {_prob(summary.p_equal)}")
-    print(f"  P(unexposed arm counts more): {_prob(summary.p_unexposed_more)}")
-    print("arm count summaries:")
-    print(f"  exposed:   {_interval_line(arm_e, coverage)}")
-    print(f"  unexposed: {_interval_line(arm_u, coverage)}")
-    _print_split_block(comp, coverage)
-    print("cases avertable by eliminating exposure:")
-    print(f"  best case (interval extremes): {lives.best_case}")
-    print(f"  most likely (mode difference): {lives.most_likely}")
-    print(
-        "  P(split total >= its interval top): "
-        f"{lives.tail_prob_best_case:.4e}"
-    )
-
-
-def _print_split_block(comp: SplitComparison, coverage: float) -> None:
-    print("split total vs all-low counterfactual:")
-    print(f"  split total: {_interval_line(comp.split, coverage)}")
-    print(f"  all-low:     {_interval_line(comp.all_low, coverage)}")
-    print(f"  P(split total larger):   {_prob(comp.p_split_more)}")
-    print(f"  P(exactly equal totals): {_prob(comp.p_equal)}")
-    print(f"  P(all-low total larger): {_prob(comp.p_all_low_more)}")
+    lines += [
+        f"P(no cases in exposed arm):   {_prob(summary.p_nobody_exposed)}",
+        f"P(no cases in unexposed arm): {_prob(summary.p_nobody_unexposed)}",
+        f"arm-versus-arm comparison (error bound <= {summary.error_bound:.2e}):",
+        f"  P(exposed arm counts more):   {_prob(summary.p_exposed_more)}",
+        f"  P(arms count exactly equal):  {_prob(summary.p_equal)}",
+        f"  P(unexposed arm counts more): {_prob(summary.p_unexposed_more)}",
+        "arm count summaries:",
+        f"  exposed:   {_interval_line(a.arm_e, coverage)}",
+        f"  unexposed: {_interval_line(a.arm_u, coverage)}",
+        "split total vs all-low counterfactual:",
+        f"  split total: {_interval_line(comp.split, coverage)}",
+        f"  all-low:     {_interval_line(comp.all_low, coverage)}",
+        f"  P(split total larger):   {_prob(comp.p_split_more)}",
+        f"  P(exactly equal totals): {_prob(comp.p_equal)}",
+        f"  P(all-low total larger): {_prob(comp.p_all_low_more)}",
+    ]
+    if isinstance(s, ExposureScenario):
+        lives = a.lives_saved(coverage)
+        lines += [
+            "cases avertable by eliminating exposure:",
+            f"  best case (interval extremes): {lives.best_case}",
+            f"  most likely (mode difference): {lives.most_likely}",
+            f"  P(split total >= its interval top): {lives.tail_prob_best_case:.4e}",
+        ]
+    return lines
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     sf = load_scenario(args.scenario)
     coverage = _pick(args.coverage, sf.coverage, _DEFAULT_COVERAGE)
     eps = _pick(args.eps, sf.eps, DEFAULT_EPS)
-    payload = sf.payload
-    if isinstance(payload, ExposureScenario):
-        _print_fixed_summary(payload, coverage, eps)
-    elif isinstance(payload, UncertainScenario):
-        _print_predictive_summary(payload, coverage, eps)
-    else:
+    if isinstance(sf.payload, CausalSpec):
         return _fail(
             "summarize needs a risk scenario (exposure_scenario or "
             "uncertain_scenario); this file holds a causal_spec"
         )
+    print("\n".join(_summary_lines(ScenarioAnalysis(sf.payload, eps), coverage)))
     return 0
 
 
@@ -325,7 +260,7 @@ def render_replication_csv(
     meta = (
         ("riskcounts_csv", "1"),
         ("kind", "replication-report"),
-        ("tool_version", "0.1.0"),
+        ("tool_version", __version__),
         ("scenario", compact_json(scenario_document(spec))),
         ("replications", str(report.replications)),
         ("alpha", repr(report.alpha)),
@@ -392,8 +327,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         ("exposed", payload.n_exposed, payload.p_exposed),
         ("unexposed", payload.n_unexposed, payload.p_unexposed),
     ):
-        prior = calibrate_prior(n, p, target, coverage, eps)
-        rep = spread_report(n, prior, coverage, eps)
+        prior, rep = _calibrate(n, p, target, coverage, eps)
         print(f"{label} arm (n={n}, risk mean {p!r}):")
         print(f"  alpha: {prior.alpha!r}")
         print(f"  beta:  {prior.beta!r}")
@@ -441,7 +375,7 @@ def replay_text(text: str) -> str:
         }
         extra = tuple(
             (key, value)
-            for key, value in _metadata_pairs(text)
+            for key, value in meta.items()
             if key not in generated
             and not key.startswith("support_")
             and not key.startswith("truncated_mass_")
@@ -464,17 +398,6 @@ def replay_text(text: str) -> str:
         return render_replication_csv(payload, report, seed, continuity)
 
     raise ScenarioError(f"unknown CSV kind {kind!r} in metadata")
-
-
-def _metadata_pairs(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        key, sep, value = line[1:].strip().partition(":")
-        if sep:
-            pairs.append((key.strip(), value.strip()))
-    return pairs
 
 
 def replay_file(path: str | Path) -> str:

@@ -4,25 +4,29 @@ Translates per-person relative risk into population-level statements: the
 probability one arm produces more cases than the other, the ratio of
 at-least-one-case probabilities ("effective" relative risk), counterfactual
 all-low totals, and the bounds on how many cases removing an exposure could
-possibly avert.
+possibly avert.  ``ScenarioAnalysis`` computes all of it, from fixed
+per-person risks or from beta priors on them alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import (
     DEFAULT_EPS,
+    BetaParams,
     CountDistribution,
     CredibleInterval,
     DomainError,
     _check_count,
     _check_eps,
     _check_probability,
+    beta_binomial_distribution,
     binomial_distribution,
     central_interval,
     convolve,
@@ -32,6 +36,8 @@ from .distributions import (
 __all__ = [
     "MAX_POPULATION",
     "ExposureScenario",
+    "UncertainScenario",
+    "ScenarioAnalysis",
     "BoundedProbability",
     "ComparisonSummary",
     "SplitComparison",
@@ -73,6 +79,36 @@ class ExposureScenario:
             object.__setattr__(self, name, v)
         for name in ("p_exposed", "p_unexposed"):
             object.__setattr__(self, name, _check_probability(getattr(self, name), name))
+
+    @property
+    def risks(self) -> tuple[float, float]:
+        """Per-person risk of each arm (exposed, unexposed)."""
+        return self.p_exposed, self.p_unexposed
+
+
+@dataclass(frozen=True)
+class UncertainScenario:
+    """Two-arm scenario with beta uncertainty on each per-person probability."""
+
+    n_exposed: int
+    n_unexposed: int
+    prior_exposed: BetaParams
+    prior_unexposed: BetaParams
+
+    def __post_init__(self) -> None:
+        for name in ("n_exposed", "n_unexposed"):
+            v = _check_count(getattr(self, name), name, minimum=1)
+            if v > MAX_POPULATION:
+                raise DomainError(f"{name} exceeds the {MAX_POPULATION} cap")
+            object.__setattr__(self, name, v)
+        for name in ("prior_exposed", "prior_unexposed"):
+            if not isinstance(getattr(self, name), BetaParams):
+                raise DomainError(f"{name} must be a BetaParams instance")
+
+    @property
+    def risks(self) -> tuple[BetaParams, BetaParams]:
+        """Beta prior on each arm's per-person risk (exposed, unexposed)."""
+        return self.prior_exposed, self.prior_unexposed
 
 
 @dataclass(frozen=True)
@@ -175,27 +211,8 @@ def prob_less(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
 
 
 # ---------------------------------------------------------------------------
-# scenario-level summaries
+# scenario-level analysis
 # ---------------------------------------------------------------------------
-
-
-def _p_at_least_one(n: int, p: float) -> float:
-    """1 - (1-p)^n, exact at the extremes and stable for tiny p."""
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-p))
-
-
-def _p_nobody(n: int, p: float) -> float:
-    """(1-p)^n computed in log space, so huge-n cases underflow gracefully
-    to a subnormal instead of cancelling against 1."""
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return math.exp(n * math.log1p(-p))
 
 
 def _ratio_or_none(num: float, den: float) -> float | None:
@@ -204,42 +221,6 @@ def _ratio_or_none(num: float, den: float) -> float | None:
     if den == 0.0:
         return math.inf
     return num / den
-
-
-def summarize(s: ExposureScenario, eps: float = DEFAULT_EPS) -> ComparisonSummary:
-    """Build both arm distributions and fill every summary field.
-
-    ``eps`` is capped at 1e-9 here (tighter than the general constructor
-    limit) so the triple's sum-to-one promise survives truncation.
-    """
-    eps = _check_eps(eps)
-    if eps > _SUMMARY_MAX_EPS:
-        raise DomainError(
-            f"summaries require eps <= {_SUMMARY_MAX_EPS} to meet their "
-            f"sum-to-one contract, got {eps!r}"
-        )
-    x = binomial_distribution(s.n_exposed, s.p_exposed, eps)
-    y = binomial_distribution(s.n_unexposed, s.p_unexposed, eps)
-    greater = prob_greater(x, y)
-    equal = prob_equal(x, y)
-    less = prob_less(x, y)
-    some_e = _p_at_least_one(s.n_exposed, s.p_exposed)
-    some_u = _p_at_least_one(s.n_unexposed, s.p_unexposed)
-    return ComparisonSummary(
-        p_exposed_more=greater.value,
-        p_equal=equal.value,
-        p_unexposed_more=less.value,
-        per_person_rr=_ratio_or_none(s.p_exposed, s.p_unexposed),
-        effective_rr=_ratio_or_none(some_e, some_u),
-        p_nobody_exposed=_p_nobody(s.n_exposed, s.p_exposed),
-        p_nobody_unexposed=_p_nobody(s.n_unexposed, s.p_unexposed),
-        error_bound=greater.error_bound,
-    )
-
-
-def counterfactual_all_low(s: ExposureScenario, eps: float = DEFAULT_EPS) -> CountDistribution:
-    """Total-case distribution if the whole population had the unexposed risk."""
-    return binomial_distribution(s.n_exposed + s.n_unexposed, s.p_unexposed, eps)
 
 
 @dataclass(frozen=True)
@@ -254,36 +235,6 @@ class SplitComparison:
     mode_all_low: int
     split: CountDistribution
     all_low: CountDistribution
-
-
-def split_vs_counterfactual(s: ExposureScenario, eps: float = DEFAULT_EPS) -> SplitComparison:
-    eps = _check_eps(eps)
-    if eps > _SUMMARY_MAX_EPS:
-        raise DomainError(
-            f"summaries require eps <= {_SUMMARY_MAX_EPS} to meet their "
-            f"sum-to-one contract, got {eps!r}"
-        )
-    arm_e = binomial_distribution(s.n_exposed, s.p_exposed, eps / 4.0)
-    arm_u = binomial_distribution(s.n_unexposed, s.p_unexposed, eps / 4.0)
-    split = convolve(arm_e, arm_u, eps / 4.0)
-    all_low = counterfactual_all_low(s, eps)
-    return _split_comparison(split, all_low)
-
-
-def _split_comparison(split: CountDistribution, all_low: CountDistribution) -> SplitComparison:
-    greater = prob_greater(split, all_low)
-    equal = prob_equal(split, all_low)
-    less = prob_less(split, all_low)
-    return SplitComparison(
-        p_split_more=greater.value,
-        p_equal=equal.value,
-        p_all_low_more=less.value,
-        error_bound=greater.error_bound,
-        mode_split=mode(split),
-        mode_all_low=mode(all_low),
-        split=split,
-        all_low=all_low,
-    )
 
 
 @dataclass(frozen=True)
@@ -304,21 +255,167 @@ class LivesSavedBounds:
     all_low_interval: CredibleInterval
 
 
+class _Arm(NamedTuple):
+    law: CountDistribution
+    log_p0: float
+    mean_risk: float
+
+
+def _arm(n: int, risk: float | BetaParams, eps: float) -> _Arm:
+    """Count law at ``eps``, log P(no case) and mean per-person risk of one arm.
+
+    This is the only code that tells a fixed per-person risk from a beta
+    prior on it.  A fixed risk's log P(0) is the closed form n*log1p(-p),
+    exact however far the law's window sits from zero; a prior's is read
+    off its predictive law.
+    """
+    if isinstance(risk, BetaParams):
+        law = beta_binomial_distribution(n, risk, eps)
+        return _Arm(law, law.log_pmf(0), risk.mean)
+    log_p0 = n * math.log1p(-risk) if risk < 1.0 else -math.inf
+    return _Arm(binomial_distribution(n, risk, eps), log_p0, risk)
+
+
+class ScenarioAnalysis:
+    """Every population-level result for one two-arm scenario at one ``eps``.
+
+    Accepts an ``ExposureScenario`` or an ``UncertainScenario``.  Each count
+    law is built at most once, when a result first needs it: the two arms
+    at ``eps`` (the triple and figure 1/2 columns), the two arms at
+    ``eps/4`` and their convolution (the split total), and the all-low
+    counterfactual at ``eps``.  The triple and the split carry a
+    sum-to-one promise, so they refuse ``eps`` above 1e-9; the arm laws
+    alone accept any eps the constructors do.
+    """
+
+    def __init__(
+        self, scenario: ExposureScenario | UncertainScenario, eps: float = DEFAULT_EPS
+    ) -> None:
+        self.scenario = scenario
+        self.eps = _check_eps(eps)
+
+    def _check_summary_eps(self) -> None:
+        if self.eps > _SUMMARY_MAX_EPS:
+            raise DomainError(
+                f"summaries require eps <= {_SUMMARY_MAX_EPS} to meet their "
+                f"sum-to-one contract, got {self.eps!r}"
+            )
+
+    @cached_property
+    def _arms(self) -> tuple[_Arm, _Arm]:
+        s = self.scenario
+        risk_e, risk_u = s.risks
+        return _arm(s.n_exposed, risk_e, self.eps), _arm(s.n_unexposed, risk_u, self.eps)
+
+    @property
+    def arm_e(self) -> CountDistribution:
+        return self._arms[0].law
+
+    @property
+    def arm_u(self) -> CountDistribution:
+        return self._arms[1].law
+
+    @cached_property
+    def all_low(self) -> CountDistribution:
+        """Total-case law if the whole population had the unexposed risk."""
+        s = self.scenario
+        return _arm(s.n_exposed + s.n_unexposed, s.risks[1], self.eps).law
+
+    @cached_property
+    def split(self) -> CountDistribution:
+        """Total-case law of the population split into the two arms."""
+        self._check_summary_eps()
+        s = self.scenario
+        quarter = self.eps / 4.0
+        risk_e, risk_u = s.risks
+        arm_e = _arm(s.n_exposed, risk_e, quarter).law
+        arm_u = _arm(s.n_unexposed, risk_u, quarter).law
+        return convolve(arm_e, arm_u, quarter)
+
+    @cached_property
+    def summary(self) -> ComparisonSummary:
+        self._check_summary_eps()
+        e, u = self._arms
+        greater = prob_greater(e.law, u.law)
+        equal = prob_equal(e.law, u.law)
+        less = prob_less(e.law, u.law)
+        return ComparisonSummary(
+            p_exposed_more=greater.value,
+            p_equal=equal.value,
+            p_unexposed_more=less.value,
+            per_person_rr=_ratio_or_none(e.mean_risk, u.mean_risk),
+            effective_rr=_ratio_or_none(-math.expm1(e.log_p0), -math.expm1(u.log_p0)),
+            p_nobody_exposed=math.exp(e.log_p0),
+            p_nobody_unexposed=math.exp(u.log_p0),
+            error_bound=greater.error_bound,
+        )
+
+    @cached_property
+    def split_comparison(self) -> SplitComparison:
+        split, all_low = self.split, self.all_low
+        greater = prob_greater(split, all_low)
+        equal = prob_equal(split, all_low)
+        less = prob_less(split, all_low)
+        return SplitComparison(
+            p_split_more=greater.value,
+            p_equal=equal.value,
+            p_all_low_more=less.value,
+            error_bound=greater.error_bound,
+            mode_split=mode(split),
+            mode_all_low=mode(all_low),
+            split=split,
+            all_low=all_low,
+        )
+
+    def lives_saved(self, coverage: float) -> LivesSavedBounds:
+        comp = self.split_comparison
+        split_iv = central_interval(comp.split, coverage)
+        low_iv = central_interval(comp.all_low, coverage)
+        suffix = np.cumsum(comp.split.masses[::-1])[::-1]
+        tail = float(suffix[split_iv.hi - comp.split.support_lo])
+        return LivesSavedBounds(
+            best_case=split_iv.hi - low_iv.lo,
+            most_likely=comp.mode_split - comp.mode_all_low,
+            tail_prob_best_case=tail,
+            split_interval=split_iv,
+            all_low_interval=low_iv,
+        )
+
+
+def summarize(
+    s: ExposureScenario | UncertainScenario, eps: float = DEFAULT_EPS
+) -> ComparisonSummary:
+    """Build both arm distributions and fill every summary field.
+
+    ``eps`` is capped at 1e-9 here (tighter than the general constructor
+    limit) so the triple's sum-to-one promise survives truncation.
+    """
+    return ScenarioAnalysis(s, eps).summary
+
+
+def counterfactual_all_low(
+    s: ExposureScenario | UncertainScenario, eps: float = DEFAULT_EPS
+) -> CountDistribution:
+    """Total-case distribution if the whole population had the unexposed risk."""
+    return ScenarioAnalysis(s, eps).all_low
+
+
+def split_vs_counterfactual(
+    s: ExposureScenario | UncertainScenario, eps: float = DEFAULT_EPS
+) -> SplitComparison:
+    """Split-exposure total versus the all-low counterfactual total.
+
+    For an ``UncertainScenario`` both totals are predictive: the all-low
+    counterfactual applies the unexposed arm's uncertain per-person
+    probability to the whole population.
+    """
+    return ScenarioAnalysis(s, eps).split_comparison
+
+
 def lives_saved_bounds(
-    s: ExposureScenario, coverage: float, eps: float = DEFAULT_EPS
+    s: ExposureScenario | UncertainScenario, coverage: float, eps: float = DEFAULT_EPS
 ) -> LivesSavedBounds:
-    comp = split_vs_counterfactual(s, eps)
-    split_iv = central_interval(comp.split, coverage)
-    low_iv = central_interval(comp.all_low, coverage)
-    suffix = np.cumsum(comp.split.masses[::-1])[::-1]
-    tail = float(suffix[split_iv.hi - comp.split.support_lo])
-    return LivesSavedBounds(
-        best_case=split_iv.hi - low_iv.lo,
-        most_likely=comp.mode_split - comp.mode_all_low,
-        tail_prob_best_case=tail,
-        split_interval=split_iv,
-        all_low_interval=low_iv,
-    )
+    return ScenarioAnalysis(s, eps).lives_saved(coverage)
 
 
 # ---------------------------------------------------------------------------

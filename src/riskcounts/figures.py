@@ -26,11 +26,9 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .comparison import ExposureScenario
-from .comparison import split_vs_counterfactual as _fixed_split
-from .distributions import DEFAULT_EPS, CountDistribution, DomainError, binomial_distribution
-from .predictive import UncertainScenario, predictive_arms
-from .predictive import split_vs_counterfactual as _predictive_split
+from . import __version__
+from .comparison import ExposureScenario, ScenarioAnalysis, UncertainScenario
+from .distributions import DEFAULT_EPS, CountDistribution, DomainError
 from .scenarios import compact_json, scenario_document
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
 FIGURE_IDS = (1, 2, 3, 4)
 
 _LAYOUT_VERSION = 1
-_TOOL_VERSION = "0.1.0"
 
 _ARM_COLUMNS = ("mass_exposed", "mass_unexposed")
 _SPLIT_COLUMNS = ("mass_total_split", "mass_all_low")
@@ -98,28 +95,18 @@ def build_figure(
             f"got {type(payload).__name__}"
         )
 
-    if figure_id == 1:
+    analysis = ScenarioAnalysis(payload, eps)
+    if figure_id in (1, 2):
         names = _ARM_COLUMNS
-        dists = (
-            binomial_distribution(payload.n_exposed, payload.p_exposed, eps),
-            binomial_distribution(payload.n_unexposed, payload.p_unexposed, eps),
-        )
-    elif figure_id == 2:
-        names = _ARM_COLUMNS
-        dists = predictive_arms(payload, eps)
-    elif figure_id == 3:
-        comp = _fixed_split(payload, eps)
-        names = _SPLIT_COLUMNS
-        dists = (comp.split, comp.all_low)
+        dists = (analysis.arm_e, analysis.arm_u)
     else:
-        comp = _predictive_split(payload, eps)
         names = _SPLIT_COLUMNS
-        dists = (comp.split, comp.all_low)
+        dists = (analysis.split, analysis.all_low)
 
     meta = [
         ("riskcounts_csv", str(_LAYOUT_VERSION)),
         ("kind", "figure"),
-        ("tool_version", _TOOL_VERSION),
+        ("tool_version", __version__),
         ("figure_id", str(figure_id)),
         ("eps", repr(eps)),
         ("scenario", compact_json(scenario_document(payload))),

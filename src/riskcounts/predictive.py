@@ -23,13 +23,12 @@ from .distributions import (
     beta_binomial_distribution,
     binomial_distribution,
     central_interval,
-    convolve,
 )
 from .comparison import (
-    MAX_POPULATION,
     ExposureScenario,
-    SplitComparison,
-    _split_comparison,
+    ScenarioAnalysis,
+    UncertainScenario,
+    split_vs_counterfactual,
 )
 
 __all__ = [
@@ -61,26 +60,6 @@ class CalibrationError(ValueError):
 
 
 @dataclass(frozen=True)
-class UncertainScenario:
-    """Two-arm scenario with beta uncertainty on each per-person probability."""
-
-    n_exposed: int
-    n_unexposed: int
-    prior_exposed: BetaParams
-    prior_unexposed: BetaParams
-
-    def __post_init__(self) -> None:
-        for name in ("n_exposed", "n_unexposed"):
-            v = _check_count(getattr(self, name), name, minimum=1)
-            if v > MAX_POPULATION:
-                raise DomainError(f"{name} exceeds the {MAX_POPULATION} cap")
-            object.__setattr__(self, name, v)
-        for name in ("prior_exposed", "prior_unexposed"):
-            if not isinstance(getattr(self, name), BetaParams):
-                raise DomainError(f"{name} must be a BetaParams instance")
-
-
-@dataclass(frozen=True)
 class SpreadReport:
     """Predictive versus plug-in interval width at one coverage level.
 
@@ -105,10 +84,8 @@ def predictive_arms(
     u: UncertainScenario, eps: float = DEFAULT_EPS
 ) -> tuple[CountDistribution, CountDistribution]:
     """Posterior predictive count law for each arm (exposed, unexposed)."""
-    return (
-        beta_binomial_distribution(u.n_exposed, u.prior_exposed, eps),
-        beta_binomial_distribution(u.n_unexposed, u.prior_unexposed, eps),
-    )
+    analysis = ScenarioAnalysis(u, eps)
+    return analysis.arm_e, analysis.arm_u
 
 
 def spread_report(
@@ -154,6 +131,14 @@ def calibrate_prior(
     within 0.01 of the target inside the concentration bounds, calibration
     fails explicitly rather than returning a silently-off prior.
     """
+    return _calibrate(n, p_mean, target_ratio, coverage, eps)[0]
+
+
+def _calibrate(
+    n: int, p_mean: float, target_ratio: float, coverage: float, eps: float
+) -> tuple[BetaParams, SpreadReport]:
+    """``calibrate_prior`` plus the spread report of the prior it returns,
+    taken from the widths the search already measured."""
     n = _check_count(n, "n", minimum=1)
     p_mean = _check_probability(p_mean, "p_mean")
     if not (0.0 < p_mean < 1.0):
@@ -169,42 +154,43 @@ def calibrate_prior(
             "target_ratio 1 is the no-uncertainty limit; returning the "
             "concentration cap",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return BetaParams(hi_c * p_mean, hi_c * (1.0 - p_mean))
+        prior = BetaParams(hi_c * p_mean, hi_c * (1.0 - p_mean))
+        return prior, spread_report(n, prior, coverage, eps)
 
     w_plug = central_interval(binomial_distribution(n, p_mean, eps), coverage).width
     if w_plug == 0:
         raise DomainError("plug-in interval width is zero; no ratio to target")
 
-    def ratio_at(c: float) -> float:
+    def report_at(c: float) -> SpreadReport:
         prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
         w = central_interval(beta_binomial_distribution(n, prior, eps), coverage).width
-        return w / w_plug
+        return SpreadReport(width_predictive=w, width_plugin=w_plug, ratio=w / w_plug)
 
-    best_c, best_r = lo_c, ratio_at(lo_c)
-    if target_ratio > best_r + _RATIO_TOL:
+    best_c, best = lo_c, report_at(lo_c)
+    if target_ratio > best.ratio + _RATIO_TOL:
         raise CalibrationError(
-            f"target ratio {target_ratio} exceeds the maximum {best_r:.4g} "
+            f"target ratio {target_ratio} exceeds the maximum {best.ratio:.4g} "
             f"reachable at concentration {lo_c}"
         )
     lo, hi = lo_c, hi_c
     for _ in range(_MAX_BISECTIONS):
-        if abs(best_r - target_ratio) <= _RATIO_TOL:
-            return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean))
+        if abs(best.ratio - target_ratio) <= _RATIO_TOL:
+            return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean)), best
         mid = math.sqrt(lo * hi)
-        r = ratio_at(mid)
-        if abs(r - target_ratio) < abs(best_r - target_ratio):
-            best_c, best_r = mid, r
-        if r > target_ratio:
+        rep = report_at(mid)
+        if abs(rep.ratio - target_ratio) < abs(best.ratio - target_ratio):
+            best_c, best = mid, rep
+        if rep.ratio > target_ratio:
             lo = mid
         else:
             hi = mid
-    if abs(best_r - target_ratio) <= _RATIO_TOL:
-        return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean))
+    if abs(best.ratio - target_ratio) <= _RATIO_TOL:
+        return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean)), best
     raise CalibrationError(
         f"no concentration in [{lo_c:g}, {hi_c:g}] reaches spread ratio "
-        f"{target_ratio} +- {_RATIO_TOL} (closest: {best_r:.4g} at "
+        f"{target_ratio} +- {_RATIO_TOL} (closest: {best.ratio:.4g} at "
         f"concentration {best_c:.6g})"
     )
 
@@ -225,19 +211,3 @@ def calibrated_scenario(
             s.n_unexposed, s.p_unexposed, target_ratio, coverage, eps
         ),
     )
-
-
-def split_vs_counterfactual(u: UncertainScenario, eps: float = DEFAULT_EPS) -> SplitComparison:
-    """Predictive split-exposure total versus the predictive all-low total.
-
-    The all-low counterfactual applies the unexposed arm's uncertain
-    per-person probability to the whole population.
-    """
-    eps = _check_eps(eps)
-    arm_e = beta_binomial_distribution(u.n_exposed, u.prior_exposed, eps / 4.0)
-    arm_u = beta_binomial_distribution(u.n_unexposed, u.prior_unexposed, eps / 4.0)
-    split = convolve(arm_e, arm_u, eps / 4.0)
-    all_low = beta_binomial_distribution(
-        u.n_exposed + u.n_unexposed, u.prior_unexposed, eps
-    )
-    return _split_comparison(split, all_low)

@@ -14,9 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from .cohort import CausalSpec, CovariateRule, ProxyRule
-from .comparison import ExposureScenario
+from .comparison import ExposureScenario, UncertainScenario
 from .distributions import BetaParams, DomainError
-from .predictive import UncertainScenario
 
 __all__ = [
     "SCHEMA_VERSION",

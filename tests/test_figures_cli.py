@@ -399,3 +399,58 @@ def test_eps_control_in_file_is_used_and_flag_overrides(tmp_path, capsys):
     code = main(["summarize", str(path), "--eps", "1e-12"])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["summarize", "figure"])
+def test_loose_eps_is_refused_for_uncertain_summaries_as_for_fixed(
+    command, tmp_path, capsys
+):
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps({"schema_version": 1, "exposure_scenario": {
+        "n_exposed": 1000, "n_unexposed": 1500,
+        "p_exposed": 0.01, "p_unexposed": 0.004,
+    }}), encoding="utf-8")
+    uncertain = tmp_path / "uncertain.json"
+    uncertain.write_text(json.dumps({"schema_version": 1, "uncertain_scenario": {
+        "n_exposed": 1000, "n_unexposed": 1500,
+        "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
+        "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
+    }}), encoding="utf-8")
+    out = tmp_path / "fig.csv"
+    errors = []
+    for path, figure_id in ((fixed, "3"), (uncertain, "4")):
+        argv = [command, str(path), "--eps", "1e-6"]
+        if command == "figure":
+            argv += ["--id", figure_id, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[1].startswith("error: summaries require eps <= 1e-09")
+    assert not out.exists()
+
+
+def test_arm_figures_keep_accepting_loose_eps(tmp_path, capsys):
+    path = tmp_path / "uncertain.json"
+    path.write_text(json.dumps({"schema_version": 1, "uncertain_scenario": {
+        "n_exposed": 1000, "n_unexposed": 1500,
+        "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
+        "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
+    }}), encoding="utf-8")
+    assert main(["figure", str(path), "--id", "2", "--eps", "1e-6",
+                 "--out", str(tmp_path / "f2.csv")]) == 0
+    assert main(["figure", bundled_path(tmp_path, "la_rr106"), "--id", "1",
+                 "--eps", "1e-6", "--out", str(tmp_path / "f1.csv")]) == 0
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    import riskcounts
+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert version == riskcounts.__version__
+    csv_text = render_figure_csv(build_figure(1, SMALL))
+    assert read_metadata(csv_text)["tool_version"] == version
