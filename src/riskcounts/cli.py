@@ -91,6 +91,17 @@ def _interval_line(d: CountDistribution, coverage: float) -> str:
     )
 
 
+def _seed(text: str) -> int:
+    """argparse type for ``--seed``: refuse what numpy's SeedSequence would."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -210,7 +221,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     table = build_figure(args.id, payload, eps, extra)
     text = render_figure_csv(table)
     write_text_atomic(args.out, text)
-    print(f"wrote figure {args.id} ({len(text.splitlines())} lines) to {args.out}")
+    lines = text.count("\n")
+    print(f"wrote figure {args.id} ({lines} lines) to {args.out}")
     return 0
 
 
@@ -426,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=float, default=None,
                            help="total truncated-mass budget per distribution")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="master seed for the replication stream")
         if alpha:
             p.add_argument("--alpha", type=float, default=None,

@@ -25,7 +25,7 @@ comfortably inside the 1e-9 mass-identity contract enforced below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import mpmath
@@ -66,6 +66,13 @@ _BRACKET_SIGMAS = 12.0
 
 #: Hard cap on stored support points (desk-scale memory).
 _MAX_SUPPORT_POINTS = 20_000_000
+
+#: Bound on the mass a log-concave window drops past a step ratio that
+#: underflowed to zero.  Such a ratio is below 2^-1073 (the quotient rounds
+#: to zero only under 2^-1075, and its operands carry at most one more
+#: rounding each); the cell before it holds at most 1 and every later ratio
+#: is smaller still, so the dropped tail is under r / (1 - r) < 2^-1072.
+_UNDERFLOW_TAIL = 2.0**-1072
 
 
 class DomainError(ValueError):
@@ -135,9 +142,10 @@ _KINDS = ("binomial", "poisson", "beta-binomial", "convolution")
 class CountDistribution:
     """A law over case counts on the window ``support_lo..support_hi``.
 
-    ``log_mass[i]`` is the log-probability of count ``support_lo + i``.  The
-    mass identity  ``sum(exp(log_mass)) + truncated_mass == 1``  holds to
-    within 1e-9 and is enforced at construction time.
+    ``log_mass[i]`` is the log-probability of count ``support_lo + i``, and
+    ``masses`` its read-only linear-space counterpart.  The mass identity
+    ``sum(exp(log_mass)) + truncated_mass == 1``  holds to within 1e-9 and
+    is enforced at construction time.
     """
 
     kind: str
@@ -145,8 +153,12 @@ class CountDistribution:
     support_hi: int
     log_mass: np.ndarray
     truncated_mass: float
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``(exp(log_mass), math.fsum of it)`` from a builder that already
+    #: computed both, so that a window is exponentiated and summed once.
+    _exp_sum: InitVar[tuple[np.ndarray, float] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _exp_sum: tuple[np.ndarray, float] | None = None) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown distribution kind {self.kind!r}")
         lo = _check_count(self.support_lo, "support_lo")
@@ -167,20 +179,20 @@ class CountDistribution:
         object.__setattr__(self, "support_hi", hi)
         object.__setattr__(self, "log_mass", arr)
         object.__setattr__(self, "truncated_mass", trunc)
-        total = math.fsum(np.exp(arr)) + trunc
+        if _exp_sum is None:
+            masses = np.exp(arr)
+            stored = math.fsum(masses)
+        else:
+            masses, stored = _exp_sum
+        masses.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
+        total = stored + trunc
         if abs(total - 1.0) > MASS_IDENTITY_TOL:
             raise DomainError(
                 f"mass identity violated: stored+truncated = {total!r}"
             )
 
     # -- derived views ------------------------------------------------
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        """Linear-space masses over the support window (read-only)."""
-        m = np.exp(self.log_mass)
-        m.setflags(write=False)
-        return m
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -365,14 +377,27 @@ def _build_windowed(
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
 
-    stored = math.fsum(np.exp(log_mass))
-    truncated = min(max(1.0 - stored, 0.0), eps)
+    # A step ratio that underflows to zero (a subnormal risk) leaves -inf
+    # cells above it; a log-concave window ends at the last finite cell and
+    # carries the dropped tail's bound instead.
+    dropped = 0.0
+    if monotone_lo and monotone_hi and np.isneginf(log_mass[-1]):
+        cut = int(np.argmax(np.isneginf(log_mass)))
+        if cut > anchor_k - lo:
+            log_mass = log_mass[:cut]
+            hi = lo + cut - 1
+            dropped = _UNDERFLOW_TAIL
+
+    masses = np.exp(log_mass)
+    stored = math.fsum(masses)
+    truncated = min(max(1.0 - stored, 0.0) + dropped, eps)
     return CountDistribution(
         kind=kind,
         support_lo=lo,
         support_hi=hi,
         log_mass=log_mass,
         truncated_mass=truncated,
+        _exp_sum=(masses, stored),
     )
 
 
@@ -445,7 +470,9 @@ def binomial_distribution(n: int, p: float, eps: float = DEFAULT_EPS) -> CountDi
     q = 1.0 - p
 
     def log_ratio(ks: np.ndarray) -> np.ndarray:
-        return np.log((n - ks) * p / ((ks + 1.0) * q))
+        # A subnormal p can underflow the ratio to 0 (see _build_windowed).
+        with np.errstate(divide="ignore"):
+            return np.log((n - ks) * p / ((ks + 1.0) * q))
 
     return _build_windowed(
         kind="binomial",
@@ -469,7 +496,8 @@ def poisson_distribution(lam: float, eps: float = DEFAULT_EPS) -> CountDistribut
         return _point_mass("poisson", 0)
 
     def log_ratio(ks: np.ndarray) -> np.ndarray:
-        return np.log(lam / (ks + 1.0))
+        with np.errstate(divide="ignore"):
+            return np.log(lam / (ks + 1.0))
 
     return _build_windowed(
         kind="poisson",

@@ -15,13 +15,17 @@ own header (see ``replay`` in the command-line module).  The body is
 RFC-4180 CSV with LF line endings.  Rows cover the union of the column
 supports; a cell is empty where that column's distribution was not
 evaluated.  Mass cells print with ``repr`` so they round-trip exactly.
+
+The body is rendered in fixed blocks of rows, each joined from whole-column
+string operations, which keeps the temporaries bounded.  No field ever
+needs CSV quoting (counts, ``repr`` floats and empty cells, at least three
+to a row), so the bytes are those ``csv.writer`` would produce.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +50,10 @@ _LAYOUT_VERSION = 1
 
 _ARM_COLUMNS = ("mass_exposed", "mass_unexposed")
 _SPLIT_COLUMNS = ("mass_total_split", "mass_all_low")
+
+#: Rows rendered per block: large enough that per-block overhead vanishes,
+#: small enough that a block's temporary strings stay a few megabytes.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -126,25 +134,41 @@ def build_figure(
 def render_figure_csv(table: FigureTable) -> str:
     """Render a table to the exact text written to disk."""
     lo, hi = table.count_range()
-    masses = [d.masses for d in table.columns]
-    buf = io.StringIO()
-    for key, value in table.metadata:
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("count",) + table.column_names)
-    for count in range(lo, hi + 1):
-        row: list[str] = [str(count)]
-        for dist, mass in zip(table.columns, masses):
-            d_lo, d_hi = dist.support_lo, dist.support_hi
-            row.append(repr(float(mass[count - d_lo])) if d_lo <= count <= d_hi else "")
-        writer.writerow(row)
-    return buf.getvalue()
+    parts = [f"# {key}: {value}\n" for key, value in table.metadata]
+    parts.append(",".join(("count",) + table.column_names) + "\n")
+    for start in range(lo, hi + 1, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi + 1)
+        cells = [map(str, range(start, stop))]
+        cells.extend(_column_cells(d, start, stop) for d in table.columns)
+        parts.append("\n".join(map(",".join, zip(*cells))))
+        parts.append("\n")
+    return "".join(parts)
+
+
+def _column_cells(dist: CountDistribution, start: int, stop: int) -> list[str]:
+    """One column's cells for the rows ``start..stop-1``: ``repr`` of the
+    stored mass inside the column's support, ``""`` outside it."""
+    a = max(start, dist.support_lo)
+    b = min(stop, dist.support_hi + 1)
+    if a >= b:
+        return [""] * (stop - start)
+    masses = dist.masses[a - dist.support_lo : b - dist.support_lo].tolist()
+    return [""] * (a - start) + list(map(repr, masses)) + [""] * (stop - b)
+
+
+_METADATA_END = re.compile(r"\n(?!#)")
 
 
 def read_metadata(text: str) -> dict[str, str]:
-    """Parse the leading ``# key: value`` block of a rendered CSV."""
+    """Parse the leading ``# key: value`` block of a rendered CSV.
+
+    Only the text up to the first line-feed not followed by ``#`` is split
+    into lines; the block cannot extend past it.
+    """
     meta: dict[str, str] = {}
-    for line in text.splitlines():
+    end = _METADATA_END.search(text)
+    head = text if end is None else text[: end.start()]
+    for line in head.splitlines():
         if not line.startswith("#"):
             break
         body = line[1:].strip()

@@ -235,6 +235,8 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
             controls[key] = None
         elif key in ("seed", "replications"):
             controls[key] = _integer(doc[key], key, source)
+            if key == "seed" and controls[key] < 0:
+                raise ScenarioError(f"field 'seed' in {source} must be >= 0, got {controls[key]}")
         else:
             controls[key] = _number(doc[key], key, source)
     return ScenarioFile(schema_version=version, **{kind: parsed}, **controls)

@@ -1,0 +1,148 @@
+"""Edge inputs: negative seeds, subnormal risks, and the masses a builder
+hands to the distribution it constructs."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from riskcounts.cli import main
+from riskcounts.distributions import (
+    CountDistribution,
+    DomainError,
+    binomial_distribution,
+    convolve,
+    poisson_distribution,
+)
+from riskcounts.scenarios import ScenarioError, bundled_text, parse_scenario
+
+MASS_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# seeds
+# ---------------------------------------------------------------------------
+
+
+def _null_spec(tmp_path, **controls):
+    doc = json.loads(bundled_text("null_spec"))
+    doc.update(controls)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _error_lines(stderr):
+    return [line for line in stderr.splitlines() if "error:" in line]
+
+
+def test_negative_seed_option_exits_2_with_error_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", _null_spec(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        "riskcounts simulate: error: argument --seed: must be >= 0, got -1"
+    ]
+    assert "Traceback" not in captured.err
+
+
+def test_non_integer_seed_option_is_still_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", _null_spec(tmp_path), "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert _error_lines(capsys.readouterr().err) == [
+        "riskcounts simulate: error: argument --seed: invalid int value: '1.5'"
+    ]
+
+
+def test_negative_seed_in_scenario_file_exits_2_with_error_line(tmp_path, capsys):
+    code = main(["simulate", _null_spec(tmp_path, seed=-3), "--replications", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: field 'seed' in ")
+    assert captured.err.endswith("must be >= 0, got -3\n")
+
+
+def test_parse_scenario_refuses_negative_seed_and_keeps_zero():
+    doc = json.loads(bundled_text("null_spec"))
+    with pytest.raises(ScenarioError, match="'seed'.*>= 0"):
+        parse_scenario({**doc, "seed": -1})
+    assert parse_scenario({**doc, "seed": 0}).seed == 0
+
+
+def test_zero_seed_option_runs(tmp_path, capsys):
+    assert main(["simulate", _null_spec(tmp_path), "--seed", "0", "--replications", "3"]) == 0
+    assert "# seed: 0\n" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# subnormal risks
+# ---------------------------------------------------------------------------
+
+
+def _check_contract(d, eps):
+    assert np.isfinite(d.log_mass).all()
+    assert 0.0 < d.truncated_mass <= eps
+    assert abs(math.fsum(d.masses) + d.truncated_mass - 1.0) <= MASS_TOL
+
+
+@pytest.mark.parametrize("n, p", [(2, 5e-324), (3, 5e-324), (10, 5e-324), (10, 2.5e-323)])
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+def test_binomial_with_subnormal_risk_ends_at_last_finite_cell(n, p, eps):
+    d = binomial_distribution(n, p, eps)
+    _check_contract(d, eps)
+    assert d.support_lo == 0
+    assert d.support_hi < n
+    assert d.truncated_mass >= 2.0**-1072
+
+
+def test_binomial_two_at_smallest_subnormal():
+    # Count 1 holds 2 * 5e-324; the step to count 2 underflows to zero.
+    d = binomial_distribution(2, 5e-324)
+    assert (d.support_lo, d.support_hi) == (0, 1)
+    assert d.log_mass[0] == 0.0
+    assert d.truncated_mass == 2.0**-1072
+
+
+def test_poisson_with_subnormal_rate_ends_at_last_finite_cell():
+    d = poisson_distribution(5e-324)
+    _check_contract(d, 1e-12)
+    assert (d.support_lo, d.support_hi) == (0, 1)
+
+
+def test_small_but_representable_risk_keeps_its_window():
+    # No step underflows here, so nothing is dropped or added.
+    d = binomial_distribution(1000, 1e-300)
+    assert np.isfinite(d.log_mass).all()
+    assert d.truncated_mass == 0.0
+
+
+# ---------------------------------------------------------------------------
+# masses handed over by the builders
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: binomial_distribution(100_000, 0.01),
+        lambda: poisson_distribution(50.0),
+        lambda: convolve(binomial_distribution(1000, 0.1), binomial_distribution(900, 0.2)),
+        lambda: binomial_distribution(7, 0.0),
+    ],
+)
+def test_masses_equal_exp_of_log_mass_and_are_read_only(build):
+    d = build()
+    assert np.array_equal(d.masses, np.exp(d.log_mass))
+    assert not d.masses.flags.writeable
+    assert not d.log_mass.flags.writeable
+
+
+def test_handed_over_sum_is_still_checked():
+    log_mass = np.log([0.25, 0.25])
+    with pytest.raises(DomainError, match="mass identity"):
+        CountDistribution("binomial", 0, 1, log_mass, 0.0, _exp_sum=(np.exp(log_mass), 0.5))
