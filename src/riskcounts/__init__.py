@@ -13,7 +13,7 @@ log-space arithmetic with explicit truncation budgets, and every simulation
 is driven by counter-based streams keyed on a declared seed.
 """
 
-# Set before the submodule imports: figures and cli stamp it into CSV headers.
+# Set before the submodule imports: figures stamps it into CSV headers.
 __version__ = "0.1.0"
 
 from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test

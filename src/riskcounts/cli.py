@@ -18,34 +18,27 @@ approximation, and the truncation error bound where one applies.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from pathlib import Path
 
 from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test
-from .cohort import CausalSpec, ReplicationReport, replication_study
-from . import __version__
-from .comparison import ExposureScenario, ScenarioAnalysis, UncertainScenario
+from .cohort import CausalSpec, replication_study
+from .comparison import ExposureScenario, ScenarioAnalysis
 from .distributions import DEFAULT_EPS, CountDistribution, DomainError, central_interval, mode
-from .predictive import CalibrationError, _calibrate, calibrated_scenario
+from .predictive import CalibrationError, _calibrate
 from .figures import (
     FIGURE_IDS,
     build_figure,
-    read_metadata,
+    calibrated_figure,
     render_figure_csv,
+    render_replication_csv,
+    replay_file,
+    replay_text,
     write_text_atomic,
 )
-from .scenarios import (
-    ScenarioError,
-    compact_json,
-    load_scenario,
-    parse_scenario,
-    scenario_document,
-)
+from .scenarios import ScenarioError, load_scenario
 
-__all__ = ["main", "replay_text"]
+__all__ = ["main", "render_replication_csv", "replay_file", "replay_text"]
 
 _DEFAULT_COVERAGE = 0.9999
 _DEFAULT_ALPHA = 0.05
@@ -193,32 +186,16 @@ def cmd_figure(args: argparse.Namespace) -> int:
     sf = load_scenario(args.scenario)
     coverage = _pick(args.coverage, sf.coverage, _DEFAULT_COVERAGE)
     eps = _pick(args.eps, sf.eps, DEFAULT_EPS)
-    payload = sf.payload
-    extra: tuple[tuple[str, str], ...] = ()
-
-    if isinstance(payload, CausalSpec):
-        return _fail("figures need a risk scenario, not a causal_spec")
-    if args.id in (2, 4) and isinstance(payload, ExposureScenario):
+    if args.id in (2, 4) and isinstance(sf.payload, ExposureScenario):
         if args.calibrate_ratio is None:
             return _fail(
                 f"figure {args.id} needs per-person risk priors: supply an "
                 "uncertain_scenario file or pass --calibrate-ratio to fit "
                 "priors to this fixed-risk scenario"
             )
-        source_doc = compact_json(scenario_document(payload))
-        payload = calibrated_scenario(payload, args.calibrate_ratio, coverage, eps)
-        extra = (
-            ("calibrated_from", source_doc),
-            ("calibrate_ratio", repr(args.calibrate_ratio)),
-            ("calibrate_coverage", repr(coverage)),
-        )
-    if args.id in (1, 3) and isinstance(payload, UncertainScenario):
-        return _fail(
-            f"figure {args.id} shows fixed-risk counts; this file holds an "
-            "uncertain_scenario (use figure 2 or 4)"
-        )
-
-    table = build_figure(args.id, payload, eps, extra)
+        table = calibrated_figure(args.id, sf.payload, args.calibrate_ratio, coverage, eps)
+    else:
+        table = build_figure(args.id, sf.payload, eps)
     text = render_figure_csv(table)
     write_text_atomic(args.out, text)
     lines = text.count("\n")
@@ -260,32 +237,6 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-
-def render_replication_csv(
-    spec: CausalSpec,
-    report: ReplicationReport,
-    seed: int,
-    continuity: bool,
-) -> str:
-    buf = io.StringIO()
-    meta = (
-        ("riskcounts_csv", "1"),
-        ("kind", "replication-report"),
-        ("tool_version", __version__),
-        ("scenario", compact_json(scenario_document(spec))),
-        ("replications", str(report.replications)),
-        ("alpha", repr(report.alpha)),
-        ("seed", str(seed)),
-        ("continuity_correction", str(continuity).lower()),
-    )
-    for key, value in meta:
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("variant", "rejection_rate", "mean_p"))
-    for row in report.rows:
-        writer.writerow((row.variant, repr(row.rejection_rate), repr(row.mean_p_value)))
-    return buf.getvalue()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -350,70 +301,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             f"plug-in {rep.width_plugin}, ratio {ratio}"
         )
     return 0
-
-
-# ---------------------------------------------------------------------------
-# metadata replay
-# ---------------------------------------------------------------------------
-
-
-def replay_text(text: str) -> str:
-    """Regenerate a CSV's full text from its own metadata header.
-
-    The scenario echo in the header is parsed back through the ordinary
-    scenario-file path and the command is re-run in-process.  The result is
-    byte-identical to the original file; this is the executable form of the
-    "metadata echo is lossless" guarantee, and the round trip makes a good
-    integrity check for archived tables.
-    """
-    meta = read_metadata(text)
-    try:
-        kind = meta["kind"]
-        doc = json.loads(meta["scenario"])
-    except KeyError as exc:
-        raise ScenarioError(f"metadata block is missing the {exc.args[0]!r} line") from None
-    sf = parse_scenario(doc, source="<metadata>")
-
-    if kind == "figure":
-        figure_id = int(meta["figure_id"])
-        eps = float(meta["eps"])
-        generated = {
-            "riskcounts_csv",
-            "kind",
-            "tool_version",
-            "figure_id",
-            "eps",
-            "scenario",
-        }
-        extra = tuple(
-            (key, value)
-            for key, value in meta.items()
-            if key not in generated
-            and not key.startswith("support_")
-            and not key.startswith("truncated_mass_")
-        )
-        table = build_figure(figure_id, sf.payload, eps, extra)
-        return render_figure_csv(table)
-
-    if kind == "replication-report":
-        payload = sf.payload
-        if not isinstance(payload, CausalSpec):
-            raise ScenarioError("replication-report metadata must carry a causal_spec")
-        replications = int(meta["replications"])
-        alpha = float(meta["alpha"])
-        seed = int(meta["seed"])
-        continuity = meta["continuity_correction"] == "true"
-        report = replication_study(
-            payload, replications, alpha=alpha, seed=seed,
-            continuity_correction=continuity,
-        )
-        return render_replication_csv(payload, report, seed, continuity)
-
-    raise ScenarioError(f"unknown CSV kind {kind!r} in metadata")
-
-
-def replay_file(path: str | Path) -> str:
-    return replay_text(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Tabular figure data: count distributions laid out as CSV for plotting.
+"""The self-describing CSV files: figure tables and replication reports.
 
-Four standard tables:
+Four figure tables, plus the replication report written by ``simulate``:
 
 1. per-arm outcome counts under fixed per-person risks
 2. per-arm outcome counts with risk uncertainty folded in
@@ -8,22 +8,24 @@ Four standard tables:
    counterfactual where everybody carries the low risk
 4. the same pair with risk uncertainty folded in
 
-Each file starts with ``#``-prefixed metadata lines that record the tool
-version, the figure id, the numeric tolerance, and the exact scenario the
-table was built from, so a table can be regenerated byte-for-byte from its
-own header (see ``replay`` in the command-line module).  The body is
-RFC-4180 CSV with LF line endings.  Rows cover the union of the column
-supports; a cell is empty where that column's distribution was not
-evaluated.  Mass cells print with ``repr`` so they round-trip exactly.
-
-The body is rendered in fixed blocks of rows, each joined from whole-column
-string operations, which keeps the temporaries bounded.  No field ever
-needs CSV quoting (counts, ``repr`` floats and empty cells, at least three
-to a row), so the bytes are those ``csv.writer`` would produce.
+Each file starts with ``#``-prefixed metadata lines that record the layout
+version, the tool version, the exact scenario and every setting the body
+was computed from, so ``replay_text`` regenerates the file byte-for-byte
+from its own header.  The body is RFC-4180 CSV with LF line endings.
+Figure rows cover the union of the column supports; a cell is empty where
+that column's distribution was not evaluated.  Mass cells print with
+``repr`` so they round-trip exactly.  Figure bodies are rendered in fixed
+blocks of rows from whole-column string operations; no figure field ever
+needs quoting (counts, ``repr`` floats and empty cells), so the bytes are
+those ``csv.writer`` would produce.  Replication rows, whose variant names
+carry covariate names, go through ``csv.writer`` itself.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 import re
 import tempfile
@@ -31,16 +33,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .cohort import CausalSpec, ReplicationReport, replication_study
 from .comparison import ExposureScenario, ScenarioAnalysis, UncertainScenario
 from .distributions import DEFAULT_EPS, CountDistribution, DomainError
-from .scenarios import compact_json, scenario_document
+from .predictive import calibrated_scenario
+from .scenarios import ScenarioError, compact_json, parse_scenario, scenario_document
 
 __all__ = [
     "FIGURE_IDS",
     "FigureTable",
     "build_figure",
+    "calibrated_figure",
     "render_figure_csv",
+    "render_replication_csv",
     "read_metadata",
+    "replay_text",
+    "replay_file",
     "write_text_atomic",
 ]
 
@@ -76,6 +84,28 @@ class FigureTable:
         return lo, hi
 
 
+def _header(kind: str, *lines: tuple[str, str]) -> tuple[tuple[str, str], ...]:
+    """The metadata every file starts with, then ``lines``."""
+    return (
+        ("riskcounts_csv", str(_LAYOUT_VERSION)),
+        ("kind", kind),
+        ("tool_version", __version__),
+        *lines,
+    )
+
+
+def _header_text(metadata: tuple[tuple[str, str], ...]) -> str:
+    return "".join(f"# {key}: {value}\n" for key, value in metadata)
+
+
+def _figure_head(figure_id: int, eps: float, scenario: str) -> tuple[tuple[str, str], ...]:
+    """The fixed opening lines of a figure header, ``scenario`` being the
+    compact JSON echo.  Any extra lines follow, then two lines per column."""
+    return _header(
+        "figure", ("figure_id", str(figure_id)), ("eps", repr(eps)), ("scenario", scenario)
+    )
+
+
 def build_figure(
     figure_id: int,
     payload: ExposureScenario | UncertainScenario,
@@ -86,21 +116,23 @@ def build_figure(
 
     Figures 1 and 3 take fixed-risk scenarios; 2 and 4 take scenarios with
     beta risk priors.  ``extra_metadata`` lines are echoed into the header
-    after the scenario line (the command-line layer uses this to note how
-    a prior was calibrated).
+    after the scenario line (``calibrated_figure`` uses this to note how a
+    prior was calibrated).
     """
     if figure_id not in FIGURE_IDS:
         raise DomainError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
     wants_fixed = figure_id in (1, 3)
-    if wants_fixed and not isinstance(payload, ExposureScenario):
+    if isinstance(payload, CausalSpec):
+        raise DomainError("figures need a risk scenario, not a causal_spec")
+    if wants_fixed and isinstance(payload, UncertainScenario):
         raise DomainError(
-            f"figure {figure_id} is built from fixed per-person risks; "
-            f"got {type(payload).__name__}"
+            f"figure {figure_id} shows fixed-risk counts; this file holds an "
+            "uncertain_scenario (use figure 2 or 4)"
         )
-    if not wants_fixed and not isinstance(payload, UncertainScenario):
+    if not isinstance(payload, ExposureScenario if wants_fixed else UncertainScenario):
+        law = "fixed per-person risks" if wants_fixed else "beta risk priors"
         raise DomainError(
-            f"figure {figure_id} is built from beta risk priors; "
-            f"got {type(payload).__name__}"
+            f"figure {figure_id} is built from {law}; got {type(payload).__name__}"
         )
 
     analysis = ScenarioAnalysis(payload, eps)
@@ -111,15 +143,8 @@ def build_figure(
         names = _SPLIT_COLUMNS
         dists = (analysis.split, analysis.all_low)
 
-    meta = [
-        ("riskcounts_csv", str(_LAYOUT_VERSION)),
-        ("kind", "figure"),
-        ("tool_version", __version__),
-        ("figure_id", str(figure_id)),
-        ("eps", repr(eps)),
-        ("scenario", compact_json(scenario_document(payload))),
-    ]
-    meta.extend(extra_metadata)
+    scenario = compact_json(scenario_document(payload))
+    meta = [*_figure_head(figure_id, eps, scenario), *extra_metadata]
     for name, dist in zip(names, dists):
         meta.append((f"support_{name}", f"[{dist.support_lo}, {dist.support_hi}]"))
         meta.append((f"truncated_{name}", repr(dist.truncated_mass)))
@@ -131,10 +156,31 @@ def build_figure(
     )
 
 
+def calibrated_figure(
+    figure_id: int,
+    scenario: ExposureScenario,
+    target_ratio: float,
+    coverage: float,
+    eps: float = DEFAULT_EPS,
+) -> FigureTable:
+    """Figure 2 or 4 from beta priors fitted to a fixed-risk scenario.
+
+    The header echoes the fitted priors as the scenario, then the source
+    scenario, the target ratio and the coverage the fit used.
+    """
+    source = compact_json(scenario_document(scenario))
+    payload = calibrated_scenario(scenario, target_ratio, coverage, eps)
+    return build_figure(figure_id, payload, eps, (
+        ("calibrated_from", source),
+        ("calibrate_ratio", repr(target_ratio)),
+        ("calibrate_coverage", repr(coverage)),
+    ))
+
+
 def render_figure_csv(table: FigureTable) -> str:
     """Render a table to the exact text written to disk."""
     lo, hi = table.count_range()
-    parts = [f"# {key}: {value}\n" for key, value in table.metadata]
+    parts = [_header_text(table.metadata)]
     parts.append(",".join(("count",) + table.column_names) + "\n")
     for start in range(lo, hi + 1, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, hi + 1)
@@ -176,6 +222,104 @@ def read_metadata(text: str) -> dict[str, str]:
         if sep:
             meta[key.strip()] = value.strip()
     return meta
+
+
+def render_replication_csv(
+    spec: CausalSpec,
+    report: ReplicationReport,
+    seed: int,
+    continuity: bool,
+) -> str:
+    """Render a replication study to the exact text written to disk."""
+    buf = io.StringIO()
+    buf.write(_header_text(_header(
+        "replication-report",
+        ("scenario", compact_json(scenario_document(spec))),
+        ("replications", str(report.replications)),
+        ("alpha", repr(report.alpha)),
+        ("seed", str(seed)),
+        ("continuity_correction", str(continuity).lower()),
+    )))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("variant", "rejection_rate", "mean_p"))
+    for row in report.rows:
+        writer.writerow((row.variant, repr(row.rejection_rate), repr(row.mean_p_value)))
+    return buf.getvalue()
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+def _line(meta: dict[str, str], key: str, convert=str):
+    """The value of one header line, converted; a missing line or a value
+    ``convert`` refuses is a ``ScenarioError`` that names the line."""
+    if key not in meta:
+        raise ScenarioError(f"metadata block is missing the {key!r} line")
+    try:
+        return convert(meta[key])
+    except ValueError as exc:
+        raise ScenarioError(f"metadata line {key!r} is malformed: {exc}") from None
+
+
+def replay_text(text: str) -> str:
+    """Regenerate a CSV's full text from its own metadata header.
+
+    The scenario echo in the header is parsed back through the ordinary
+    scenario-file path and the computation is re-run in-process.  The
+    result is byte-identical to the original file; this is the executable
+    form of the "metadata echo is lossless" guarantee, and the round trip
+    makes a good integrity check for archived tables.  A header this build
+    cannot replay (unknown layout, a missing or malformed line, values
+    outside their domain) raises ``ScenarioError``.
+    """
+    meta = read_metadata(text)
+    kind = _line(meta, "kind")
+    doc = _line(meta, "scenario", json.loads)
+    layout = _line(meta, "riskcounts_csv")
+    if layout != str(_LAYOUT_VERSION):
+        raise ScenarioError(
+            f"metadata line 'riskcounts_csv' names layout {layout!r}; "
+            f"this build replays layout {_LAYOUT_VERSION}"
+        )
+    payload = parse_scenario(doc, source="<metadata>").payload
+    try:
+        if kind == "figure":
+            figure_id = _line(meta, "figure_id", int)
+            eps = _line(meta, "eps", float)
+            # Extra lines sit between the fixed head and the column lines.
+            items = tuple(meta.items())
+            head = _figure_head(figure_id, eps, meta["scenario"])
+            extra = items[len(head) : len(items) - 2 * len(_ARM_COLUMNS)]
+            return render_figure_csv(build_figure(figure_id, payload, eps, extra))
+        if kind == "replication-report":
+            if not isinstance(payload, CausalSpec):
+                raise ScenarioError("replication-report metadata must carry a causal_spec")
+            replications = _line(meta, "replications", int)
+            alpha = _line(meta, "alpha", float)
+            seed = _line(meta, "seed", _seed)
+            continuity = _line(meta, "continuity_correction", _flag)
+            report = replication_study(
+                payload, replications, alpha=alpha, seed=seed,
+                continuity_correction=continuity,
+            )
+            return render_replication_csv(payload, report, seed, continuity)
+    except DomainError as exc:
+        raise ScenarioError(f"metadata does not replay: {exc}") from None
+    raise ScenarioError(f"unknown CSV kind {kind!r} in metadata")
+
+
+def replay_file(path: str | Path) -> str:
+    return replay_text(Path(path).read_text(encoding="utf-8"))
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -9,7 +9,7 @@ Parsing failures always name the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +30,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_KIND_KEYS = ("exposure_scenario", "uncertain_scenario", "causal_spec")
+#: Payload type -> the top-level key that holds it in a scenario file.
+_KINDS = {
+    ExposureScenario: "exposure_scenario",
+    UncertainScenario: "uncertain_scenario",
+    CausalSpec: "causal_spec",
+}
+_KIND_KEYS = tuple(_KINDS.values())
 _CONTROL_KEYS = ("coverage", "eps", "seed", "replications", "alpha")
 
 BUNDLED_SCENARIOS = (
@@ -51,9 +57,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class ScenarioFile:
     schema_version: int
-    exposure_scenario: ExposureScenario | None = None
-    uncertain_scenario: UncertainScenario | None = None
-    causal_spec: CausalSpec | None = None
+    payload: ExposureScenario | UncertainScenario | CausalSpec
     coverage: float | None = None
     eps: float | None = None
     seed: int | None = None
@@ -62,15 +66,7 @@ class ScenarioFile:
 
     @property
     def kind(self) -> str:
-        if self.exposure_scenario is not None:
-            return "exposure_scenario"
-        if self.uncertain_scenario is not None:
-            return "uncertain_scenario"
-        return "causal_spec"
-
-    @property
-    def payload(self):
-        return getattr(self, self.kind)
+        return _KINDS[type(self.payload)]
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -239,57 +235,21 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
                 raise ScenarioError(f"field 'seed' in {source} must be >= 0, got {controls[key]}")
         else:
             controls[key] = _number(doc[key], key, source)
-    return ScenarioFile(schema_version=version, **{kind: parsed}, **controls)
+    return ScenarioFile(schema_version=version, payload=parsed, **controls)
 
 
 def payload_document(payload) -> tuple[str, dict]:
     """Serialize a scenario payload back to its (kind, JSON body) pair.
 
-    Round-trips exactly: floats serialize via their shortest repr, so
-    parse_scenario on the result reconstructs an equal payload.
+    The body holds every dataclass field except those left at ``None`` or
+    ``()``.  Round-trips exactly: floats serialize via their shortest repr,
+    so parse_scenario on the result reconstructs an equal payload.
     """
-    if isinstance(payload, ExposureScenario):
-        return "exposure_scenario", {
-            "n_exposed": payload.n_exposed,
-            "n_unexposed": payload.n_unexposed,
-            "p_exposed": payload.p_exposed,
-            "p_unexposed": payload.p_unexposed,
-        }
-    if isinstance(payload, UncertainScenario):
-        return "uncertain_scenario", {
-            "n_exposed": payload.n_exposed,
-            "n_unexposed": payload.n_unexposed,
-            "prior_exposed": {
-                "alpha": payload.prior_exposed.alpha,
-                "beta": payload.prior_exposed.beta,
-            },
-            "prior_unexposed": {
-                "alpha": payload.prior_unexposed.alpha,
-                "beta": payload.prior_unexposed.beta,
-            },
-        }
-    if isinstance(payload, CausalSpec):
-        body: dict = {
-            "n_per_group": payload.n_per_group,
-            "true_cause": payload.true_cause,
-            "baseline_p": payload.baseline_p,
-            "effect_p": payload.effect_p,
-            "latent_group_correlation": payload.latent_group_correlation,
-        }
-        if payload.covariate_rules:
-            body["covariate_rules"] = [
-                {
-                    "name": r.name,
-                    "intercept": r.intercept,
-                    "slope": r.slope,
-                    "noise_sd": r.noise_sd,
-                }
-                for r in payload.covariate_rules
-            ]
-        if payload.proxy_rule is not None:
-            body["proxy_rule"] = {"accuracy": payload.proxy_rule.accuracy}
-        return "causal_spec", body
-    raise ScenarioError(f"cannot serialize payload of type {type(payload).__name__}")
+    kind = _KINDS.get(type(payload))
+    if kind is None:
+        raise ScenarioError(f"cannot serialize payload of type {type(payload).__name__}")
+    body = {k: v for k, v in asdict(payload).items() if v is not None and v != ()}
+    return kind, body
 
 
 def scenario_document(payload, **controls) -> dict:
