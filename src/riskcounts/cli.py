@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test
-from .cohort import CausalSpec, replication_study
+from .cohort import CausalSpec, check_seed, replication_study
 from .comparison import ExposureScenario, ScenarioAnalysis
 from .distributions import DEFAULT_EPS, CountDistribution, DomainError, central_interval, mode
 from .predictive import CalibrationError, _calibrate
@@ -85,14 +85,13 @@ def _interval_line(d: CountDistribution, coverage: float) -> str:
 
 
 def _seed(text: str) -> int:
-    """argparse type for ``--seed``: refuse what numpy's SeedSequence would."""
+    """argparse type for ``--seed``: an integer ``check_seed`` accepts."""
     try:
-        value = int(text)
+        return check_seed(int(text), "")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _fail(message: str) -> int:

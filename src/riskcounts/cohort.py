@@ -37,6 +37,7 @@ __all__ = [
     "Cohort",
     "VariantStats",
     "ReplicationReport",
+    "check_seed",
     "generate",
     "banana_swap",
     "replication_study",
@@ -150,12 +151,32 @@ class Cohort:
     latent: np.ndarray | None = field(default=None)
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Return ``seed`` as an ``int`` if numpy's SeedSequence takes it as
+    entropy (an integer >= 0); otherwise raise ``DomainError``.
+
+    This is the one seed rule for every entry point.  ``name`` opens the
+    message; a caller whose own error line already names the value passes
+    ``""``.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {seed!r}".lstrip())
+    if seed < 0:
+        raise DomainError(f"{name} must be >= 0, got {seed}".lstrip())
+    return int(seed)
+
+
 def _rng(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def generate(spec: CausalSpec, seed: Seed) -> Cohort:
-    """Draw one cohort; fully determined by (spec, seed)."""
+    """Draw one cohort; fully determined by (spec, seed).
+
+    ``seed`` is a master seed or a tuple of them, each ``check_seed``-valid.
+    """
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        check_seed(part)
     rng = _rng(seed)
     n2 = 2 * spec.n_per_group
     group = np.repeat(np.array([0, 1], dtype=np.int8), spec.n_per_group)

@@ -154,7 +154,7 @@ class CountDistribution:
     log_mass: np.ndarray
     truncated_mass: float
     masses: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``(exp(log_mass), math.fsum of it)`` from a builder that already
+    #: ``(exp(log_mass), its exact sum)`` from a builder that already
     #: computed both, so that a window is exponentiated and summed once.
     _exp_sum: InitVar[tuple[np.ndarray, float] | None] = None
 
@@ -181,7 +181,7 @@ class CountDistribution:
         object.__setattr__(self, "truncated_mass", trunc)
         if _exp_sum is None:
             masses = np.exp(arr)
-            stored = math.fsum(masses)
+            stored = _exact_sum(masses)
         else:
             masses, stored = _exp_sum
         masses.setflags(write=False)
@@ -285,21 +285,67 @@ def _point_mass(kind: str, k: int) -> CountDistribution:
     )
 
 
-def _fill_window(lo: int, hi: int, anchor_k: int, anchor_log: float, log_ratio) -> np.ndarray:
-    """Fill log-pmf on lo..hi from one anchor value and the step ratios.
+#: Elements per block of ``_exact_sum``: its temporaries stay in cache.
+_SUM_BLOCK = 1 << 14
 
-    ``log_ratio(ks)`` must return log(pmf(k+1)/pmf(k)) for an integer array.
+#: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024].
+_FREXP_MIN = -1073
+_FREXP_SPAN = 1024 - _FREXP_MIN + 1
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of non-negative finite doubles.
+
+    Equal to ``math.fsum(x)``, which is also correctly rounded.  Each value
+    is m * 2^(e-53) with an integer m < 2^53 (``np.frexp``); m splits into
+    a high and a low half below 2^27, so every per-exponent bucket total of
+    a block is an integer below 2^53 and ``np.bincount`` adds it exactly.
+    The bucket totals are then combined as one Python integer, whose true
+    division by a power of two rounds correctly.  An infinity or NaN gives
+    what ``math.fsum`` gives for non-negative inputs.
     """
-    out = np.empty(hi - lo + 1, dtype=np.float64)
-    idx = anchor_k - lo
-    out[idx] = anchor_log
-    if hi > anchor_k:
-        steps = log_ratio(np.arange(anchor_k, hi, dtype=np.float64))
-        out[idx + 1 :] = anchor_log + np.cumsum(steps)
-    if anchor_k > lo:
-        steps = log_ratio(np.arange(anchor_k - 1, lo - 1, -1, dtype=np.float64))
-        out[idx - 1 :: -1] = anchor_log - np.cumsum(steps)
+    if len(x) and not math.isfinite(peak := float(x.max())):
+        return peak
+    hi_tot = np.zeros(_FREXP_SPAN, dtype=np.int64)
+    lo_tot = np.zeros(_FREXP_SPAN, dtype=np.int64)
+    for a in range(0, len(x), _SUM_BLOCK):
+        m, e = np.frexp(x[a : a + _SUM_BLOCK])
+        m *= 2.0**53
+        hi = np.floor(m * 2.0**-26)
+        m -= hi * 2.0**26
+        e -= _FREXP_MIN
+        hi_tot += np.bincount(e, weights=hi, minlength=_FREXP_SPAN).astype(np.int64)
+        lo_tot += np.bincount(e, weights=m, minlength=_FREXP_SPAN).astype(np.int64)
+    total = 0
+    for i in np.flatnonzero(hi_tot | lo_tot).tolist():
+        total += ((int(hi_tot[i]) << 26) + int(lo_tot[i])) << i
+    return total / (1 << (53 - _FREXP_MIN))
+
+
+def _aligned(x: np.ndarray) -> np.ndarray:
+    """A writeable, C-contiguous copy of ``x`` that starts on a 64-byte
+    boundary, so that ``np.correlate`` uses it as it is."""
+    buf = np.empty(len(x) + 8, dtype=np.float64)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start : start + len(x)]
+    out[...] = x
     return out
+
+
+def _extend_run(run: list[np.ndarray], steps: np.ndarray) -> None:
+    """Append the running sum of ``steps`` to ``run``, continuing from the
+    run's last value: the same bits as one ``np.cumsum`` over the whole run."""
+    if run:
+        steps[0] += run[-1][-1]
+    run.append(np.cumsum(steps))
+
+
+def _write_run(out: np.ndarray, run: list[np.ndarray], op, anchor_log: float) -> None:
+    """Fill ``out`` with ``op(anchor_log, run)``, chunk by chunk."""
+    at = 0
+    for chunk in run:
+        op(anchor_log, chunk, out=out[at : at + len(chunk)])
+        at += len(chunk)
 
 
 def _geometric_tail_bound(edge_log_mass: float, log_r: float) -> float:
@@ -349,6 +395,16 @@ def _build_windowed(
 
     per_side = eps / 4.0
     step = max(64, math.ceil(4.0 * sd))
+    # Every constructor's anchor lies inside the first bracket, so it stays
+    # put while the window widens.  Each round fills only the cells it adds:
+    # ``above`` and ``below`` hold the running sums of the step logs outward
+    # from the anchor, which cover the cells down to ``filled_lo`` and up to
+    # ``filled_hi``.
+    anchor_k = min(max(anchor_at, lo), hi)
+    anchor_log = anchor_fn(anchor_k)
+    above: list[np.ndarray] = []
+    below: list[np.ndarray] = []
+    filled_lo = filled_hi = anchor_k
     for _ in range(128):
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
             raise DomainError(
@@ -356,17 +412,23 @@ def _build_windowed(
                 f"{_MAX_SUPPORT_POINTS}-point cap; the eps contract cannot be "
                 "met at desk scale for these parameters"
             )
-        anchor_k = min(max(anchor_at, lo), hi)
-        log_mass = _fill_window(lo, hi, anchor_k, anchor_fn(anchor_k), log_ratio)
+        if lo < filled_lo:
+            _extend_run(below, log_ratio(np.arange(filled_lo - 1, lo - 1, -1, dtype=np.float64)))
+            filled_lo = lo
+        if hi > filled_hi:
+            _extend_run(above, log_ratio(np.arange(filled_hi, hi, dtype=np.float64)))
+            filled_hi = hi
 
         ok_lo = lo == 0
         if not ok_lo:
             down = -float(log_ratio(np.array([lo - 1.0]))[0])
-            ok_lo = _geometric_tail_bound(float(log_mass[0]), down) <= per_side
+            edge = anchor_log - below[-1][-1] if below else anchor_log
+            ok_lo = _geometric_tail_bound(float(edge), down) <= per_side
         ok_hi = top is not None and hi == top
         if not ok_hi:
             up = float(log_ratio(np.array([float(hi)]))[0])
-            ok_hi = _geometric_tail_bound(float(log_mass[-1]), up) <= per_side
+            edge = anchor_log + above[-1][-1] if above else anchor_log
+            ok_hi = _geometric_tail_bound(float(edge), up) <= per_side
         if ok_lo and ok_hi:
             break
         if not ok_lo:
@@ -376,6 +438,14 @@ def _build_windowed(
         step *= 2
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
+
+    log_mass = np.empty(hi - lo + 1, dtype=np.float64)
+    idx = anchor_k - lo
+    log_mass[idx] = anchor_log
+    _write_run(log_mass[idx + 1 :], above, np.add, anchor_log)
+    if idx:
+        _write_run(log_mass[idx - 1 :: -1], below, np.subtract, anchor_log)
+    del above, below  # frees the runs before the window is exponentiated
 
     # A step ratio that underflows to zero (a subnormal risk) leaves -inf
     # cells above it; a log-concave window ends at the last finite cell and
@@ -389,7 +459,7 @@ def _build_windowed(
             dropped = _UNDERFLOW_TAIL
 
     masses = np.exp(log_mass)
-    stored = math.fsum(masses)
+    stored = _exact_sum(masses)
     truncated = min(max(1.0 - stored, 0.0) + dropped, eps)
     return CountDistribution(
         kind=kind,
@@ -559,7 +629,12 @@ def convolve(
     truncated_mass is <= a.truncated_mass + b.truncated_mass + eps.
     """
     eps = _check_eps(eps)
-    full = np.convolve(a.masses, b.masses)
+    # np.convolve(a, b) with its operand order (the longer first, ``a`` on
+    # a tie), so every cell comes from the same dot product, on 64-byte
+    # aligned copies: np.convolve copies read-only masses to wherever the
+    # heap puts them, and its dot products run slower off that alignment.
+    longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
+    full = np.correlate(_aligned(longer.masses), _aligned(shorter.masses[::-1]), "full")
     lo = a.support_lo + b.support_lo
 
     # Trim each tail while it holds at most eps/4, then drop any remaining
@@ -582,7 +657,7 @@ def convolve(
     # overstatement of at most ~1e-300 mass) to keep the logs finite.
     kept = np.maximum(kept, np.finfo(np.float64).tiny)
 
-    stored = math.fsum(kept)
+    stored = _exact_sum(kept)
     cap = a.truncated_mass + b.truncated_mass + eps
     truncated = min(max(1.0 - stored, 0.0), cap)
     return CountDistribution(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .cohort import CausalSpec, ReplicationReport, replication_study
+from .cohort import CausalSpec, ReplicationReport, check_seed, replication_study
 from .comparison import ExposureScenario, ScenarioAnalysis, UncertainScenario
 from .distributions import DEFAULT_EPS, CountDistribution, DomainError
 from .predictive import calibrated_scenario
@@ -247,13 +247,6 @@ def render_replication_csv(
     return buf.getvalue()
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
-
-
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"must be true or false, got {text!r}")
@@ -279,8 +272,9 @@ def replay_text(text: str) -> str:
     result is byte-identical to the original file; this is the executable
     form of the "metadata echo is lossless" guarantee, and the round trip
     makes a good integrity check for archived tables.  A header this build
-    cannot replay (unknown layout, a missing or malformed line, values
-    outside their domain) raises ``ScenarioError``.
+    cannot replay (unknown layout, another release's ``tool_version``, a
+    missing or malformed line, values outside their domain) raises
+    ``ScenarioError``.
     """
     meta = read_metadata(text)
     kind = _line(meta, "kind")
@@ -290,6 +284,12 @@ def replay_text(text: str) -> str:
         raise ScenarioError(
             f"metadata line 'riskcounts_csv' names layout {layout!r}; "
             f"this build replays layout {_LAYOUT_VERSION}"
+        )
+    version = _line(meta, "tool_version")
+    if version != __version__:
+        raise ScenarioError(
+            f"metadata line 'tool_version' names {version!r}; this build is "
+            f"{__version__!r} and replays only its own files"
         )
     payload = parse_scenario(doc, source="<metadata>").payload
     try:
@@ -306,7 +306,7 @@ def replay_text(text: str) -> str:
                 raise ScenarioError("replication-report metadata must carry a causal_spec")
             replications = _line(meta, "replications", int)
             alpha = _line(meta, "alpha", float)
-            seed = _line(meta, "seed", _seed)
+            seed = _line(meta, "seed", lambda text: check_seed(int(text), ""))
             continuity = _line(meta, "continuity_correction", _flag)
             report = replication_study(
                 payload, replications, alpha=alpha, seed=seed,

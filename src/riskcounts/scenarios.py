@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
-from .cohort import CausalSpec, CovariateRule, ProxyRule
+from .cohort import CausalSpec, CovariateRule, ProxyRule, check_seed
 from .comparison import ExposureScenario, UncertainScenario
 from .distributions import BetaParams, DomainError
 
@@ -231,8 +231,11 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
             controls[key] = None
         elif key in ("seed", "replications"):
             controls[key] = _integer(doc[key], key, source)
-            if key == "seed" and controls[key] < 0:
-                raise ScenarioError(f"field 'seed' in {source} must be >= 0, got {controls[key]}")
+            if key == "seed":
+                try:
+                    check_seed(controls[key], f"field 'seed' in {source}")
+                except DomainError as exc:
+                    raise ScenarioError(str(exc)) from None
         else:
             controls[key] = _number(doc[key], key, source)
     return ScenarioFile(schema_version=version, payload=parsed, **controls)
