@@ -58,19 +58,28 @@ def two_proportion_test(
     evidence either way: statistic 0, p-value 1.
     """
     alpha = _check_probability(alpha, "alpha")
-    pa = t.cases_a / t.n_a
-    pb = t.cases_b / t.n_b
-    pooled = (t.cases_a + t.cases_b) / (t.n_a + t.n_b)
+    z, p_value = _score_test(t.cases_a, t.n_a, t.cases_b, t.n_b, continuity_correction)
+    return TestResult(statistic=z, p_value=p_value, alpha=alpha, reject=p_value < alpha)
+
+
+def _score_test(
+    cases_a: int, n_a: int, cases_b: int, n_b: int, continuity_correction: bool
+) -> tuple[float, float]:
+    """``(statistic, p_value)`` of ``two_proportion_test`` on counts the
+    caller vouches for (0 <= cases <= n, n >= 1); replication studies call
+    it directly, once per variant and replication."""
+    pa = cases_a / n_a
+    pb = cases_b / n_b
+    pooled = (cases_a + cases_b) / (n_a + n_b)
     if pooled == 0.0 or pooled == 1.0:
-        return TestResult(statistic=0.0, p_value=1.0, alpha=alpha, reject=False)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / t.n_a + 1.0 / t.n_b))
+        return 0.0, 1.0
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
     diff = pa - pb
     d = abs(diff)
     if continuity_correction:
-        d = max(0.0, d - (1.0 / t.n_a + 1.0 / t.n_b) / 2.0)
+        d = max(0.0, d - (1.0 / n_a + 1.0 / n_b) / 2.0)
     z = math.copysign(d / se, diff)
-    p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult(statistic=z, p_value=p_value, alpha=alpha, reject=p_value < alpha)
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def relative_risk_estimate(t: TwoByTwo) -> float:

@@ -15,7 +15,13 @@ aggregate in replication-index order regardless of scheduling.
 Draw order inside one cohort is fixed and documented: latent factor (two
 draws: mixing uniforms, then fair coins; only when the latent factor is in
 play), outcomes, covariates in listed order (rules without noise consume
-no randomness), proxy flips last.
+no randomness), proxy flips last.  The three uniform streams (mixing,
+outcomes, proxy flips) are taken in blocks of ``_BLOCK`` individuals and
+compared in place, so no per-individual risk array is built; Philox's
+``random()`` spends one 64-bit word per double whatever the block, so the
+stream and every array are those of a single call.  The fair coins and each
+covariate's normal noise stay one call each: numpy's bounded int8 draw
+buffers bits within a call, which blocks would change.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import TestResult, TwoByTwo, two_proportion_test
+from .classical import TestResult, _score_test
 from .distributions import DomainError, _check_count, _check_probability
 
 __all__ = [
@@ -51,6 +57,9 @@ MAX_COHORT_SIZE = 10_000_000
 TRUE_CAUSES = ("exposure-label", "latent-factor", "none")
 
 Seed = int | tuple[int, ...]
+
+#: Individuals per block of a uniform stream in ``generate``.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,31 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _draw_bool(rng: np.random.Generator, size: int, fill) -> np.ndarray:
+    """A boolean array of ``size`` entries from one uniform each, drawn in
+    blocks of ``_BLOCK``; ``fill(u, start, out)`` writes block ``u``, which
+    starts at entry ``start``, into ``out``."""
+    out = np.empty(size, dtype=bool)
+    buf = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        u = buf[: size - start]
+        rng.random(out=u)
+        fill(u, start, out[start : start + len(u)])
+    return out
+
+
+def _halves(n: int, op0, x0: float, op1, x1: float):
+    """A ``_draw_bool`` fill giving entries of group 0 (the first ``n``)
+    ``op0(u, x0)`` and those of group 1 ``op1(u, x1)``."""
+
+    def fill(u: np.ndarray, start: int, out: np.ndarray) -> None:
+        cut = min(max(n - start, 0), len(u))
+        op0(u[:cut], x0, out=out[:cut])
+        op1(u[cut:], x1, out=out[cut:])
+
+    return fill
+
+
 def generate(spec: CausalSpec, seed: Seed) -> Cohort:
     """Draw one cohort; fully determined by (spec, seed).
 
@@ -178,36 +212,46 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
     for part in seed if isinstance(seed, tuple) else (seed,):
         check_seed(part)
     rng = _rng(seed)
-    n2 = 2 * spec.n_per_group
-    group = np.repeat(np.array([0, 1], dtype=np.int8), spec.n_per_group)
+    n = spec.n_per_group
+    n2 = 2 * n
+    group = np.repeat(np.array([0, 1], dtype=np.int8), n)
     true_exposure = group == 1
 
     latent: np.ndarray | None = None
     if spec.true_cause == "latent-factor":
-        mix = rng.random(n2) < spec.latent_group_correlation
-        coins = rng.integers(0, 2, size=n2, dtype=np.int8).astype(bool)
-        latent = np.where(mix, true_exposure, coins)
+        s = spec.latent_group_correlation
+        mix = _draw_bool(rng, n2, lambda u, start, out: np.less(u, s, out=out))
+        # the coins are 0/1 bytes: viewed as booleans they are the latent
+        # factor wherever the mix does not copy the group
+        latent = rng.integers(0, 2, size=n2, dtype=np.int8).view(bool)
+        np.copyto(latent, true_exposure, where=mix)
+        del mix
+        p0, p1 = spec.baseline_p, spec.effect_p
 
-    if spec.true_cause == "exposure-label":
-        cause_present = true_exposure
-    elif spec.true_cause == "latent-factor":
-        cause_present = latent
+        def fill_outcome(u: np.ndarray, start: int, out: np.ndarray) -> None:
+            np.less(u, p0, out=out)
+            np.copyto(out, u < p1, where=latent[start : start + len(u)])
+
     else:
-        cause_present = np.zeros(n2, dtype=bool)
-    p_individual = np.where(cause_present, spec.effect_p, spec.baseline_p)
-    outcome = rng.random(n2) < p_individual
+        p1 = spec.effect_p if spec.true_cause == "exposure-label" else spec.baseline_p
+        fill_outcome = _halves(n, np.less, spec.baseline_p, np.less, p1)
+    outcome = _draw_bool(rng, n2, fill_outcome)
 
     covariates: dict[str, np.ndarray] = {}
     for rule in spec.covariate_rules:
-        values = rule.intercept + rule.slope * group.astype(np.float64)
+        # intercept + slope * g for g = 0 and 1, rounded (signed zeros too)
+        # as the same float64 sum per individual would be
+        levels = np.array([rule.intercept + rule.slope * 0.0, rule.intercept + rule.slope * 1.0])
+        values = np.repeat(levels, n)
         if rule.noise_sd > 0.0:
-            values = values + rng.normal(0.0, rule.noise_sd, size=n2)
+            values += rng.normal(0.0, rule.noise_sd, size=n2)
         covariates[rule.name] = values
 
     proxy: np.ndarray | None = None
     if spec.proxy_rule is not None:
-        flips = rng.random(n2) >= spec.proxy_rule.accuracy
-        proxy = true_exposure ^ flips
+        # a flip reads group 0 as exposed and group 1 as unexposed
+        acc = spec.proxy_rule.accuracy
+        proxy = _draw_bool(rng, n2, _halves(n, np.greater_equal, acc, np.less, acc))
 
     for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
         if arr is not None:
@@ -229,27 +273,38 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
 # ---------------------------------------------------------------------------
 
 
-def _table_from_mask(outcome: np.ndarray, mask: np.ndarray) -> TwoByTwo | None:
-    n_a = int(mask.sum())
-    n_b = len(mask) - n_a
+def _split_score(
+    outcome: np.ndarray, mask: np.ndarray, continuity_correction: bool
+) -> tuple[float, float]:
+    """``(statistic, p_value)`` of the score test of ``mask`` against its
+    complement; a split with an empty arm carries no evidence either way."""
+    n_a = np.count_nonzero(mask)
+    n_b = mask.size - n_a
     if n_a == 0 or n_b == 0:
-        return None
-    return TwoByTwo(
-        cases_a=int(outcome[mask].sum()),
-        n_a=n_a,
-        cases_b=int(outcome[~mask].sum()),
-        n_b=n_b,
-    )
+        return 0.0, 1.0
+    cases_a = np.count_nonzero(outcome & mask)
+    cases_b = np.count_nonzero(outcome) - cases_a
+    return _score_test(cases_a, n_a, cases_b, n_b, continuity_correction)
 
 
-def _test_mask(
-    cohort: Cohort, mask: np.ndarray, continuity_correction: bool, alpha: float
-) -> TestResult:
-    table = _table_from_mask(cohort.outcome, mask)
-    if table is None:
-        # a split with an empty arm carries no evidence either way
-        return TestResult(statistic=0.0, p_value=1.0, alpha=alpha, reject=False)
-    return two_proportion_test(table, continuity_correction, alpha)
+def _variant_score(
+    cohort: Cohort, variant: str, continuity_correction: bool
+) -> tuple[float, float]:
+    if variant == "true_exposure":
+        # the label split is the two halves of the cohort
+        n = cohort.spec.n_per_group
+        cases_a = np.count_nonzero(cohort.outcome[n:])
+        cases_b = np.count_nonzero(cohort.outcome[:n])
+        return _score_test(cases_a, n, cases_b, n, continuity_correction)
+    if variant == "proxy_exposure":
+        if cohort.proxy_exposure is None:
+            raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
+        mask = cohort.proxy_exposure
+    elif variant.startswith("covariate_"):
+        mask = _covariate_mask(cohort, variant[len("covariate_") :])
+    else:
+        raise DomainError(f"unknown analysis variant {variant!r}")
+    return _split_score(cohort.outcome, mask, continuity_correction)
 
 
 def _covariate_mask(cohort: Cohort, name: str) -> np.ndarray:
@@ -285,11 +340,15 @@ def banana_swap(
     cause.  A covariate whose threshold leaves one side empty cannot stand
     in for the grouping at all and raises instead.
     """
-    by_label = _test_mask(cohort, cohort.true_exposure, continuity_correction, alpha)
-    by_covariate = _test_mask(
-        cohort, _covariate_mask(cohort, covariate_name), continuity_correction, alpha
+    alpha = _check_probability(alpha, "alpha")
+    by_label = _variant_score(cohort, "true_exposure", continuity_correction)
+    by_covariate = _split_score(
+        cohort.outcome, _covariate_mask(cohort, covariate_name), continuity_correction
     )
-    return by_label, by_covariate
+    return tuple(
+        TestResult(statistic=z, p_value=p, alpha=alpha, reject=p < alpha)
+        for z, p in (by_label, by_covariate)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +376,6 @@ class ReplicationReport:
         raise DomainError(f"no variant named {variant!r}")
 
 
-def _variant_mask(cohort: Cohort, variant: str) -> np.ndarray:
-    if variant == "true_exposure":
-        return cohort.true_exposure
-    if variant == "proxy_exposure":
-        if cohort.proxy_exposure is None:
-            raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
-        return cohort.proxy_exposure
-    if variant.startswith("covariate_"):
-        return _covariate_mask(cohort, variant[len("covariate_") :])
-    raise DomainError(f"unknown analysis variant {variant!r}")
-
-
 def default_variants(spec: CausalSpec) -> tuple[str, ...]:
     variants = ["true_exposure"]
     if spec.proxy_rule is not None:
@@ -348,8 +395,9 @@ def replication_study(
     """Repeat generate-and-test ``replications`` times for each variant.
 
     Replication i draws its cohort from entropy (seed, i); results are
-    reduced in index order, so the report is bit-identical across reruns
-    and indifferent to any parallel execution of the replications.
+    reduced in index order (p-values summed with ``+=``, one at a time), so
+    the report is bit-identical across reruns and indifferent to any
+    parallel execution of the replications.
     """
     replications = _check_count(replications, "replications", minimum=1)
     alpha = _check_probability(alpha, "alpha")
@@ -360,9 +408,9 @@ def replication_study(
     for i in range(replications):
         cohort = generate(spec, (seed, i))
         for v in variants:
-            result = _test_mask(cohort, _variant_mask(cohort, v), continuity_correction, alpha)
-            rejects[v] += result.reject
-            p_sums[v] += result.p_value
+            p_value = _variant_score(cohort, v, continuity_correction)[1]
+            rejects[v] += p_value < alpha
+            p_sums[v] += p_value
     rows = tuple(
         VariantStats(
             variant=v,

@@ -1,0 +1,367 @@
+"""The blockwise cohort draw and the count-based replication tallies, checked
+against copies of the engine they replaced.
+
+The ``oracle_*`` functions are that engine as it stood: ``generate`` drew
+each uniform stream in one call and compared it with a per-individual risk
+array, and every variant of every replication was tested through a
+validated ``TwoByTwo`` built from boolean-indexed copies.  The new engine
+must reproduce its arrays byte for byte and its reports field for field,
+including the errors it raised.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riskcounts.classical import TestResult as Result
+from riskcounts.classical import TwoByTwo, _score_test, two_proportion_test
+from riskcounts.cohort import (
+    _BLOCK,
+    MAX_COHORT_SIZE,
+    TRUE_CAUSES,
+    CausalSpec,
+    CovariateRule,
+    ProxyRule,
+    VariantStats,
+    banana_swap,
+    default_variants,
+    generate,
+    replication_study,
+)
+from riskcounts.distributions import DomainError
+
+# ---------------------------------------------------------------------------
+# oracle: the single-call draw and the table-per-variant loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_generate(spec, seed):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n2 = 2 * spec.n_per_group
+    group = np.repeat(np.array([0, 1], dtype=np.int8), spec.n_per_group)
+    true_exposure = group == 1
+
+    latent = None
+    if spec.true_cause == "latent-factor":
+        mix = rng.random(n2) < spec.latent_group_correlation
+        coins = rng.integers(0, 2, size=n2, dtype=np.int8).astype(bool)
+        latent = np.where(mix, true_exposure, coins)
+
+    if spec.true_cause == "exposure-label":
+        cause_present = true_exposure
+    elif spec.true_cause == "latent-factor":
+        cause_present = latent
+    else:
+        cause_present = np.zeros(n2, dtype=bool)
+    p_individual = np.where(cause_present, spec.effect_p, spec.baseline_p)
+    outcome = rng.random(n2) < p_individual
+
+    covariates = {}
+    for rule in spec.covariate_rules:
+        values = rule.intercept + rule.slope * group.astype(np.float64)
+        if rule.noise_sd > 0.0:
+            values = values + rng.normal(0.0, rule.noise_sd, size=n2)
+        covariates[rule.name] = values
+
+    proxy = None
+    if spec.proxy_rule is not None:
+        flips = rng.random(n2) >= spec.proxy_rule.accuracy
+        proxy = true_exposure ^ flips
+
+    for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
+        if arr is not None:
+            arr.setflags(write=False)
+    return {
+        "group": group,
+        "true_exposure": true_exposure,
+        "proxy_exposure": proxy,
+        "outcome": outcome,
+        "latent": latent,
+        "covariates": covariates,
+    }
+
+
+def oracle_two_proportion_test(t, continuity_correction=True, alpha=0.05):
+    pa = t.cases_a / t.n_a
+    pb = t.cases_b / t.n_b
+    pooled = (t.cases_a + t.cases_b) / (t.n_a + t.n_b)
+    if pooled == 0.0 or pooled == 1.0:
+        return Result(statistic=0.0, p_value=1.0, alpha=alpha, reject=False)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / t.n_a + 1.0 / t.n_b))
+    diff = pa - pb
+    d = abs(diff)
+    if continuity_correction:
+        d = max(0.0, d - (1.0 / t.n_a + 1.0 / t.n_b) / 2.0)
+    z = math.copysign(d / se, diff)
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
+    return Result(statistic=z, p_value=p_value, alpha=alpha, reject=p_value < alpha)
+
+
+def oracle_table_from_mask(outcome, mask):
+    n_a = int(mask.sum())
+    n_b = len(mask) - n_a
+    if n_a == 0 or n_b == 0:
+        return None
+    return TwoByTwo(
+        cases_a=int(outcome[mask].sum()),
+        n_a=n_a,
+        cases_b=int(outcome[~mask].sum()),
+        n_b=n_b,
+    )
+
+
+def oracle_test_mask(outcome, mask, continuity_correction, alpha):
+    table = oracle_table_from_mask(outcome, mask)
+    if table is None:
+        return Result(statistic=0.0, p_value=1.0, alpha=alpha, reject=False)
+    return oracle_two_proportion_test(table, continuity_correction, alpha)
+
+
+def oracle_covariate_mask(spec, cohort, name):
+    rule = spec.rule(name)
+    if rule.slope == 0.0:
+        raise DomainError(
+            f"covariate {name!r} cannot separate the cohort: its rule does "
+            "not vary with group"
+        )
+    threshold = rule.intercept + rule.slope / 2.0
+    values = cohort["covariates"][name]
+    mask = values > threshold if rule.slope > 0.0 else values < threshold
+    if mask.all() or not mask.any():
+        raise DomainError(
+            f"covariate {name!r} does not separate the cohort into two "
+            "nonempty groups"
+        )
+    return mask
+
+
+def oracle_variant_mask(spec, cohort, variant):
+    if variant == "true_exposure":
+        return cohort["true_exposure"]
+    if variant == "proxy_exposure":
+        return cohort["proxy_exposure"]
+    return oracle_covariate_mask(spec, cohort, variant[len("covariate_"):])
+
+
+def oracle_replication_rows(spec, replications, alpha, seed, continuity_correction):
+    variants = default_variants(spec)
+    rejects = {v: 0 for v in variants}
+    p_sums = {v: 0.0 for v in variants}
+    for i in range(replications):
+        cohort = oracle_generate(spec, (seed, i))
+        for v in variants:
+            mask = oracle_variant_mask(spec, cohort, v)
+            result = oracle_test_mask(cohort["outcome"], mask, continuity_correction, alpha)
+            rejects[v] += result.reject
+            p_sums[v] += result.p_value
+    return tuple(
+        VariantStats(
+            variant=v,
+            rejection_rate=rejects[v] / replications,
+            mean_p_value=p_sums[v] / replications,
+        )
+        for v in variants
+    )
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+
+def _same_array(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable == want.flags.writeable
+
+
+def assert_same_cohort(spec, seed):
+    got = generate(spec, seed)
+    want = oracle_generate(spec, seed)
+    for name in ("group", "true_exposure", "proxy_exposure", "outcome", "latent"):
+        _same_array(getattr(got, name), want[name])
+    assert list(got.covariates) == list(want["covariates"])
+    for name, values in want["covariates"].items():
+        _same_array(got.covariates[name], values)
+
+
+def _rows_or_error(run):
+    try:
+        return run()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def assert_same_report(spec, replications, alpha, seed, continuity):
+    def new():
+        report = replication_study(
+            spec, replications, alpha=alpha, seed=seed, continuity_correction=continuity
+        )
+        return report.rows
+
+    def old():
+        return oracle_replication_rows(spec, replications, alpha, seed, continuity)
+
+    assert _rows_or_error(new) == _rows_or_error(old)
+
+
+def _same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+# ---------------------------------------------------------------------------
+# the score-test core
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tables(draw):
+    n_a = draw(st.integers(1, 10**7))
+    n_b = draw(st.integers(1, 10**7))
+    cases_a = draw(st.sampled_from([0, n_a]) | st.integers(0, n_a))
+    cases_b = draw(st.sampled_from([0, n_b]) | st.integers(0, n_b))
+    return TwoByTwo(cases_a, n_a, cases_b, n_b)
+
+
+@given(tables(), st.booleans(), st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0))
+def test_score_core_and_public_test_match_the_oracle(t, continuity, alpha):
+    want = oracle_two_proportion_test(t, continuity, alpha)
+    z, p = _score_test(t.cases_a, t.n_a, t.cases_b, t.n_b, continuity)
+    assert _same_float(z, want.statistic) and _same_float(p, want.p_value)
+    got = two_proportion_test(t, continuity, alpha)
+    assert _same_float(got.statistic, want.statistic)
+    assert _same_float(got.p_value, want.p_value)
+    assert got.reject == want.reject and got.alpha == want.alpha
+
+
+# ---------------------------------------------------------------------------
+# cohorts and reports, swept
+# ---------------------------------------------------------------------------
+
+#: Group sizes at and around the block and half-block, up to three blocks.
+EDGE_SIZES = (1, 2, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1,
+              _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK)
+PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(1, 64) | st.integers(1, 3 * _BLOCK))
+    rules = []
+    for i in range(draw(st.integers(0, 2))):
+        rules.append(CovariateRule(
+            f"c{i}",
+            intercept=draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)),
+            slope=draw(st.sampled_from([0.0, 1e-17, -1e-17]) | st.floats(-3.0, 3.0)),
+            noise_sd=draw(st.sampled_from([0.0]) | st.floats(0.0, 3.0)),
+        ))
+    accuracy = draw(st.none() | PROBABILITIES)
+    return CausalSpec(
+        n_per_group=n,
+        true_cause=draw(st.sampled_from(TRUE_CAUSES)),
+        baseline_p=draw(PROBABILITIES),
+        effect_p=draw(PROBABILITIES),
+        covariate_rules=tuple(rules),
+        proxy_rule=None if accuracy is None else ProxyRule(accuracy),
+        latent_group_correlation=draw(PROBABILITIES),
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs(),
+    st.integers(0, 2**63),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_cohorts_and_reports_match_the_oracle(spec, seed, replications, alpha, continuity):
+    assert_same_cohort(spec, seed)
+    assert_same_report(spec, replications, alpha, seed, continuity)
+
+
+@pytest.mark.parametrize("true_cause", TRUE_CAUSES)
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_cohorts_match_the_oracle_at_block_edges(true_cause, n):
+    spec = CausalSpec(
+        n_per_group=n, true_cause=true_cause, baseline_p=0.3, effect_p=0.6,
+        covariate_rules=(CovariateRule("x", 1.0, -2.0, 0.5), CovariateRule("y", -0.0, 1.0)),
+        proxy_rule=ProxyRule(0.8), latent_group_correlation=0.4,
+    )
+    assert_same_cohort(spec, (5, n))
+
+
+def test_one_sided_proxy_splits_count_as_no_evidence():
+    # one individual per group and a coin-flip proxy: a quarter of the
+    # replications read both individuals alike
+    spec = CausalSpec(1, "exposure-label", 0.2, 0.9, proxy_rule=ProxyRule(0.5))
+    one_sided = sum(
+        not oracle_generate(spec, (3, i))["proxy_exposure"].any()
+        or oracle_generate(spec, (3, i))["proxy_exposure"].all()
+        for i in range(40)
+    )
+    assert one_sided > 0
+    assert_same_report(spec, 40, 0.05, 3, True)
+
+
+@pytest.mark.parametrize("slope", [1e-17, -1e-17, 0.0])
+def test_one_sided_covariate_split_raises_the_oracle_error(slope):
+    # 1.0 + 1e-17 rounds to 1.0, so the threshold leaves every value on one side
+    spec = CausalSpec(
+        50, "none", 0.1, 0.1, covariate_rules=(CovariateRule("flat", 1.0, slope),)
+    )
+    with pytest.raises(DomainError) as got:
+        replication_study(spec, 2, seed=1)
+    with pytest.raises(DomainError) as want:
+        oracle_replication_rows(spec, 2, 0.05, 1, True)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(DomainError) as swapped:
+        banana_swap(generate(spec, 1), "flat")
+    assert str(swapped.value) == str(want.value)
+
+
+@pytest.mark.parametrize("continuity", [True, False])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.7])
+def test_banana_swap_matches_the_oracle(noise_sd, continuity):
+    spec = CausalSpec(
+        3_000, "exposure-label", 0.02, 0.05,
+        covariate_rules=(CovariateRule("banana", 1.0, -1.0, noise_sd),),
+    )
+    got = banana_swap(generate(spec, 8), "banana", continuity, alpha=0.1)
+    cohort = oracle_generate(spec, 8)
+    want = (
+        oracle_test_mask(cohort["outcome"], cohort["true_exposure"], continuity, 0.1),
+        oracle_test_mask(
+            cohort["outcome"], oracle_covariate_mask(spec, cohort, "banana"), continuity, 0.1
+        ),
+    )
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+def test_generate_at_max_cohort_size_holds_no_per_individual_floats():
+    """At MAX_COHORT_SIZE the cohort is three 10 MB one-byte arrays (group,
+    true_exposure, outcome).  The draw may add one block of doubles (512 KiB)
+    and its block-sized booleans, not the two 80 MB float64 arrays (a risk per
+    individual and a uniform per individual) of a single-call draw."""
+    spec = CausalSpec(MAX_COHORT_SIZE // 2, "exposure-label", 0.01, 0.012)
+    bound = 3 * MAX_COHORT_SIZE + (1 << 20)
+    tracemalloc.start()
+    try:
+        cohort = generate(spec, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cohort.outcome.nbytes == MAX_COHORT_SIZE
+    assert peak < bound, f"generate peaked at {peak} bytes, bound {bound}"
