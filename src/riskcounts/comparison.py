@@ -62,6 +62,15 @@ MAX_POPULATION = 2**32 - 1
 _SUMMARY_MAX_EPS = 1e-9
 
 
+def _check_populations(scenario) -> None:
+    """Both arm sizes of a frozen scenario: integers in 1..MAX_POPULATION."""
+    for name in ("n_exposed", "n_unexposed"):
+        v = _check_count(getattr(scenario, name), name, minimum=1)
+        if v > MAX_POPULATION:
+            raise DomainError(f"{name} exceeds the {MAX_POPULATION} cap")
+        object.__setattr__(scenario, name, v)
+
+
 @dataclass(frozen=True)
 class ExposureScenario:
     """Two-arm population: sizes and per-person disease probabilities."""
@@ -72,11 +81,7 @@ class ExposureScenario:
     p_unexposed: float
 
     def __post_init__(self) -> None:
-        for name in ("n_exposed", "n_unexposed"):
-            v = _check_count(getattr(self, name), name, minimum=1)
-            if v > MAX_POPULATION:
-                raise DomainError(f"{name} exceeds the {MAX_POPULATION} cap")
-            object.__setattr__(self, name, v)
+        _check_populations(self)
         for name in ("p_exposed", "p_unexposed"):
             object.__setattr__(self, name, _check_probability(getattr(self, name), name))
 
@@ -96,11 +101,7 @@ class UncertainScenario:
     prior_unexposed: BetaParams
 
     def __post_init__(self) -> None:
-        for name in ("n_exposed", "n_unexposed"):
-            v = _check_count(getattr(self, name), name, minimum=1)
-            if v > MAX_POPULATION:
-                raise DomainError(f"{name} exceeds the {MAX_POPULATION} cap")
-            object.__setattr__(self, name, v)
+        _check_populations(self)
         for name in ("prior_exposed", "prior_unexposed"):
             if not isinstance(getattr(self, name), BetaParams):
                 raise DomainError(f"{name} must be a BetaParams instance")

@@ -380,18 +380,17 @@ def _build_windowed(
     makes the geometric tail bound rigorous.  A side without that guarantee
     is extended to its domain edge outright.
     """
-    top = n_max if n_max is not None else None
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
     hi = math.ceil(mean + spread) + 2
-    if top is not None:
-        hi = min(hi, top)
+    if n_max is not None:
+        hi = min(hi, n_max)
     if not monotone_lo:
         lo = 0
     if not monotone_hi:
-        if top is None:
+        if n_max is None:
             raise DomainError("unbounded support requires monotone tail ratios")
-        hi = top
+        hi = n_max
 
     per_side = eps / 4.0
     step = max(64, math.ceil(4.0 * sd))
@@ -424,7 +423,7 @@ def _build_windowed(
             down = -float(log_ratio(np.array([lo - 1.0]))[0])
             edge = anchor_log - below[-1][-1] if below else anchor_log
             ok_lo = _geometric_tail_bound(float(edge), down) <= per_side
-        ok_hi = top is not None and hi == top
+        ok_hi = n_max is not None and hi == n_max
         if not ok_hi:
             up = float(log_ratio(np.array([float(hi)]))[0])
             edge = anchor_log + above[-1][-1] if above else anchor_log
@@ -434,7 +433,7 @@ def _build_windowed(
         if not ok_lo:
             lo = max(0, lo - step)
         if not ok_hi:
-            hi = hi + step if top is None else min(top, hi + step)
+            hi = hi + step if n_max is None else min(n_max, hi + step)
         step *= 2
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
@@ -605,6 +604,8 @@ def beta_binomial_distribution(
     c = a + b
     mean = n * a / c
     var = n * a * b * (c + n) / (c * c * (c + 1.0))
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DomainError(f"the count moments of prior {prior} overflow a float")
     return _build_windowed(
         kind="beta-binomial",
         mean=mean,

@@ -3,19 +3,26 @@
 A scenario file carries exactly one of ``exposure_scenario``,
 ``uncertain_scenario`` or ``causal_spec``, plus optional output controls
 (coverage, eps, seed, replications, alpha) that commands use as defaults.
-Parsing failures always name the offending field.
+
+The payload dataclasses are the schema.  A kind's keys are exactly its
+dataclass's fields, and those with a default are optional; the controls are
+``ScenarioFile``'s optional fields.  One reader, driven by the field types,
+parses them all, and ``payload_document`` writes a payload back through
+``asdict``.  Errors give the dotted path of the offending value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .cohort import CausalSpec, CovariateRule, ProxyRule, check_seed
+from .cohort import CausalSpec, check_seed
 from .comparison import ExposureScenario, UncertainScenario
-from .distributions import BetaParams, DomainError
+from .distributions import DomainError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -37,7 +44,7 @@ _KINDS = {
     CausalSpec: "causal_spec",
 }
 _KIND_KEYS = tuple(_KINDS.values())
-_CONTROL_KEYS = ("coverage", "eps", "seed", "replications", "alpha")
+_KIND_TYPES = {key: cls for cls, key in _KINDS.items()}
 
 BUNDLED_SCENARIOS = (
     "la_rr2",
@@ -75,129 +82,73 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _no_extras(mapping: dict, allowed: tuple, context: str) -> None:
+def _no_extras(mapping: dict, allowed, context: str) -> None:
     extras = sorted(set(mapping) - set(allowed))
     if extras:
         raise ScenarioError(f"unknown field {extras[0]!r} in {context}")
 
 
-def _number(value, key: str, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"field {key!r} in {context} must be a number")
-    return float(value)
+#: Scalar field type -> (JSON values it takes, what the error says it must be).
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
-def _integer(value, key: str, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"field {key!r} in {context} must be an integer")
-    return value
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (type, required) of dataclass ``cls``; a field is
+    optional exactly when it has a default."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
 
 
-def _parse_exposure(doc: dict) -> ExposureScenario:
-    ctx = "exposure_scenario"
-    _no_extras(doc, ("n_exposed", "n_unexposed", "p_exposed", "p_unexposed"), ctx)
-    try:
-        return ExposureScenario(
-            n_exposed=_integer(_require(doc, "n_exposed", ctx), "n_exposed", ctx),
-            n_unexposed=_integer(_require(doc, "n_unexposed", ctx), "n_unexposed", ctx),
-            p_exposed=_number(_require(doc, "p_exposed", ctx), "p_exposed", ctx),
-            p_unexposed=_number(_require(doc, "p_unexposed", ctx), "p_unexposed", ctx),
-        )
-    except DomainError as exc:
-        raise ScenarioError(f"invalid {ctx}: {exc}") from exc
+#: Output controls: the optional fields of ``ScenarioFile``.
+_CONTROLS = {key: spec for key, spec in _schema(ScenarioFile).items() if not spec[1]}
 
 
-def _parse_beta(doc, key: str) -> BetaParams:
-    ctx = f"uncertain_scenario.{key}"
+def _fields(doc: dict, schema: dict, ctx: str) -> dict:
+    """Read every present or required key of ``schema`` from ``doc``."""
+    return {
+        key: _value(_require(doc, key, ctx), hint, key, ctx)
+        for key, (hint, required) in schema.items()
+        if required or key in doc
+    }
+
+
+def _object(doc, cls, path: str):
+    """Build dataclass ``cls`` from the JSON object found at ``path``."""
     if not isinstance(doc, dict):
-        raise ScenarioError(f"field {key!r} must be an object with alpha and beta")
-    _no_extras(doc, ("alpha", "beta"), ctx)
+        raise ScenarioError(f"{path} must be an object")
+    schema = _schema(cls)
+    _no_extras(doc, schema, path)
+    values = _fields(doc, schema, path)
     try:
-        return BetaParams(
-            alpha=_number(_require(doc, "alpha", ctx), "alpha", ctx),
-            beta=_number(_require(doc, "beta", ctx), "beta", ctx),
-        )
+        return cls(**values)
     except DomainError as exc:
-        raise ScenarioError(f"invalid {ctx}: {exc}") from exc
+        raise ScenarioError(f"invalid {path}: {exc}") from exc
 
 
-def _parse_uncertain(doc: dict) -> UncertainScenario:
-    ctx = "uncertain_scenario"
-    _no_extras(doc, ("n_exposed", "n_unexposed", "prior_exposed", "prior_unexposed"), ctx)
-    try:
-        return UncertainScenario(
-            n_exposed=_integer(_require(doc, "n_exposed", ctx), "n_exposed", ctx),
-            n_unexposed=_integer(_require(doc, "n_unexposed", ctx), "n_unexposed", ctx),
-            prior_exposed=_parse_beta(_require(doc, "prior_exposed", ctx), "prior_exposed"),
-            prior_unexposed=_parse_beta(_require(doc, "prior_unexposed", ctx), "prior_unexposed"),
-        )
-    except DomainError as exc:
-        raise ScenarioError(f"invalid {ctx}: {exc}") from exc
-
-
-def _parse_causal(doc: dict) -> CausalSpec:
-    ctx = "causal_spec"
-    _no_extras(
-        doc,
-        (
-            "n_per_group",
-            "true_cause",
-            "baseline_p",
-            "effect_p",
-            "covariate_rules",
-            "proxy_rule",
-            "latent_group_correlation",
-        ),
-        ctx,
-    )
-    rules = []
-    for i, rule_doc in enumerate(doc.get("covariate_rules", [])):
-        rctx = f"{ctx}.covariate_rules[{i}]"
-        if not isinstance(rule_doc, dict):
-            raise ScenarioError(f"{rctx} must be an object")
-        _no_extras(rule_doc, ("name", "intercept", "slope", "noise_sd"), rctx)
-        name = _require(rule_doc, "name", rctx)
-        if not isinstance(name, str):
-            raise ScenarioError(f"field 'name' in {rctx} must be a string")
+def _value(value, hint, key: str, ctx: str):
+    """Field ``key`` of the object at ``ctx``, read as type ``hint``."""
+    if hint in _SCALARS:
+        accepted, noun = _SCALARS[hint]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ScenarioError(f"field {key!r} in {ctx} must be {noun}")
         try:
-            rules.append(
-                CovariateRule(
-                    name=name,
-                    intercept=_number(_require(rule_doc, "intercept", rctx), "intercept", rctx),
-                    slope=_number(_require(rule_doc, "slope", rctx), "slope", rctx),
-                    noise_sd=_number(rule_doc.get("noise_sd", 0.0), "noise_sd", rctx),
-                )
-            )
-        except DomainError as exc:
-            raise ScenarioError(f"invalid {rctx}: {exc}") from exc
-    proxy = None
-    if doc.get("proxy_rule") is not None:
-        pctx = f"{ctx}.proxy_rule"
-        pdoc = doc["proxy_rule"]
-        if not isinstance(pdoc, dict):
-            raise ScenarioError(f"{pctx} must be an object")
-        _no_extras(pdoc, ("accuracy",), pctx)
-        try:
-            proxy = ProxyRule(accuracy=_number(_require(pdoc, "accuracy", pctx), "accuracy", pctx))
-        except DomainError as exc:
-            raise ScenarioError(f"invalid {pctx}: {exc}") from exc
-    true_cause = _require(doc, "true_cause", ctx)
-    if not isinstance(true_cause, str):
-        raise ScenarioError(f"field 'true_cause' in {ctx} must be a string")
-    try:
-        return CausalSpec(
-            n_per_group=_integer(_require(doc, "n_per_group", ctx), "n_per_group", ctx),
-            true_cause=true_cause,
-            baseline_p=_number(_require(doc, "baseline_p", ctx), "baseline_p", ctx),
-            effect_p=_number(_require(doc, "effect_p", ctx), "effect_p", ctx),
-            covariate_rules=tuple(rules),
-            proxy_rule=proxy,
-            latent_group_correlation=_number(
-                doc.get("latent_group_correlation", 1.0), "latent_group_correlation", ctx
-            ),
-        )
-    except DomainError as exc:
-        raise ScenarioError(f"invalid {ctx}: {exc}") from exc
+            return hint(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ScenarioError(f"field {key!r} in {ctx} is out of range") from None
+    if is_dataclass(hint):
+        return _object(value, hint, f"{ctx}.{key}")
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and args[1:] == (...,):
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"field {key!r} in {ctx} must be a list")
+        return tuple(_object(item, args[0], f"{ctx}.{key}[{i}]") for i, item in enumerate(value))
+    if len(args) == 2 and args[1] is type(None):
+        return None if value is None else _value(value, args[0], key, ctx)
+    raise TypeError(f"scenario field {key!r} has unsupported type {hint}")
 
 
 def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
@@ -214,31 +165,16 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
         raise ScenarioError(
             f"{source}: exactly one of {_KIND_KEYS} must be present, found {present or 'none'}"
         )
-    _no_extras(doc, ("schema_version", *_KIND_KEYS, *_CONTROL_KEYS), source)
+    _no_extras(doc, ("schema_version", *_KIND_KEYS, *_CONTROLS), source)
     kind = present[0]
-    body = doc[kind]
-    if not isinstance(body, dict):
-        raise ScenarioError(f"field {kind!r} must be an object")
-    parsed = {
-        "exposure_scenario": _parse_exposure,
-        "uncertain_scenario": _parse_uncertain,
-        "causal_spec": _parse_causal,
-    }[kind](body)
-
-    controls = {}
-    for key in _CONTROL_KEYS:
-        if key not in doc or doc[key] is None:
-            controls[key] = None
-        elif key in ("seed", "replications"):
-            controls[key] = _integer(doc[key], key, source)
-            if key == "seed":
-                try:
-                    check_seed(controls[key], f"field 'seed' in {source}")
-                except DomainError as exc:
-                    raise ScenarioError(str(exc)) from None
-        else:
-            controls[key] = _number(doc[key], key, source)
-    return ScenarioFile(schema_version=version, payload=parsed, **controls)
+    payload = _object(doc[kind], _KIND_TYPES[kind], kind)
+    controls = _fields(doc, _CONTROLS, source)
+    if controls.get("seed") is not None:
+        try:
+            check_seed(controls["seed"], f"field 'seed' in {source}")
+        except DomainError as exc:
+            raise ScenarioError(str(exc)) from None
+    return ScenarioFile(schema_version=version, payload=payload, **controls)
 
 
 def payload_document(payload) -> tuple[str, dict]:
@@ -260,7 +196,7 @@ def scenario_document(payload, **controls) -> dict:
     kind, body = payload_document(payload)
     doc = {"schema_version": SCHEMA_VERSION, kind: body}
     for key, value in controls.items():
-        if key not in _CONTROL_KEYS:
+        if key not in _CONTROLS:
             raise ScenarioError(f"unknown output control {key!r}")
         if value is not None:
             doc[key] = value
@@ -276,12 +212,14 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path} nests JSON too deeply to parse") from None
     return parse_scenario(doc, source=str(path))
 
 
