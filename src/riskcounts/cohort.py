@@ -9,8 +9,16 @@ procedure "finds" a cause that is not one.
 Determinism: every draw derives from numpy's SeedSequence/Philox
 counter-based scheme.  Replication ``i`` of a study seeds its generator
 with the entropy tuple ``(master_seed, i)``, so replications are
-independent, order-free, and safe to execute in parallel; reports
-aggregate in replication-index order regardless of scheduling.
+independent and order-free, and a study runs them across the CPUs the
+process may use (``os.sched_getaffinity``; ``taskset`` limits them).  It
+splits the replications into contiguous ranges, runs the first range
+itself and the others in forked worker processes, and reduces every
+replication's p-values in index order in the calling process, so the
+report's bits do not depend on the worker count.  A study runs in-process
+when only one CPU is usable, when the ``fork`` start method does not exist,
+when the caller is a daemonic process, or when it is too small to repay
+starting workers (``_PARALLEL_MIN_INDIVIDUALS``).  A range whose worker is
+lost is recomputed in the calling process.
 
 Draw order inside one cohort is fixed and documented: latent factor (two
 draws: mixing uniforms, then fair coins; only when the latent factor is in
@@ -27,6 +35,7 @@ buffers bits within a call, which blocks would change.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +45,7 @@ from .distributions import DomainError, _check_count, _check_probability
 
 __all__ = [
     "MAX_COHORT_SIZE",
+    "MAX_REPLICATIONS",
     "TRUE_CAUSES",
     "CovariateRule",
     "ProxyRule",
@@ -54,12 +64,27 @@ __all__ = [
 #: Desk-scale memory cap on 2 * n_per_group.
 MAX_COHORT_SIZE = 10_000_000
 
+#: Cap on the replications of one study: 100 times the benchmark's largest
+#: study, and days of work at the cohort cap.
+MAX_REPLICATIONS = 1_000_000
+
 TRUE_CAUSES = ("exposure-label", "latent-factor", "none")
 
 Seed = int | tuple[int, ...]
 
 #: Individuals per block of a uniform stream in ``generate``.
 _BLOCK = 1 << 16
+
+#: A replication's fixed cost (seeding, Philox setup, scoring), about 50 us,
+#: in individuals drawn (about 14 ns each on a 2-vCPU x86-64 host).
+_REPLICATION_SETUP = 4_000
+
+#: Studies smaller than this, counted as replications x (2 n_per_group +
+#: ``_REPLICATION_SETUP``), run in-process.  Forking and starting the pool
+#: costs 10-20 ms and two busy processes run 5-30% slower each, so on the
+#: host above two processes break even near this size (about 80 ms on one
+#: CPU: 1,000 replications at 1,000 per group, or 1,500 at 1 per group).
+_PARALLEL_MIN_INDIVIDUALS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -396,30 +421,137 @@ def replication_study(
 
     Replication i draws its cohort from entropy (seed, i); results are
     reduced in index order (p-values summed with ``+=``, one at a time), so
-    the report is bit-identical across reruns and indifferent to any
-    parallel execution of the replications.
+    the report is bit-identical across reruns and across worker counts.
+    ``replications`` may not exceed ``MAX_REPLICATIONS``.  A failing
+    replication raises the error of the lowest failing index, as a serial
+    loop would.
     """
     replications = _check_count(replications, "replications", minimum=1)
+    if replications > MAX_REPLICATIONS:
+        raise DomainError(
+            f"replications must be <= {MAX_REPLICATIONS}, got {replications}"
+        )
     alpha = _check_probability(alpha, "alpha")
     if variants is None:
         variants = default_variants(spec)
-    rejects = {v: 0 for v in variants}
-    p_sums = {v: 0.0 for v in variants}
-    for i in range(replications):
-        cohort = generate(spec, (seed, i))
-        for v in variants:
-            p_value = _variant_score(cohort, v, continuity_correction)[1]
-            rejects[v] += p_value < alpha
-            p_sums[v] += p_value
+    args = (spec, seed, tuple(variants), continuity_correction)
+    size = replications * (2 * spec.n_per_group + _REPLICATION_SETUP)
+    ranges = _ranges(replications, _workers(size, replications))
+    outcomes = _forked_outcomes(args, ranges) if len(ranges) > 1 else [None]
+    rejects = [0] * len(variants)
+    p_sums = [0.0] * len(variants)
+    for (start, stop), p in zip(ranges, outcomes):
+        if p is None:
+            p = _replicate_range(*args, start, stop)
+        elif isinstance(p, DomainError):
+            raise p
+        # a block at a time, so no study holds all its p-values as Python floats
+        for block in range(0, len(p), _BLOCK):
+            for row in p[block : block + _BLOCK].tolist():
+                for j, p_value in enumerate(row):
+                    rejects[j] += p_value < alpha
+                    p_sums[j] += p_value
     rows = tuple(
         VariantStats(
             variant=v,
-            rejection_rate=rejects[v] / replications,
-            mean_p_value=p_sums[v] / replications,
+            rejection_rate=rejects[j] / replications,
+            mean_p_value=p_sums[j] / replications,
         )
-        for v in variants
+        for j, v in enumerate(variants)
     )
     return ReplicationReport(replications=replications, alpha=alpha, rows=rows)
+
+
+def _replicate_range(
+    spec: CausalSpec,
+    seed: int,
+    variants: tuple[str, ...],
+    continuity_correction: bool,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """P-values of replications ``start`` to ``stop - 1``: one row per
+    replication, one column per variant.  Stops at the first error."""
+    p = np.empty((stop - start, len(variants)))
+    for row, i in enumerate(range(start, stop)):
+        cohort = generate(spec, (seed, i))
+        p[row] = [_variant_score(cohort, v, continuity_correction)[1] for v in variants]
+    return p
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(size: int, replications: int) -> int:
+    """How many processes share a study of ``size`` individual-equivalents:
+    one without ``fork`` or in a daemonic process, which may not have
+    children."""
+    workers = min(_usable_cpus(), replications)
+    if size < _PARALLEL_MIN_INDIVIDUALS or workers == 1:
+        return 1
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return workers
+
+
+def _ranges(replications: int, workers: int) -> list[tuple[int, int]]:
+    """``workers`` contiguous ``(start, stop)`` ranges covering the
+    replications, sizes differing by at most one; the first, which the
+    caller runs beside starting the workers, is no larger than the rest."""
+    bounds = [replications * k // workers for k in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _forked_outcomes(args: tuple, ranges: list[tuple[int, int]]) -> list:
+    """Each range's outcome, in order: its p-values, the ``DomainError``
+    that stopped it, or ``None`` where no process finished it.
+
+    The caller runs the first range itself, forked workers the others; its
+    own error propagates at once, since no range comes before it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    try:
+        pool = ProcessPoolExecutor(len(ranges) - 1, mp_context=context)
+    except OSError:  # no pipes left, or no semaphores (no /dev/shm)
+        return [None] * len(ranges)
+    try:
+        futures = [_submit(pool, args, r) for r in ranges[1:]]
+        outcomes = [_replicate_range(*args, *ranges[0]), *map(_outcome, futures)]
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown(wait=False)  # every outcome is in; the workers exit on their own
+    return outcomes
+
+
+def _submit(pool, args: tuple, bounds: tuple[int, int]):
+    try:
+        return pool.submit(_replicate_range, *args, *bounds)
+    except (OSError, RuntimeError):  # the fork failed, or a lost worker broke the pool
+        return None
+
+
+def _outcome(future):
+    if future is None:
+        return None
+    try:
+        return future.result()
+    except DomainError as exc:
+        return exc
+    except Exception:  # the worker died or failed otherwise; the caller reruns the range
+        return None
 
 
 def proxy_study(

@@ -253,6 +253,13 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to parse") from None
+
+
 def _line(meta: dict[str, str], key: str, convert=str):
     """The value of one header line, converted; a missing line or a value
     ``convert`` refuses is a ``ScenarioError`` that names the line."""
@@ -278,7 +285,7 @@ def replay_text(text: str) -> str:
     """
     meta = read_metadata(text)
     kind = _line(meta, "kind")
-    doc = _line(meta, "scenario", json.loads)
+    doc = _line(meta, "scenario", _json)
     layout = _line(meta, "riskcounts_csv")
     if layout != str(_LAYOUT_VERSION):
         raise ScenarioError(
@@ -319,7 +326,13 @@ def replay_text(text: str) -> str:
 
 
 def replay_file(path: str | Path) -> str:
-    return replay_text(Path(path).read_text(encoding="utf-8"))
+    """``replay_text`` of a file; a file that is not UTF-8 is a
+    ``ScenarioError`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read CSV file {path}: {exc}") from None
+    return replay_text(text)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from riskcounts import cli, figures
 from riskcounts.cli import main
-from riskcounts.cohort import CausalSpec, CovariateRule, ProxyRule
+from riskcounts.cohort import MAX_REPLICATIONS, CausalSpec, CovariateRule, ProxyRule
 from riskcounts.comparison import ExposureScenario, UncertainScenario
 from riskcounts.distributions import BetaParams, DomainError
 from riskcounts.figures import build_figure, read_metadata, render_figure_csv, replay_text
@@ -182,6 +182,28 @@ def test_replay_refuses_out_of_domain_values(figure_text, report_text):
     ):
         with pytest.raises(ScenarioError, match="metadata does not replay"):
             replay_text(text)
+
+
+@pytest.mark.parametrize("fixture", ["figure_text", "report_text"])
+def test_replay_refuses_a_scenario_line_nested_too_deeply(fixture, request):
+    text = _set(request.getfixturevalue(fixture), "scenario", "[" * 100_000)
+    with pytest.raises(ScenarioError, match="line 'scenario' is malformed: JSON nests too deeply"):
+        replay_text(text)
+
+
+def test_replay_file_refuses_a_file_that_is_not_utf8(report_text, tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(report_text.encode("utf-8") + b"\xff\xfe")
+    with pytest.raises(ScenarioError, match=f"cannot read CSV file {path}: 'utf-8' codec"):
+        figures.replay_file(path)
+    path.write_text(report_text, encoding="utf-8")
+    assert figures.replay_file(path) == report_text
+
+
+def test_replay_refuses_replications_past_the_cap(report_text):
+    text = _set(report_text, "replications", str(MAX_REPLICATIONS + 1))
+    with pytest.raises(ScenarioError, match=f"does not replay: replications must be <= {MAX_REPLICATIONS}"):
+        replay_text(text)
 
 
 def test_replay_refuses_a_scenario_of_the_wrong_kind(figure_text, report_text):

@@ -10,6 +10,10 @@ below, exactly on, and across several blocks, with the group boundary n
 inside a block; each spec carries a proxy rule, a noisy covariate with a
 negative slope and a noiseless one, and runs with and without the
 continuity correction.
+
+Every study here is forced onto forked workers (``forced_workers``): three
+replications run one per process, two at the cohort cap one per process, so
+the pins also show that the bytes do not depend on the worker count.
 """
 
 import hashlib
@@ -17,6 +21,7 @@ import json
 
 import pytest
 
+from riskcounts import cohort
 from riskcounts.cli import main
 from riskcounts.cohort import MAX_COHORT_SIZE, TRUE_CAUSES
 from riskcounts.figures import replay_text
@@ -68,6 +73,18 @@ DIGESTS = {
 MAX_COHORT_DIGEST = "ffc3f8bb8d093e5610cded4036536f936f258c4ccae69c51eb2a944a23d60409"
 
 
+@pytest.fixture(autouse=True)
+def forced_workers(monkeypatch):
+    """Run each study on up to three processes and record its ranges."""
+    forked = []
+    run = cohort._forked_outcomes
+    monkeypatch.setattr(cohort, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
+    monkeypatch.setattr(cohort, "_forked_outcomes",
+                        lambda args, ranges: forked.append(ranges) or run(args, ranges))
+    return forked
+
+
 def _full_spec(n_per_group, true_cause):
     return {"schema_version": 1, "causal_spec": {
         "n_per_group": n_per_group, "true_cause": true_cause,
@@ -100,16 +117,17 @@ def test_every_combination_is_pinned():
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
-def test_replication_bytes_across_the_block_boundary(key, tmp_path, capsys):
+def test_replication_bytes_across_the_block_boundary(key, tmp_path, capsys, forced_workers):
     n, cause, continuity = key
     data = _simulate(tmp_path, _full_spec(n, cause), 3, continuity)
     capsys.readouterr()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[key]
     text = data.decode("utf-8")
     assert replay_text(text) == text
+    assert forced_workers == [[(0, 1), (1, 2), (2, 3)]] * 2
 
 
-def test_replication_bytes_at_max_cohort_size(tmp_path, capsys):
+def test_replication_bytes_at_max_cohort_size(tmp_path, capsys, forced_workers):
     doc = {"schema_version": 1, "causal_spec": {
         "n_per_group": MAX_COHORT_SIZE // 2, "true_cause": "exposure-label",
         "baseline_p": 0.01, "effect_p": 0.012,
@@ -117,3 +135,4 @@ def test_replication_bytes_at_max_cohort_size(tmp_path, capsys):
     data = _simulate(tmp_path, doc, 2)
     capsys.readouterr()
     assert hashlib.sha256(data).hexdigest() == MAX_COHORT_DIGEST
+    assert forced_workers == [[(0, 1), (1, 2)]]
