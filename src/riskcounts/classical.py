@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from .distributions import DomainError, _check_count, _check_probability
 
-__all__ = ["TwoByTwo", "TestResult", "two_proportion_test", "relative_risk_estimate"]
+__all__ = ["MAX_ARM_SIZE", "TwoByTwo", "TestResult", "two_proportion_test", "relative_risk_estimate"]
+
+
+#: Largest arm size of a ``TwoByTwo``: every count up to 2^53 is exact as a
+#: float, and the score test's variance stays far from underflow.
+MAX_ARM_SIZE = 2**53
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,8 @@ class TwoByTwo:
         for cases_name, n_name in (("cases_a", "n_a"), ("cases_b", "n_b")):
             cases = _check_count(getattr(self, cases_name), cases_name)
             n = _check_count(getattr(self, n_name), n_name, minimum=1)
+            if n > MAX_ARM_SIZE:
+                raise DomainError(f"{n_name} must be <= 2**53, got {n}")
             if cases > n:
                 raise DomainError(f"{cases_name} {cases} exceeds {n_name} {n}")
             object.__setattr__(self, cases_name, cases)

@@ -244,8 +244,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(payload, CausalSpec):
         return _fail("simulate needs a causal_spec scenario file")
     replications = _pick(args.replications, sf.replications, _DEFAULT_REPLICATIONS)
-    if replications <= 0:
-        return _fail(f"replications must be positive, got {replications}")
     alpha = _pick(args.alpha, sf.alpha, _DEFAULT_ALPHA)
     seed = _pick(args.seed, sf.seed, _DEFAULT_SEED)
     report = replication_study(
@@ -382,7 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse drops "--" given as an option's value (``--eps=--``) and
+        # stores an empty list without calling the option's type
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -12,13 +12,16 @@ with the entropy tuple ``(master_seed, i)``, so replications are
 independent and order-free, and a study runs them across the CPUs the
 process may use (``os.sched_getaffinity``; ``taskset`` limits them).  It
 splits the replications into contiguous ranges, runs the first range
-itself and the others in forked worker processes, and reduces every
+itself and the others in forked workers (``_parallel.run``, the package's
+one process path, which convolutions share), and reduces every
 replication's p-values in index order in the calling process, so the
 report's bits do not depend on the worker count.  A study runs in-process
-when only one CPU is usable, when the ``fork`` start method does not exist,
-when the caller is a daemonic process, or when it is too small to repay
-starting workers (``_PARALLEL_MIN_INDIVIDUALS``).  A range whose worker is
-lost is recomputed in the calling process.
+when only one CPU is usable, when workers could not be made to die with
+the caller (no ``fork``, or not Linux), when the caller is a daemonic
+process, or when it is too small to repay starting workers
+(``_PARALLEL_MIN_INDIVIDUALS``).  A range whose worker is lost, or fails,
+is recomputed in the calling process, so an error raised is the serial
+loop's.
 
 Draw order inside one cohort is fixed and documented: latent factor (two
 draws: mixing uniforms, then fair coins; only when the latent factor is in
@@ -35,11 +38,11 @@ buffers bits within a call, which blocks would change.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from .classical import TestResult, _score_test
 from .distributions import DomainError, _check_count, _check_probability
 
@@ -437,20 +440,18 @@ def replication_study(
     args = (spec, seed, tuple(variants), continuity_correction)
     size = replications * (2 * spec.n_per_group + _REPLICATION_SETUP)
     ranges = _ranges(replications, _workers(size, replications))
-    outcomes = _forked_outcomes(args, ranges) if len(ranges) > 1 else [None]
+    if len(ranges) > 1:
+        p = _forked_outcomes(args, ranges)
+    else:
+        p = _replicate_range(*args, 0, replications)
     rejects = [0] * len(variants)
     p_sums = [0.0] * len(variants)
-    for (start, stop), p in zip(ranges, outcomes):
-        if p is None:
-            p = _replicate_range(*args, start, stop)
-        elif isinstance(p, DomainError):
-            raise p
-        # a block at a time, so no study holds all its p-values as Python floats
-        for block in range(0, len(p), _BLOCK):
-            for row in p[block : block + _BLOCK].tolist():
-                for j, p_value in enumerate(row):
-                    rejects[j] += p_value < alpha
-                    p_sums[j] += p_value
+    # a block at a time, so no study holds all its p-values as Python floats
+    for block in range(0, replications, _BLOCK):
+        for row in p[block : block + _BLOCK].tolist():
+            for j, p_value in enumerate(row):
+                rejects[j] += p_value < alpha
+                p_sums[j] += p_value
     rows = tuple(
         VariantStats(
             variant=v,
@@ -479,28 +480,16 @@ def _replicate_range(
     return p
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
+#: The CPU count studies split across; a module binding so that tests can
+#: force the worker count.
+_usable_cpus = _parallel.usable_cpus
 
 
 def _workers(size: int, replications: int) -> int:
-    """How many processes share a study of ``size`` individual-equivalents:
-    one without ``fork`` or in a daemonic process, which may not have
-    children."""
-    workers = min(_usable_cpus(), replications)
-    if size < _PARALLEL_MIN_INDIVIDUALS or workers == 1:
+    """How many processes share a study of ``size`` individual-equivalents."""
+    if size < _PARALLEL_MIN_INDIVIDUALS:
         return 1
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return workers
+    return _parallel.workers(_usable_cpus(), replications)
 
 
 def _ranges(replications: int, workers: int) -> list[tuple[int, int]]:
@@ -511,47 +500,14 @@ def _ranges(replications: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _forked_outcomes(args: tuple, ranges: list[tuple[int, int]]) -> list:
-    """Each range's outcome, in order: its p-values, the ``DomainError``
-    that stopped it, or ``None`` where no process finished it.
+def _forked_outcomes(args: tuple, ranges: list[tuple[int, int]]) -> np.ndarray:
+    """Every replication's p-values, one row each: the caller computes the
+    first range, forked workers the others (``_parallel.run``)."""
 
-    The caller runs the first range itself, forked workers the others; its
-    own error propagates at once, since no range comes before it.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def fill(start: int, stop: int, rows: np.ndarray) -> None:
+        rows[...] = _replicate_range(*args, start, stop)
 
-    context = multiprocessing.get_context("fork")
-    try:
-        pool = ProcessPoolExecutor(len(ranges) - 1, mp_context=context)
-    except OSError:  # no pipes left, or no semaphores (no /dev/shm)
-        return [None] * len(ranges)
-    try:
-        futures = [_submit(pool, args, r) for r in ranges[1:]]
-        outcomes = [_replicate_range(*args, *ranges[0]), *map(_outcome, futures)]
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    pool.shutdown(wait=False)  # every outcome is in; the workers exit on their own
-    return outcomes
-
-
-def _submit(pool, args: tuple, bounds: tuple[int, int]):
-    try:
-        return pool.submit(_replicate_range, *args, *bounds)
-    except (OSError, RuntimeError):  # the fork failed, or a lost worker broke the pool
-        return None
-
-
-def _outcome(future):
-    if future is None:
-        return None
-    try:
-        return future.result()
-    except DomainError as exc:
-        return exc
-    except Exception:  # the worker died or failed otherwise; the caller reruns the range
-        return None
+    return _parallel.run(fill, ranges, (ranges[-1][1], len(args[2])))
 
 
 def proxy_study(

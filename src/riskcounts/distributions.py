@@ -20,20 +20,29 @@ where each ``r(k)`` is formed as one double-precision quotient before the
 log is taken.  Each step then contributes ~1 ulp of absolute log error and
 the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
+
+Convolution is a direct ``np.correlate``.  From ``_PARALLEL_MIN_MACS``
+multiply-adds up, its cells are split into contiguous ranges of about equal
+cost and all but the first are computed in forked workers
+(``_parallel.run``), each cell from the same dot product on the same
+operands as in one call, so the bits do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import mpmath
 import numpy as np
 
+from . import _parallel
+
 __all__ = [
     "DEFAULT_EPS",
     "MAX_EPS",
+    "MAX_CONCENTRATION",
     "DomainError",
     "BetaParams",
     "CountDistribution",
@@ -55,6 +64,14 @@ DEFAULT_EPS = 1e-12
 #: Coarsest truncation any constructor accepts.
 MAX_EPS = 1e-6
 
+#: Largest prior concentration alpha + beta a beta-binomial is built for.
+#: The anchor's log-gammas grow like c ln c, so at ``_ANCHOR_DPS`` digits
+#: their absolute error passes the window's own ~1e-13 beyond about 1e26.
+#: Against an anchor at 40 + log10(c) + 30 digits, the stored log masses at
+#: n = 10, 1e3 and 2e6 are within 3.3e-13 from the calibration cap 1e12 up to
+#: 1e25, 5.5e-13 at 1e27, 8.4e-10 at 1e30, and break the mass identity at 1e31.
+MAX_CONCENTRATION = 1e25
+
 #: Tolerance of the mass identity  sum(exp(log_mass)) + truncated_mass = 1.
 MASS_IDENTITY_TOL = 1e-9
 
@@ -73,6 +90,15 @@ _MAX_SUPPORT_POINTS = 20_000_000
 #: rounding each); the cell before it holds at most 1 and every later ratio
 #: is smaller still, so the dropped tail is under r / (1 - r) < 2^-1072.
 _UNDERFLOW_TAIL = 2.0**-1072
+
+#: Convolutions of fewer multiply-adds (MACs) than this run in-process.  A
+#: billion MACs take about 0.2 s on one x86-64 core, against a few ms to
+#: fork a worker.
+_PARALLEL_MIN_MACS = 1_000_000_000
+
+#: The Python cost of computing one edge cell on its own (about 1.5 us), in
+#: MACs, which run at about 5e9 a second on the host above.
+_EDGE_CELL_MACS = 8_000
 
 
 class DomainError(ValueError):
@@ -606,6 +632,11 @@ def beta_binomial_distribution(
     var = n * a * b * (c + n) / (c * c * (c + 1.0))
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise DomainError(f"the count moments of prior {prior} overflow a float")
+    if c > MAX_CONCENTRATION:
+        raise DomainError(
+            f"prior {prior} is too concentrated: alpha + beta = {c!r} exceeds "
+            f"the bound {MAX_CONCENTRATION:g}"
+        )
     return _build_windowed(
         kind="beta-binomial",
         mean=mean,
@@ -625,9 +656,10 @@ def convolve(
 ) -> CountDistribution:
     """Distribution of the sum of two independent counts.
 
-    Direct convolution of the stored linear-space masses; the output window
-    is trimmed so the extra omitted mass stays <= eps, and the result's
-    truncated_mass is <= a.truncated_mass + b.truncated_mass + eps.
+    Direct convolution of the stored linear-space masses, across processes
+    when large (``_correlate``); the output window is trimmed so the extra
+    omitted mass stays <= eps, and the result's truncated_mass is <=
+    a.truncated_mass + b.truncated_mass + eps.
     """
     eps = _check_eps(eps)
     # np.convolve(a, b) with its operand order (the longer first, ``a`` on
@@ -635,7 +667,7 @@ def convolve(
     # aligned copies: np.convolve copies read-only masses to wherever the
     # heap puts them, and its dot products run slower off that alignment.
     longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
-    full = np.correlate(_aligned(longer.masses), _aligned(shorter.masses[::-1]), "full")
+    full = _correlate(_aligned(longer.masses), _aligned(shorter.masses[::-1]))
     lo = a.support_lo + b.support_lo
 
     # Trim each tail while it holds at most eps/4, then drop any remaining
@@ -668,6 +700,73 @@ def convolve(
         log_mass=np.log(kept),
         truncated_mass=truncated,
     )
+
+
+def _correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.correlate(x, y, "full")`` for ``len(x) >= len(y)``, with the same
+    bits.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, its cells are split
+    into contiguous ranges of about equal cost, one per usable CPU per BLAS
+    thread, and computed by ``_cells`` across forked workers; where the BLAS
+    thread count cannot be read, in-process."""
+    n1, n2 = len(x), len(y)
+    workers = 1
+    if n1 * n2 >= _PARALLEL_MIN_MACS:
+        # each worker's BLAS keeps the caller's thread count, which the bits
+        # depend on, so the CPUs are shared out among whole thread teams
+        threads = _parallel.blas_threads()
+        cpus = _parallel.usable_cpus() // threads if threads else 1
+        workers = _parallel.workers(cpus, n1 + n2 - 1)
+    if workers == 1:
+        return np.correlate(x, y, "full")
+    ranges = _cell_ranges(n1, n2, workers)
+    return _parallel.run(partial(_cells, x, y), ranges, (n1 + n2 - 1,))
+
+
+def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Write cells ``start`` to ``stop - 1`` of ``np.correlate(x, y,
+    "full")`` into ``out``, each the dot product that call computes, on the
+    same operands: an edge cell (shorter than ``len(y)``) through numpy's dot
+    function, the full-length cells through one ``"valid"`` correlate, which
+    takes the same small-kernel branch as the full call."""
+    n1, n2 = len(x), len(y)
+    vdot = np.vdot
+    for k in range(start, min(stop, n2 - 1)):
+        out[k - start] = vdot(x[: k + 1], y[n2 - 1 - k :])
+    lo, hi = max(start, n2 - 1), min(stop, n1)
+    if lo < hi:
+        out[lo - start : hi - start] = np.correlate(x[lo - n2 + 1 : hi], y, "valid")
+    for k in range(max(start, n1), stop):
+        out[k - start] = vdot(x[k - n2 + 1 :], y[: n1 + n2 - 1 - k])
+
+
+def _cell_ranges(n1: int, n2: int, workers: int) -> list[tuple[int, int]]:
+    """At most ``workers`` nonempty contiguous ranges of the ``n1 + n2 - 1``
+    cells of a full correlate, of about equal cost: a cell's multiply-adds,
+    plus ``_EDGE_CELL_MACS`` for each of the ``n2 - 1`` edge cells on either
+    side.  The cost before a cell is in closed form, and each bound is found
+    by bisection on it."""
+    cells, edge = n1 + n2 - 1, n2 - 1
+    total = n1 * n2 + 2 * edge * _EDGE_CELL_MACS
+
+    def head(m: int) -> int:  # the cost of the first m <= n1 cells
+        e = min(m, edge)
+        return e * (e + 1) // 2 + e * _EDGE_CELL_MACS + (m - e) * n2
+
+    def before(m: int) -> int:  # the cost of the first m cells; symmetric
+        return head(m) if m <= n1 else total - head(cells - m)
+
+    bounds = [0]
+    for i in range(1, workers):
+        lo, hi = bounds[-1], cells
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if before(mid) * workers < i * total:
+                lo = mid + 1
+            else:
+                hi = mid
+        bounds.append(lo)
+    bounds.append(cells)
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 # ---------------------------------------------------------------------------

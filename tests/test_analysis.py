@@ -3,6 +3,10 @@
 Golden reports pin ``summarize`` stdout byte for byte; build counts pin that
 each command builds every distinct law once; the effective relative risk of
 near-certain-zero arms is checked against a high-precision reference.
+
+Every convolution here is split over two processes (``forced_split``), so
+the golden reports also show that the bytes do not depend on the worker
+count.
 """
 
 import collections
@@ -13,13 +17,29 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from riskcounts import BetaParams, UncertainScenario, distributions, summarize
+from riskcounts import BetaParams, UncertainScenario, _parallel, distributions, summarize
 from riskcounts.cli import main
 from riskcounts.scenarios import bundled_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve")
+
+
+@pytest.fixture(autouse=True)
+def forced_split(monkeypatch, request):
+    """Split every convolution over two processes and record its ranges;
+    each golden ``summarize`` must have been split."""
+    forked = []
+    run = _parallel.run
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
+    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 0)
+    monkeypatch.setattr(_parallel, "run",
+                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
+    yield forked
+    if request.node.originalname == "test_summarize_stdout_matches_golden":
+        assert forked and all(len(ranges) == 2 for ranges in forked)
 
 
 def _scenario_path(tmp_path, name):

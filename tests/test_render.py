@@ -4,6 +4,9 @@
 metadata reader as they stood before rendering became block-wise; the new
 code must reproduce them byte for byte.  The golden digests were taken from
 ``figure`` output of that older renderer.
+
+Every convolution here is split over two processes (``forced_split``), so
+the pins also show that figure bytes do not depend on the worker count.
 """
 
 import csv
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskcounts import figures
+from riskcounts import _parallel, distributions, figures
 from riskcounts.cli import main
 from riskcounts.distributions import CountDistribution
 from riskcounts.figures import FigureTable, read_metadata, render_figure_csv
@@ -26,6 +29,23 @@ from riskcounts.scenarios import bundled_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BLOCK = figures._BLOCK_ROWS
+
+
+@pytest.fixture(autouse=True)
+def forced_split(monkeypatch, request):
+    """Split every convolution over two processes and record its ranges;
+    a pinned figure that convolves (3 and 4) must have been split."""
+    forked = []
+    run = _parallel.run
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
+    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 0)
+    monkeypatch.setattr(_parallel, "run",
+                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
+    yield forked
+    if request.node.originalname == "test_figure_bytes_match_golden_digest":
+        assert bool(forked) == (request.node.callspec.params["figure_id"] in (3, 4))
+        assert all(len(ranges) == 2 for ranges in forked)
 
 
 def oracle_render(table: FigureTable) -> str:
