@@ -21,18 +21,24 @@ log is taken.  Each step then contributes ~1 ulp of absolute log error and
 the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
 
-Convolution is a direct ``np.correlate``.  From ``_PARALLEL_MIN_MACS``
-multiply-adds up, its cells are split into contiguous ranges of about equal
-cost and all but the first are computed in forked workers
-(``_parallel.run``), each cell from the same dot product on the same
-operands as in one call, so the bits do not depend on the worker count.
+Convolution is a direct ``np.correlate`` that computes only the cells its
+trim keeps.  Each tail is dropped while its running sum stays at most eps/4;
+where a tail ends is found without computing its cells, from prefix sums of
+the inputs, and accepted only where it clears a rounding margin
+(``_prefix_margin``) that makes it the bound the running sum of every cell
+would give.  Otherwise every cell is computed and the tails are trimmed from
+their running sums.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, the
+computed cells are split into contiguous ranges of about equal cost and all
+but the first are computed in forked workers (``_parallel.run``).  Each cell
+comes from the same dot product on the same operands as in one full call,
+so the bits depend neither on the trim's path nor on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -656,10 +662,15 @@ def convolve(
 ) -> CountDistribution:
     """Distribution of the sum of two independent counts.
 
-    Direct convolution of the stored linear-space masses, across processes
-    when large (``_correlate``); the output window is trimmed so the extra
-    omitted mass stays <= eps, and the result's truncated_mass is <=
-    a.truncated_mass + b.truncated_mass + eps.
+    Direct convolution of the stored linear-space masses.  The output window
+    is trimmed so that each dropped tail holds at most eps/4, and the
+    result's truncated_mass is <= a.truncated_mass + b.truncated_mass + eps.
+
+    Only the kept cells are computed (``_kept_cells``).  Each trim bound is
+    found from prefix sums of the inputs and accepted only past the rounding
+    margin of ``_prefix_margin``; otherwise every cell is computed and the
+    tails are trimmed from their running sums.  Either way the bytes are
+    those of trimming one full ``np.convolve``.
     """
     eps = _check_eps(eps)
     # np.convolve(a, b) with its operand order (the longer first, ``a`` on
@@ -667,23 +678,13 @@ def convolve(
     # aligned copies: np.convolve copies read-only masses to wherever the
     # heap puts them, and its dot products run slower off that alignment.
     longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
-    full = _correlate(_aligned(longer.masses), _aligned(shorter.masses[::-1]))
-    lo = a.support_lo + b.support_lo
+    start, kept = _kept_cells(_aligned(longer.masses), _aligned(shorter.masses[::-1]), eps / 4.0)
 
-    # Trim each tail while it holds at most eps/4, then drop any remaining
-    # zero-mass edge cells (an all-finite log_mass is part of the contract).
-    budget = eps / 4.0
-    csum = np.cumsum(full)
-    start = int(np.searchsorted(csum, budget, side="right"))
-    rsum = np.cumsum(full[::-1])
-    stop = len(full) - int(np.searchsorted(rsum, budget, side="right"))
-    peak = int(np.argmax(full))
-    start = min(start, peak)
-    stop = max(stop, peak + 1)
-    kept = full[start:stop]
+    # Drop any remaining zero-mass edge cells (an all-finite log_mass is
+    # part of the contract).
     nz = np.nonzero(kept)[0]
     kept = kept[nz[0] : nz[-1] + 1]
-    lo = lo + start + int(nz[0])
+    lo = a.support_lo + b.support_lo + start + int(nz[0])
 
     # Interior cells can underflow to exactly zero only when the inputs are
     # strongly bimodal; floor them at the smallest normal double (an
@@ -702,24 +703,125 @@ def convolve(
     )
 
 
-def _correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.correlate(x, y, "full")`` for ``len(x) >= len(y)``, with the same
-    bits.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, its cells are split
-    into contiguous ranges of about equal cost, one per usable CPU per BLAS
+def _kept_cells(x: np.ndarray, y: np.ndarray, budget: float) -> tuple[int, np.ndarray]:
+    """``start`` and cells ``start`` to ``stop - 1`` of ``full =
+    np.correlate(x, y, "full")``, for ``len(x) >= len(y)``: each tail is
+    trimmed while its running ``np.cumsum`` stays at most ``budget``, but
+    not past the first largest cell.
+
+    The bounds come from ``_certified_head`` on the operands and on their
+    reverses.  Every cell of a trimmed tail is at most its running sum, so
+    once a kept cell exceeds ``budget`` the largest cell is kept and the
+    clamp to it changes nothing.  Where a bound is not certified, the tails
+    meet, or no kept cell exceeds ``budget``, every cell is computed and
+    trimmed from its running sums.
+    """
+    cells = len(x) + len(y) - 1
+    start = _certified_head(x, y, budget)
+    if start is not None:
+        tail = _certified_head(x[::-1], y[::-1], budget)
+        if tail is not None and start < cells - tail:
+            kept = _correlate(x, y, start, cells - tail)
+            if kept.max() > budget:
+                return start, kept
+    full = _correlate(x, y, 0, cells)
+    csum = np.cumsum(full)
+    start = int(np.searchsorted(csum, budget, side="right"))
+    rsum = np.cumsum(full[::-1])
+    stop = cells - int(np.searchsorted(rsum, budget, side="right"))
+    peak = int(np.argmax(full))
+    start = min(start, peak)
+    return start, full[start : max(stop, peak + 1)]
+
+
+def _prefix_margin(n1: int, n2: int, budget: float):
+    """Exact cut-offs ``(below, above)`` for ``_certified_head``: an
+    estimate ``q`` of a prefix of the full correlate of non-negative operands
+    of lengths ``n1 >= n2`` at most ``below`` certifies that the prefix's
+    running sum ``s``, as ``np.cumsum`` computes it over the computed cells,
+    is at most ``budget``; one above ``above`` certifies that it exceeds it.
+
+    They follow from  (1 - delta) * q - tiny <= s <= (1 + delta) * q + tiny.
+    With u = 2^-53 and gamma_k = k*u / (1 - k*u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 4.2), a
+    sum of non-negative terms, in any order, of which each passes through
+    at most k roundings lies within gamma_k of the exact sum, relatively.
+    A cell is a dot product of at most n2 terms, in whatever order the BLAS
+    takes, and the running sum adds at most n1 + n2 - 2 more roundings:
+    k = n1 + 2*n2 - 2.  The estimate rounds n1 - 1 times in ``np.cumsum``
+    of the longer operand and n2 times in its dot product: k = n1 + n2 - 1.
+    Chaining the two bounds through the exact sum costs gamma of at most
+    twice the total count: delta.  Each product may also underflow, by at
+    most 2^-1075 absolute: n2 products for the estimate and (n1 + n2 - 1) *
+    n2 for the running sum, which ``tiny`` doubles to absorb the relative
+    growth of those errors.
+    """
+    from fractions import Fraction  # here, not at the top: it adds 2-3 ms to CLI start-up
+
+    k = 2 * ((n1 + 2 * n2 - 2) + (n1 + n2 - 1))
+    delta = Fraction(k, 2**53 - k)
+    tiny = Fraction((n1 + n2) * n2, 2**1074)
+    budget = Fraction(budget)
+    return (budget - tiny) / (1 + delta), (budget + tiny) / (1 - delta)
+
+
+def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
+    """The number of leading cells of ``np.correlate(x, y, "full")`` whose
+    running ``np.cumsum`` stays at most ``budget``, for ``len(x) >=
+    len(y)``, without computing the cells; None where a comparison on the
+    way falls between the cut-offs of ``_prefix_margin``.
+
+    The first m cells sum to  sum_t y[t] * X[m - len(y) + t],  where X is
+    the running sum of ``x`` (0 before it, its total past it), one dot
+    product per m; the running sums never decrease, so bisection finds the
+    count in about log2 of the cell count of them.
+    """
+    n1, n2 = len(x), len(y)
+    below, above = _prefix_margin(n1, n2, budget)
+    # ext[m + t] = X[m - n2 + t]
+    ext = np.empty(n1 + 2 * n2 - 1)
+    ext[:n2] = 0.0
+    np.cumsum(x, out=ext[n2 : n2 + n1])
+    ext[n2 + n1 :] = ext[n2 + n1 - 1]
+    y = np.ascontiguousarray(y)
+    # the sum of the first ``lo`` cells is at most budget, that of ``hi``
+    # exceeds it; hi = cells + 1 stands for past the end
+    lo, hi = 0, n1 + n2
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        q = float(np.dot(y, ext[m : m + n2]))
+        if q <= below:
+            lo = m
+        elif q > above:
+            hi = m
+        else:
+            return None
+    return lo
+
+
+def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Cells ``start`` to ``stop - 1`` of ``np.correlate(x, y, "full")``,
+    for ``len(x) >= len(y)``, with the same bits.  From
+    ``_PARALLEL_MIN_MACS`` multiply-adds up, the range is split into
+    contiguous ranges of about equal cost, one per usable CPU per BLAS
     thread, and computed by ``_cells`` across forked workers; where the BLAS
     thread count cannot be read, in-process."""
     n1, n2 = len(x), len(y)
     workers = 1
-    if n1 * n2 >= _PARALLEL_MIN_MACS:
+    if _cost_before(n1, n2, stop) - _cost_before(n1, n2, start) >= _PARALLEL_MIN_MACS:
         # each worker's BLAS keeps the caller's thread count, which the bits
         # depend on, so the CPUs are shared out among whole thread teams
         threads = _parallel.blas_threads()
         cpus = _parallel.usable_cpus() // threads if threads else 1
-        workers = _parallel.workers(cpus, n1 + n2 - 1)
+        workers = _parallel.workers(cpus, stop - start)
     if workers == 1:
-        return np.correlate(x, y, "full")
-    ranges = _cell_ranges(n1, n2, workers)
-    return _parallel.run(partial(_cells, x, y), ranges, (n1 + n2 - 1,))
+        out = np.empty(stop - start)
+        _cells(x, y, start, stop, out)
+        return out
+    ranges = [(a - start, b - start) for a, b in _cell_ranges(n1, n2, start, stop, workers)]
+    return _parallel.run(
+        lambda a, b, out: _cells(x, y, start + a, start + b, out), ranges, (stop - start,)
+    )
 
 
 def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
@@ -739,33 +841,41 @@ def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray)
         out[k - start] = vdot(x[k - n2 + 1 :], y[: n1 + n2 - 1 - k])
 
 
-def _cell_ranges(n1: int, n2: int, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` nonempty contiguous ranges of the ``n1 + n2 - 1``
-    cells of a full correlate, of about equal cost: a cell's multiply-adds,
-    plus ``_EDGE_CELL_MACS`` for each of the ``n2 - 1`` edge cells on either
-    side.  The cost before a cell is in closed form, and each bound is found
-    by bisection on it."""
+def _cost_before(n1: int, n2: int, m: int, edge_cost: int = 0) -> int:
+    """The multiply-adds of the first ``m`` of the ``n1 + n2 - 1`` cells of
+    a full correlate, plus ``edge_cost`` for each of them among the ``n2 -
+    1`` edge cells on either side; in closed form, and symmetric."""
     cells, edge = n1 + n2 - 1, n2 - 1
-    total = n1 * n2 + 2 * edge * _EDGE_CELL_MACS
 
-    def head(m: int) -> int:  # the cost of the first m <= n1 cells
-        e = min(m, edge)
-        return e * (e + 1) // 2 + e * _EDGE_CELL_MACS + (m - e) * n2
+    def head(j: int) -> int:  # the cost of the first j <= n1 cells
+        e = min(j, edge)
+        return e * (e + 1) // 2 + e * edge_cost + (j - e) * n2
 
-    def before(m: int) -> int:  # the cost of the first m cells; symmetric
-        return head(m) if m <= n1 else total - head(cells - m)
+    return head(m) if m <= n1 else n1 * n2 + 2 * edge * edge_cost - head(cells - m)
 
-    bounds = [0]
+
+def _cell_ranges(n1: int, n2: int, start: int, stop: int, workers: int) -> list[tuple[int, int]]:
+    """At most ``workers`` nonempty contiguous ranges of cells ``start`` to
+    ``stop - 1`` of a full correlate, of about equal cost: a cell's
+    multiply-adds, plus ``_EDGE_CELL_MACS`` for an edge cell.  Each bound
+    is found by bisection on ``_cost_before``."""
+
+    def before(m: int) -> int:
+        return _cost_before(n1, n2, m, _EDGE_CELL_MACS)
+
+    base = before(start)
+    total = before(stop) - base
+    bounds = [start]
     for i in range(1, workers):
-        lo, hi = bounds[-1], cells
+        lo, hi = bounds[-1], stop
         while lo < hi:
             mid = (lo + hi) // 2
-            if before(mid) * workers < i * total:
+            if (before(mid) - base) * workers < i * total:
                 lo = mid + 1
             else:
                 hi = mid
         bounds.append(lo)
-    bounds.append(cells)
+    bounds.append(stop)
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 

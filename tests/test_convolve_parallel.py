@@ -1,12 +1,13 @@
 """Convolutions across processes give the bytes of one ``np.correlate`` call.
 
-From ``_PARALLEL_MIN_MACS`` multiply-adds up, ``convolve`` splits the cells
-of its full correlate into contiguous ranges and computes all but the first
-in forked workers: edge cells one dot product each, full-length cells through
+``convolve`` computes the cells of its full correlate that the trim keeps,
+a contiguous range of them, and from ``_PARALLEL_MIN_MACS`` multiply-adds up
+splits that range into contiguous ranges and computes all but the first in
+forked workers: edge cells one dot product each, full-length cells through
 one ``"valid"`` correlate.  These tests force the worker count and a zero
 threshold and compare cell bytes with the single call, over kernels short
-enough for numpy's small-kernel branch, equal lengths, both operand orders
-and random lengths.
+enough for numpy's small-kernel branch, equal lengths, both operand orders,
+random lengths and random cell ranges.
 """
 
 import os
@@ -60,19 +61,33 @@ lengths = st.one_of(
 )
 
 
+def _cell_range(cells, span):
+    """Cells ``start`` to ``stop - 1``, at per-mille positions ``span``."""
+    a, b = sorted(span)
+    start = min(cells * a // 1000, cells - 1)
+    return start, max(start + 1, cells * b // 1000)
+
+
+FULL = (0, 1000)
+
+
 @settings(max_examples=60, deadline=None)
-@given(shape=lengths, workers=st.integers(1, 4), seed=st.integers(0, 2**32))
-@example(shape=(12, 12), workers=4, seed=0)
-@example(shape=(2, 2), workers=3, seed=1)  # a range of one costly edge cell
-@example(shape=(1, 1), workers=2, seed=2)
-def test_split_cells_are_the_bytes_of_one_call(shape, workers, seed):
+@given(shape=lengths, workers=st.integers(1, 4), seed=st.integers(0, 2**32),
+       span=st.one_of(st.just(FULL), st.tuples(st.integers(0, 1000), st.integers(0, 1000))))
+@example(shape=(12, 12), workers=4, seed=0, span=FULL)
+@example(shape=(2, 2), workers=3, seed=1, span=FULL)  # a range of one costly edge cell
+@example(shape=(1, 1), workers=2, seed=2, span=FULL)
+@example(shape=(400, 30), workers=2, seed=3, span=(10, 990))  # both edges, cut
+@example(shape=(400, 30), workers=3, seed=4, span=(500, 510))  # full-length cells only
+def test_split_cells_are_the_bytes_of_one_call(shape, workers, seed, span):
     x, y = _operands(seed, *shape)
     expected = np.correlate(x, y, "full")
+    start, stop = _cell_range(len(expected), span)
     with pytest.MonkeyPatch.context() as mp:
         forked = _force(mp, workers)
-        got = _correlate(x, y)
-    assert got.tobytes() == expected.tobytes()
-    assert len(forked) == (min(workers, len(expected)) > 1)
+        got = _correlate(x, y, start, stop)
+    assert got.tobytes() == expected[start:stop].tobytes()
+    assert len(forked) == (min(workers, stop - start) > 1)
 
 
 def _law(lo, log_mass):
@@ -101,23 +116,56 @@ def test_convolve_in_either_operand_order_keeps_its_bytes(n1, n2, workers, seed)
 
 def test_ranges_cover_the_cells_at_about_equal_cost():
     for n1, n2, workers in [(1000, 1000, 2), (80_000, 75_000, 2), (5000, 3, 4), (10, 1, 3), (2, 2, 3)]:
-        ranges = _cell_ranges(n1, n2, workers)
+        ranges = _cell_ranges(n1, n2, 0, n1 + n2 - 1, workers)
         assert ranges[0][0] == 0 and ranges[-1][1] == n1 + n2 - 1
         assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(ranges[-1][1], 0)]))
     # equal operands split at the middle cell; with a short kernel each
     # edge cell costs about as much as a quarter of the cells
-    assert _cell_ranges(1000, 1000, 2) == [(0, 1000), (1000, 1999)]
-    assert _cell_ranges(5000, 3, 4) == [(0, 2), (2, 2501), (2501, 5001), (5001, 5002)]
+    assert _cell_ranges(1000, 1000, 0, 1999, 2) == [(0, 1000), (1000, 1999)]
+    assert _cell_ranges(5000, 3, 0, 5002, 4) == [(0, 2), (2, 2501), (2501, 5001), (5001, 5002)]
+
+
+def _cost(n1, n2, start, stop):
+    """A range's cost as ``_cell_ranges`` counts it, cell by cell."""
+    edge = n2 - 1
+    return sum(min(k + 1, n2, n1 + n2 - 1 - k)
+               + (k < edge or k >= n1) * distributions._EDGE_CELL_MACS for k in range(start, stop))
+
+
+@pytest.mark.parametrize("n1, n2, start, stop, workers", [
+    (6000, 5000, 2000, 9000, 2),  # a kept range: both edges cut
+    (6000, 5000, 4500, 6500, 3),  # full-length cells and both edges
+    (5000, 3, 1, 4000, 4),
+    (3000, 2000, 0, 1200, 2),  # the left edge alone
+    (3000, 2000, 4000, 4999, 3),  # the right edge alone
+])
+def test_sub_range_splits_balance_cost_and_keep_the_bytes(n1, n2, start, stop, workers):
+    ranges = _cell_ranges(n1, n2, start, stop, workers)
+    assert len(ranges) == workers and ranges[0][0] == start and ranges[-1][1] == stop
+    assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(stop, 0)]))
+    share = _cost(n1, n2, start, stop) / workers
+    widest = max(_cost(n1, n2, k, k + 1) for k in range(start, stop))
+    assert all(abs(_cost(n1, n2, a, b) - share) <= widest for a, b in ranges)
+    x, y = _operands(n1 + n2, n1, n2)
+    expected = np.empty(stop - start)
+    distributions._cells(x, y, start, stop, expected)
+    with pytest.MonkeyPatch.context() as mp:
+        forked = _force(mp, workers)
+        got = _correlate(x, y, start, stop)
+    assert got.tobytes() == expected.tobytes()
+    assert forked == [[(a - start, b - start) for a, b in ranges]]
 
 
 def test_small_convolutions_run_in_process(monkeypatch):
     forked = _force(monkeypatch, 2)
     monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 10**6)
     x, y = _operands(0, 1000, 999)
-    _correlate(x, y)  # 999,000 MACs
+    _correlate(x, y, 0, 1998)  # 999,000 MACs
     assert forked == []
     x, y = _operands(0, 1000, 1000)
-    assert _correlate(x, y).tobytes() == np.correlate(x, y, "full").tobytes()
+    _correlate(x, y, 1, 1999)  # the range's MACs count, not the operands'
+    assert forked == []
+    assert _correlate(x, y, 0, 1999).tobytes() == np.correlate(x, y, "full").tobytes()
     assert forked == [[(0, 1000), (1000, 1999)]]
 
 
@@ -128,7 +176,7 @@ def test_each_worker_gets_a_whole_blas_thread_team(monkeypatch, cpus, threads, s
     forked = _force(monkeypatch, cpus)
     monkeypatch.setattr(_parallel, "blas_threads", lambda: threads)
     x, y = _operands(0, 50, 40)
-    assert _correlate(x, y).tobytes() == np.correlate(x, y, "full").tobytes()
+    assert _correlate(x, y, 0, 89).tobytes() == np.correlate(x, y, "full").tobytes()
     assert len(forked) == split
 
 
@@ -164,11 +212,11 @@ from riskcounts import _parallel, distributions as d
 rng = np.random.default_rng(5)
 x, y = d._aligned(rng.random(10_600)), d._aligned(rng.random(10_300))
 d._PARALLEL_MIN_MACS = 10**30
-print(hashlib.sha256(d._correlate(x, y)).hexdigest())
+print(hashlib.sha256(d._correlate(x, y, 0, 20_899)).hexdigest())
 d._PARALLEL_MIN_MACS = 0
 _parallel.usable_cpus = lambda: 2
 _parallel.blas_threads = lambda: 1  # split even though each BLAS runs two threads
-print(hashlib.sha256(d._correlate(x, y)).hexdigest())
+print(hashlib.sha256(d._correlate(x, y, 0, 20_899)).hexdigest())
 """
 
 

@@ -265,6 +265,98 @@ def test_convolve_equals_np_convolve_on_built_windows():
 
 
 # ---------------------------------------------------------------------------
+# certified trim: only the kept cells are computed
+# ---------------------------------------------------------------------------
+
+_sizes = st.integers(0, 200_000)
+_point_masses = st.builds(binomial_distribution, _sizes, st.sampled_from([0.0, 1.0]))
+_binomials = st.builds(binomial_distribution, _sizes, st.floats(1e-4, 1.0 - 1e-4))
+# alpha, beta < 1: the window reaches both domain edges, where the pmf rises
+_u_shaped = st.builds(
+    beta_binomial_distribution,
+    st.integers(1, 3000),
+    st.builds(BetaParams, st.floats(0.05, 0.99), st.floats(0.05, 0.99)),
+)
+_base_laws = st.one_of(_binomials, _u_shaped, _point_masses)
+_laws = st.one_of(_base_laws, st.builds(convolve, _base_laws, _base_laws))
+
+
+@given(a=_laws, b=_laws, eps=st.floats(0.0, 1e-6, exclude_min=True))
+@settings(max_examples=120, deadline=None)
+@example(a=binomial_distribution(10**5, 0.3), b=binomial_distribution(10**5, 0.31), eps=1e-6)
+@example(a=binomial_distribution(10**5, 0.3), b=binomial_distribution(900, 0.5), eps=5e-324)
+@example(a=beta_binomial_distribution(500, BetaParams(0.1, 0.2)),
+         b=binomial_distribution(0, 0.5), eps=1e-12)
+def test_convolve_keeps_the_full_trim_bytes_on_built_laws(a, b, eps):
+    same_law(convolve(a, b, eps), oracle_convolve(a, b, eps))
+    same_law(convolve(b, a, eps), oracle_convolve(b, a, eps))
+
+
+@pytest.fixture
+def correlated(monkeypatch):
+    """The cell ranges ``convolve`` computes, one ``(start, stop, cells)``
+    per call of ``_correlate``."""
+    calls = []
+    correlate = distributions._correlate
+
+    def spy(x, y, start, stop):
+        calls.append((start, stop, len(x) + len(y) - 1))
+        return correlate(x, y, start, stop)
+
+    monkeypatch.setattr(distributions, "_correlate", spy)
+    return calls
+
+
+def test_certified_trim_computes_only_the_kept_cells(correlated):
+    a = binomial_distribution(10**7, 0.011)
+    b = binomial_distribution(10**7, 0.01)
+    same_law(convolve(a, b), oracle_convolve(a, b, eps=distributions.DEFAULT_EPS))
+    [(start, stop, cells)] = correlated
+    assert 0 < start and stop < cells
+    assert stop - start < 0.9 * cells
+
+
+def test_an_uncertain_bound_falls_back_to_the_full_trim(monkeypatch, correlated):
+    # cut-offs no estimate clears: every comparison falls between them
+    monkeypatch.setattr(distributions, "_prefix_margin", lambda n1, n2, budget: (-1.0, 2.0))
+    a = binomial_distribution(10**6, 0.011)
+    b = binomial_distribution(10**6, 0.01)
+    same_law(convolve(a, b), oracle_convolve(a, b, eps=distributions.DEFAULT_EPS))
+    [(start, stop, cells)] = correlated
+    assert (start, stop) == (0, cells)
+
+
+def light(masses):
+    """A law that stores only ``masses`` and carries the rest as truncated."""
+    return CountDistribution(kind="binomial", support_lo=0, support_hi=len(masses) - 1,
+                             log_mass=np.log(masses), truncated_mass=1.0 - math.fsum(masses))
+
+
+@pytest.mark.parametrize("masses", [
+    [1e-7] * 10,  # the tails end apart, but no kept cell exceeds eps/4
+    [1e-8] * 3,  # the tails meet
+])
+def test_laws_below_the_budget_fall_back_to_the_full_trim(correlated, masses):
+    a, b = light(masses), binomial_distribution(0, 0.5)
+    same_law(convolve(a, b, 1e-6), oracle_convolve(a, b, 1e-6))
+    assert correlated[-1][:2] == (0, correlated[-1][2])
+
+
+@pytest.mark.parametrize("side", ["head", "tail"])
+def test_a_budget_on_a_running_sum_falls_back_to_the_full_trim(correlated, side):
+    # eps/4 equal to the running sum of some tail: the bisection must test
+    # that prefix, whose estimate lies within the margin of the budget
+    a = binomial_distribution(10**5, 0.3)
+    b = binomial_distribution(2 * 10**5, 0.2)
+    full = np.convolve(a.masses, b.masses)
+    run = np.cumsum(full if side == "head" else full[::-1])
+    budget = float(run[np.searchsorted(run, 2.5e-7) - 1])
+    assert 0.0 < budget <= 2.5e-7
+    same_law(convolve(a, b, 4.0 * budget), oracle_convolve(a, b, 4.0 * budget))
+    assert correlated[-1][:2] == (0, correlated[-1][2])
+
+
+# ---------------------------------------------------------------------------
 # fill-once builder
 # ---------------------------------------------------------------------------
 

@@ -7,12 +7,18 @@ code must reproduce them byte for byte.  The golden digests were taken from
 
 Every convolution here is split over two processes (``forced_split``), so
 the pins also show that figure bytes do not depend on the worker count.
+A figure whose bytes depend on the BLAS thread count is written in a
+subprocess under a fixed thread count, with the same split.
 """
 
 import csv
 import hashlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +34,7 @@ from riskcounts.figures import FigureTable, read_metadata, render_figure_csv
 from riskcounts.scenarios import bundled_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 BLOCK = figures._BLOCK_ROWS
 
 
@@ -175,12 +182,42 @@ FIGURE_SHA256 = {
     ("ny_rr2", 3): "d42a00ccf4b16d2f6dacbb3fc049b773a485f93da7ac426ab636455102b9cff1",
     ("us_rr2", 1): "9cf3c9f63da9468079c1535b9188b318c00ea44cf868ea75ca1e7c900538bc27",
     ("us_rr2", 3): "deae4780faffb7aef8d2acbc246a24836aebe11d0ba9c9e48adcd4f5676e383f",
-    ("la_rr106_c1e3", 4): "e90b4b29a7d247368113f7ea197924eda3910cde9f688a796c962b73a4a6736f",
 }
 
+#: Figures whose convolutions take dot products long enough for OpenBLAS to
+#: split over its threads, which rounds differently: one digest per thread
+#: count.  The two files of figure 4 differ in 1,935 of 54,464 cells of
+#: ``mass_total_split``, by 1.4e-19 in all and at most 7.3e-15 relatively.
+THREADED_FIGURE_SHA256 = {
+    ("la_rr106_c1e3", 4): {
+        1: "6417255f6ca8705f70f4be32fe7f1c2944923df0e6ea84274d3cd109d4869d32",
+        2: "e90b4b29a7d247368113f7ea197924eda3910cde9f688a796c962b73a4a6736f",
+    },
+}
 
-@pytest.mark.parametrize("name, figure_id", sorted(FIGURE_SHA256))
-def test_figure_bytes_match_golden_digest(name, figure_id, tmp_path, capsys):
+#: OpenBLAS runs at most one thread per usable CPU, whatever is asked for.
+BLAS_THREADS = min(2, _parallel.usable_cpus())
+
+#: Writes a figure with every convolution split as ``forced_split`` splits
+#: it, then prints the ranges as JSON on the last line.
+THREADED_FIGURE = """\
+import json, sys
+from riskcounts import _parallel, distributions
+from riskcounts.cli import main
+forked = []
+run = _parallel.run
+_parallel.usable_cpus = lambda: 2
+_parallel.blas_threads = lambda: 1
+distributions._PARALLEL_MIN_MACS = 0
+_parallel.run = lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape)
+code = main(sys.argv[1:])
+print(json.dumps(forked))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("name, figure_id", sorted(FIGURE_SHA256.keys() | THREADED_FIGURE_SHA256.keys()))
+def test_figure_bytes_match_golden_digest(name, figure_id, tmp_path, capsys, forced_split):
     stored = GOLDEN / f"{name}.json"
     if stored.exists():
         scenario = str(stored)
@@ -188,11 +225,22 @@ def test_figure_bytes_match_golden_digest(name, figure_id, tmp_path, capsys):
         scenario = str(tmp_path / f"{name}.json")
         Path(scenario).write_text(bundled_text(name), encoding="utf-8")
     out = tmp_path / "figure.csv"
-    assert main(["figure", scenario, "--id", str(figure_id), "--out", str(out)]) == 0
+    argv = ["figure", scenario, "--id", str(figure_id), "--out", str(out)]
+    if (name, figure_id) in THREADED_FIGURE_SHA256:
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(BLAS_THREADS)}
+        run = subprocess.run([sys.executable, "-c", THREADED_FIGURE, *argv], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        printed, ranges = run.stdout.rsplit("\n", 2)[:2]
+        forced_split.extend(json.loads(ranges))
+        want = THREADED_FIGURE_SHA256[name, figure_id][BLAS_THREADS]
+    else:
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        want = FIGURE_SHA256[name, figure_id]
     data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name, figure_id]
+    assert hashlib.sha256(data).hexdigest() == want
     lines = len(data.decode("utf-8").splitlines())
-    assert f"({lines} lines)" in capsys.readouterr().out
+    assert f"({lines} lines)" in printed
 
 
 # ---------------------------------------------------------------------------
