@@ -27,7 +27,9 @@ where a tail ends is found without computing its cells, from prefix sums of
 the inputs, and accepted only where it clears a rounding margin
 (``_prefix_margin``) that makes it the bound the running sum of every cell
 would give.  Otherwise every cell is computed and the tails are trimmed from
-their running sums.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, the
+their running sums.  In-process, a kept range that costs at least the whole
+correlate, each edge cell charged for its own Python call, is sliced from one
+full call instead.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, the
 computed cells are split into contiguous ranges of about equal cost and all
 but the first are computed in forked workers (``_parallel.run``).  Each cell
 comes from the same dot product on the same operands as in one full call,
@@ -805,7 +807,10 @@ def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarra
     ``_PARALLEL_MIN_MACS`` multiply-adds up, the range is split into
     contiguous ranges of about equal cost, one per usable CPU per BLAS
     thread, and computed by ``_cells`` across forked workers; where the BLAS
-    thread count cannot be read, in-process."""
+    thread count cannot be read, in-process.  In-process, a range that
+    costs at least the full correlate's ``len(x) * len(y)`` multiply-adds,
+    each edge cell charged ``_EDGE_CELL_MACS`` more, is sliced from one
+    full ``np.correlate``; a cheaper one comes from ``_cells``."""
     n1, n2 = len(x), len(y)
     workers = 1
     if _cost_before(n1, n2, stop) - _cost_before(n1, n2, start) >= _PARALLEL_MIN_MACS:
@@ -815,6 +820,12 @@ def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarra
         cpus = _parallel.usable_cpus() // threads if threads else 1
         workers = _parallel.workers(cpus, stop - start)
     if workers == 1:
+        # one full correlate is one call, where the range pays a Python call
+        # for each edge cell; it is the cheaper whenever the range costs more
+        cost = _cost_before(n1, n2, stop, _EDGE_CELL_MACS)
+        cost -= _cost_before(n1, n2, start, _EDGE_CELL_MACS)
+        if cost >= n1 * n2:
+            return np.correlate(x, y, "full")[start:stop]
         out = np.empty(stop - start)
         _cells(x, y, start, stop, out)
         return out

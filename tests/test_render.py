@@ -267,3 +267,65 @@ def test_read_metadata_matches_oracle_on_rendered_and_crlf_text():
 def test_read_metadata_matches_oracle_on_any_text(pieces):
     text = "".join(pieces)
     assert read_metadata(text) == oracle_read_metadata(text)
+
+
+# ---------------------------------------------------------------------------
+# byte kernel edge cases == oracle
+# ---------------------------------------------------------------------------
+
+
+def around(count: int, before: int, after: int) -> CountDistribution:
+    """A spaced law on ``count - before .. count + after - 1``."""
+    return spaced(count - before, before + after)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 5, 7])
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # cells that underflow to 0.0, beside cells that do not
+        [column(4, [-1.0, -745.2, -746.0, -800.0, -2.0]), column(0, [-1.0, -750.0])],
+        # a point mass of exactly 1.0, alone and beside a wider column
+        [column(7, [0.0])],
+        [column(7, [0.0]), spaced(3, 9)],
+        # counts crossing 99 -> 100 and 9,999,999 -> 10,000,000 where a
+        # block ends (blocks of 5 and 3) and inside a block
+        [around(100, 5, 5), around(100, 2, 9)],
+        [around(100, 3, 4), around(100, 1, 1)],
+        [around(10**7, 3, 4), around(10**7, 1, 1)],
+        # an empty-row gap wider than a block, with a width change in it
+        [spaced(95, 3), spaced(120, 4)],
+    ],
+)
+def test_render_matches_oracle_on_edge_cells_and_count_widths(columns, block):
+    t = table(*columns)
+    with mock.patch.object(figures, "_BLOCK_ROWS", block or BLOCK):
+        assert_same_text(render_figure_csv(t), oracle_render(t))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # 9,999,999 -> 10,000,000 where a block ends
+        [around(10**7, BLOCK, 2), around(10**7, 1, 5)],
+        # an empty-row gap wider than a block, with a width change in it
+        [spaced(95, 3), spaced(BLOCK + 200, 4)],
+        [spaced(10**7 - BLOCK - 9, 2), spaced(10**7 + 4, 3)],
+    ],
+)
+def test_render_matches_oracle_on_count_widths_across_real_blocks(columns):
+    t = table(*columns)
+    assert_same_text(render_figure_csv(t), oracle_render(t))
+
+
+def test_each_mass_cell_goes_through_the_kernel_once(monkeypatch):
+    rendered = []
+    write_reprs = figures._shortest.write_reprs
+    monkeypatch.setattr(figures._shortest, "write_reprs",
+                        lambda x, out: rendered.append(len(x)) or write_reprs(x, out))
+    columns = [spaced(3, 40), spaced(200, 30), spaced(30, 2)]
+    t = FigureTable(figure_id=3, metadata=(), column_names=("a", "b", "c"), columns=tuple(columns))
+    with mock.patch.object(figures, "_BLOCK_ROWS", 16):
+        assert_same_text(render_figure_csv(t), oracle_render(t))
+    assert sum(rendered) == sum(len(d.masses) for d in columns)
+    assert len(rendered) == len(range(3, 230, 16))  # one call per block
