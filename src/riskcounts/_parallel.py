@@ -1,21 +1,29 @@
 """Forked workers for work that splits into contiguous index ranges.
 
-This is the one process path of the package: replication studies and large
-convolutions both go through ``run``.  The caller computes the first range
-itself and one forked child per further range computes the others.  A child
-sees the work and its operands by fork inheritance and writes its rows into
-the output array, which lives in a shared anonymous mapping, so nothing is
-pickled or concatenated.  A child that dies, or whose work raises, exits
-nonzero and the caller recomputes its range; lost ranges are recomputed in
-index order, so an error raised is that of the lowest failing range, as one
-serial pass would raise it.
+``split`` is the package's one decision on processes: replication studies
+and large convolutions each make one call, and it alone decides whether the
+work leaves the calling process and which rows each process computes.  Work
+runs in-process below the caller's cost threshold (about 80 ms of
+replications, ``cohort._PARALLEL_MIN_INDIVIDUALS``; 1e9 multiply-adds of kept
+cells with each edge cell charged its Python call,
+``distributions._PARALLEL_MIN_MACS``), on one usable CPU (the affinity set,
+which ``taskset`` limits), where workers could not be made to die with the
+caller (no ``fork``, or not Linux), in a daemonic ``multiprocessing``
+process, which may not have children, and, for BLAS work, where the CPUs do
+not hold two whole BLAS thread teams or the thread count cannot be read.
 
-Workers die with their caller.  Each sets ``PR_SET_PDEATHSIG`` to ``SIGKILL``
-and then checks that its parent is still the caller, so a killed caller
-leaves no worker behind holding its pipes open.  Where that setting is not
-available (outside Linux), where ``fork`` does not exist, and in a daemonic
-``multiprocessing`` process, which may not have children, ``workers``
-returns 1 and the work runs in-process.
+Otherwise each worker computes one contiguous range of about equal cost
+(``run``).  The caller forks one child per range but the first, then
+computes the first itself.  A child sees the work and its operands by fork
+inheritance and writes its rows into the output array, which lives in a
+shared anonymous mapping, so nothing is pickled or concatenated.  A child
+that dies, or whose work raises, exits nonzero and the caller recomputes
+its range; lost ranges are recomputed in index order, so an error raised is
+that of the lowest failing range, as one serial pass would raise it.
+
+Workers die with their caller.  Each sets ``PR_SET_PDEATHSIG`` to
+``SIGKILL`` and then checks that its parent is still the caller, so a
+killed caller leaves no worker behind holding its pipes open.
 """
 
 from __future__ import annotations
@@ -41,11 +49,47 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def workers(cpus: int, units: int) -> int:
-    """How many processes share ``units`` of work on ``cpus`` CPUs: one
-    where workers could outlive the caller or may not be started."""
-    count = min(cpus, units)
-    return count if count > 1 and _can_fork() else 1
+def split(
+    fill, shape: tuple[int, ...], cost_before, min_cost: int, blas: bool = False
+) -> np.ndarray:
+    """A float64 array of ``shape`` whose rows ``fill(start, stop, rows)``
+    has written into the view ``rows``, over contiguous ranges covering all
+    ``shape[0]`` rows: one in-process call, or one range per worker.
+
+    ``cost_before(m)`` is the integer cost of rows ``0`` to ``m - 1``.  With
+    ``blas``, each worker keeps the caller's BLAS thread count, which the
+    bits of a long dot product depend on, so the CPUs are shared out among
+    whole thread teams.  Each bound is the last row whose cost before it fits
+    within its share, found by bisection, so no range is empty and the
+    caller's, which it starts after forking the others, costs at most an
+    equal share unless it is one row.
+    """
+    units = shape[0]
+    total = cost_before(units)
+    count = 0
+    if total >= min_cost:
+        cpus = usable_cpus()
+        if blas:
+            threads = blas_threads()
+            cpus = cpus // threads if threads else 1
+        count = min(cpus, units)
+    if count < 2 or not _can_fork():
+        out = np.empty(shape)
+        fill(0, units, out)
+        return out
+    bounds = [0]
+    for k in range(1, count):
+        # at least one row for each range so far and for each one to come
+        lo, hi = bounds[-1] + 1, units - count + k
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if cost_before(mid) * count <= k * total:
+                lo = mid
+            else:
+                hi = mid - 1
+        bounds.append(lo)
+    bounds.append(units)
+    return run(fill, list(zip(bounds, bounds[1:])), shape)
 
 
 def blas_threads() -> int | None:
@@ -101,23 +145,17 @@ def _prctl():
 
 
 def run(fill, ranges: list[tuple[int, int]], shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array of ``shape`` whose rows ``start:stop``, for each of
-    the contiguous ``ranges``, ``fill(start, stop, rows)`` has written into
-    the view ``rows``.
-
-    The caller computes ``ranges[0]``, forked workers the rest.  An error in
-    the caller's own range propagates at once, after the workers are killed:
-    no range comes before it.
-    """
+    """``split``'s array over contiguous ``ranges`` covering all rows: the
+    caller computes ``ranges[0]``, forked workers the rest.  An error in the
+    caller's own range propagates at once, after the workers are killed: no
+    range comes before it."""
     size = math.prod(shape)
     try:
-        out = np.frombuffer(mmap.mmap(-1, max(size * 8, 1)), count=size)
-    except OSError:  # no memory to map: one range, in-process
-        start, stop = ranges[0][0], ranges[-1][1]
+        out = np.frombuffer(mmap.mmap(-1, max(size * 8, 1)), count=size).reshape(shape)
+    except OSError:  # no memory to map: in-process
         out = np.empty(shape)
-        fill(start, stop, out[start:stop])
+        fill(0, shape[0], out)
         return out
-    out = out.reshape(shape)
     caller = os.getpid()
     children: dict[int, tuple[int, int]] = {}
     lost = []

@@ -9,19 +9,11 @@ procedure "finds" a cause that is not one.
 Determinism: every draw derives from numpy's SeedSequence/Philox
 counter-based scheme.  Replication ``i`` of a study seeds its generator
 with the entropy tuple ``(master_seed, i)``, so replications are
-independent and order-free, and a study runs them across the CPUs the
-process may use (``os.sched_getaffinity``; ``taskset`` limits them).  It
-splits the replications into contiguous ranges, runs the first range
-itself and the others in forked workers (``_parallel.run``, the package's
-one process path, which convolutions share), and reduces every
-replication's p-values in index order in the calling process, so the
-report's bits do not depend on the worker count.  A study runs in-process
-when only one CPU is usable, when workers could not be made to die with
-the caller (no ``fork``, or not Linux), when the caller is a daemonic
-process, or when it is too small to repay starting workers
-(``_PARALLEL_MIN_INDIVIDUALS``).  A range whose worker is lost, or fails,
-is recomputed in the calling process, so an error raised is the serial
-loop's.
+independent and order-free.  A study hands its replications to
+``_parallel.split``, which decides whether they run in-process or in
+contiguous ranges across forked workers, and reduces every replication's
+p-values in index order in the calling process, so the report's bits do not
+depend on the worker count.
 
 Draw order inside one cohort is fixed and documented: latent factor (two
 draws: mixing uniforms, then fair coins; only when the latent factor is in
@@ -423,8 +415,8 @@ def replication_study(
     """Repeat generate-and-test ``replications`` times for each variant.
 
     Replication i draws its cohort from entropy (seed, i); results are
-    reduced in index order (p-values summed with ``+=``, one at a time), so
-    the report is bit-identical across reruns and across worker counts.
+    reduced in index order (``np.cumsum`` adds the p-values one at a time),
+    so the report is bit-identical across reruns and across worker counts.
     ``replications`` may not exceed ``MAX_REPLICATIONS``.  A failing
     replication raises the error of the lowest failing index, as a serial
     loop would.
@@ -437,26 +429,21 @@ def replication_study(
     alpha = _check_probability(alpha, "alpha")
     if variants is None:
         variants = default_variants(spec)
-    args = (spec, seed, tuple(variants), continuity_correction)
-    size = replications * (2 * spec.n_per_group + _REPLICATION_SETUP)
-    ranges = _ranges(replications, _workers(size, replications))
-    if len(ranges) > 1:
-        p = _forked_outcomes(args, ranges)
-    else:
-        p = _replicate_range(*args, 0, replications)
-    rejects = [0] * len(variants)
-    p_sums = [0.0] * len(variants)
-    # a block at a time, so no study holds all its p-values as Python floats
-    for block in range(0, replications, _BLOCK):
-        for row in p[block : block + _BLOCK].tolist():
-            for j, p_value in enumerate(row):
-                rejects[j] += p_value < alpha
-                p_sums[j] += p_value
+    variants = tuple(variants)
+    p = _parallel.split(
+        lambda start, stop, rows: _replicate_range(
+            spec, seed, variants, continuity_correction, start, stop, rows
+        ),
+        (replications, len(variants)),
+        lambda m: m * (2 * spec.n_per_group + _REPLICATION_SETUP),
+        _PARALLEL_MIN_INDIVIDUALS,
+    )
+    # Python numbers, whose repr is the plain value
     rows = tuple(
         VariantStats(
             variant=v,
-            rejection_rate=rejects[j] / replications,
-            mean_p_value=p_sums[j] / replications,
+            rejection_rate=int(np.count_nonzero(p[:, j] < alpha)) / replications,
+            mean_p_value=float(np.cumsum(p[:, j])[-1]) / replications,
         )
         for j, v in enumerate(variants)
     )
@@ -470,44 +457,14 @@ def _replicate_range(
     continuity_correction: bool,
     start: int,
     stop: int,
-) -> np.ndarray:
-    """P-values of replications ``start`` to ``stop - 1``: one row per
-    replication, one column per variant.  Stops at the first error."""
-    p = np.empty((stop - start, len(variants)))
+    rows: np.ndarray,
+) -> None:
+    """Write the p-values of replications ``start`` to ``stop - 1`` into
+    ``rows``: one row per replication, one column per variant.  Stops at the
+    first error."""
     for row, i in enumerate(range(start, stop)):
         cohort = generate(spec, (seed, i))
-        p[row] = [_variant_score(cohort, v, continuity_correction)[1] for v in variants]
-    return p
-
-
-#: The CPU count studies split across; a module binding so that tests can
-#: force the worker count.
-_usable_cpus = _parallel.usable_cpus
-
-
-def _workers(size: int, replications: int) -> int:
-    """How many processes share a study of ``size`` individual-equivalents."""
-    if size < _PARALLEL_MIN_INDIVIDUALS:
-        return 1
-    return _parallel.workers(_usable_cpus(), replications)
-
-
-def _ranges(replications: int, workers: int) -> list[tuple[int, int]]:
-    """``workers`` contiguous ``(start, stop)`` ranges covering the
-    replications, sizes differing by at most one; the first, which the
-    caller runs beside starting the workers, is no larger than the rest."""
-    bounds = [replications * k // workers for k in range(workers + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _forked_outcomes(args: tuple, ranges: list[tuple[int, int]]) -> np.ndarray:
-    """Every replication's p-values, one row each: the caller computes the
-    first range, forked workers the others (``_parallel.run``)."""
-
-    def fill(start: int, stop: int, rows: np.ndarray) -> None:
-        rows[...] = _replicate_range(*args, start, stop)
-
-    return _parallel.run(fill, ranges, (ranges[-1][1], len(args[2])))
+        rows[row] = [_variant_score(cohort, v, continuity_correction)[1] for v in variants]
 
 
 def proxy_study(

@@ -27,13 +27,12 @@ where a tail ends is found without computing its cells, from prefix sums of
 the inputs, and accepted only where it clears a rounding margin
 (``_prefix_margin``) that makes it the bound the running sum of every cell
 would give.  Otherwise every cell is computed and the tails are trimmed from
-their running sums.  In-process, a kept range that costs at least the whole
-correlate, each edge cell charged for its own Python call, is sliced from one
-full call instead.  From ``_PARALLEL_MIN_MACS`` multiply-adds up, the
-computed cells are split into contiguous ranges of about equal cost and all
-but the first are computed in forked workers (``_parallel.run``).  Each cell
-comes from the same dot product on the same operands as in one full call,
-so the bits depend neither on the trim's path nor on the worker count.
+their running sums.  The computed cells go to ``_parallel.split``, which
+runs them in-process or in ranges across forked workers; each edge cell is
+charged for its own Python call, and a range that costs at least the whole
+correlate is sliced from one full call instead.  Each cell comes from the
+same dot product on the same operands as in one full call, so the bits
+depend neither on the trim's path nor on the worker count.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ _MAX_SUPPORT_POINTS = 20_000_000
 #: is smaller still, so the dropped tail is under r / (1 - r) < 2^-1072.
 _UNDERFLOW_TAIL = 2.0**-1072
 
-#: Convolutions of fewer multiply-adds (MACs) than this run in-process.  A
-#: billion MACs take about 0.2 s on one x86-64 core, against a few ms to
-#: fork a worker.
+#: Convolutions that cost fewer multiply-adds (MACs) than this, each edge
+#: cell charged ``_EDGE_CELL_MACS`` more, run in-process.  A billion MACs
+#: take about 0.2 s on one x86-64 core, against a few ms to fork a worker.
 _PARALLEL_MIN_MACS = 1_000_000_000
 
 #: The Python cost of computing one edge cell on its own (about 1.5 us), in
@@ -803,36 +802,26 @@ def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
 
 def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Cells ``start`` to ``stop - 1`` of ``np.correlate(x, y, "full")``,
-    for ``len(x) >= len(y)``, with the same bits.  From
-    ``_PARALLEL_MIN_MACS`` multiply-adds up, the range is split into
-    contiguous ranges of about equal cost, one per usable CPU per BLAS
-    thread, and computed by ``_cells`` across forked workers; where the BLAS
-    thread count cannot be read, in-process.  In-process, a range that
-    costs at least the full correlate's ``len(x) * len(y)`` multiply-adds,
-    each edge cell charged ``_EDGE_CELL_MACS`` more, is sliced from one
-    full ``np.correlate``; a cheaper one comes from ``_cells``."""
+    for ``len(x) >= len(y)``, with the same bits, split by
+    ``_parallel.split`` at the cost of ``_cost_before``.  A range that
+    costs at least the full correlate's ``len(x) * len(y)`` multiply-adds
+    is sliced from one full ``np.correlate``; a cheaper one comes from
+    ``_cells``."""
     n1, n2 = len(x), len(y)
-    workers = 1
-    if _cost_before(n1, n2, stop) - _cost_before(n1, n2, start) >= _PARALLEL_MIN_MACS:
-        # each worker's BLAS keeps the caller's thread count, which the bits
-        # depend on, so the CPUs are shared out among whole thread teams
-        threads = _parallel.blas_threads()
-        cpus = _parallel.usable_cpus() // threads if threads else 1
-        workers = _parallel.workers(cpus, stop - start)
-    if workers == 1:
+    base = _cost_before(n1, n2, start)
+
+    def cost_before(m: int) -> int:
+        return _cost_before(n1, n2, start + m) - base
+
+    def fill(a: int, b: int, out: np.ndarray) -> None:
         # one full correlate is one call, where the range pays a Python call
         # for each edge cell; it is the cheaper whenever the range costs more
-        cost = _cost_before(n1, n2, stop, _EDGE_CELL_MACS)
-        cost -= _cost_before(n1, n2, start, _EDGE_CELL_MACS)
-        if cost >= n1 * n2:
-            return np.correlate(x, y, "full")[start:stop]
-        out = np.empty(stop - start)
-        _cells(x, y, start, stop, out)
-        return out
-    ranges = [(a - start, b - start) for a, b in _cell_ranges(n1, n2, start, stop, workers)]
-    return _parallel.run(
-        lambda a, b, out: _cells(x, y, start + a, start + b, out), ranges, (stop - start,)
-    )
+        if cost_before(b) - cost_before(a) >= n1 * n2:
+            out[...] = np.correlate(x, y, "full")[start + a : start + b]
+        else:
+            _cells(x, y, start + a, start + b, out)
+
+    return _parallel.split(fill, (stop - start,), cost_before, _PARALLEL_MIN_MACS, blas=True)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
@@ -852,42 +841,17 @@ def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray)
         out[k - start] = vdot(x[k - n2 + 1 :], y[: n1 + n2 - 1 - k])
 
 
-def _cost_before(n1: int, n2: int, m: int, edge_cost: int = 0) -> int:
+def _cost_before(n1: int, n2: int, m: int) -> int:
     """The multiply-adds of the first ``m`` of the ``n1 + n2 - 1`` cells of
-    a full correlate, plus ``edge_cost`` for each of them among the ``n2 -
-    1`` edge cells on either side; in closed form, and symmetric."""
+    a full correlate, plus ``_EDGE_CELL_MACS`` for each of them among the
+    ``n2 - 1`` edge cells on either side; in closed form, and symmetric."""
     cells, edge = n1 + n2 - 1, n2 - 1
 
     def head(j: int) -> int:  # the cost of the first j <= n1 cells
         e = min(j, edge)
-        return e * (e + 1) // 2 + e * edge_cost + (j - e) * n2
+        return e * (e + 1) // 2 + e * _EDGE_CELL_MACS + (j - e) * n2
 
-    return head(m) if m <= n1 else n1 * n2 + 2 * edge * edge_cost - head(cells - m)
-
-
-def _cell_ranges(n1: int, n2: int, start: int, stop: int, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` nonempty contiguous ranges of cells ``start`` to
-    ``stop - 1`` of a full correlate, of about equal cost: a cell's
-    multiply-adds, plus ``_EDGE_CELL_MACS`` for an edge cell.  Each bound
-    is found by bisection on ``_cost_before``."""
-
-    def before(m: int) -> int:
-        return _cost_before(n1, n2, m, _EDGE_CELL_MACS)
-
-    base = before(start)
-    total = before(stop) - base
-    bounds = [start]
-    for i in range(1, workers):
-        lo, hi = bounds[-1], stop
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (before(mid) - base) * workers < i * total:
-                lo = mid + 1
-            else:
-                hi = mid
-        bounds.append(lo)
-    bounds.append(stop)
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return head(m) if m <= n1 else n1 * n2 + 2 * edge * _EDGE_CELL_MACS - head(cells - m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Convolutions across processes give the bytes of one ``np.correlate`` call.
 
 ``convolve`` computes the cells of its full correlate that the trim keeps,
-a contiguous range of them, and from ``_PARALLEL_MIN_MACS`` multiply-adds up
-splits that range into contiguous ranges and computes all but the first in
-forked workers: edge cells one dot product each, full-length cells through
-one ``"valid"`` correlate.  These tests force the worker count and a zero
-threshold and compare cell bytes with the single call, over kernels short
-enough for numpy's small-kernel branch, equal lengths, both operand orders,
-random lengths and random cell ranges.
+a contiguous range of them, and from ``_PARALLEL_MIN_MACS`` edge-charged
+multiply-adds up ``_parallel.split`` cuts that range into contiguous ranges
+and computes all but the first in forked workers: edge cells one dot product
+each, full-length cells through one ``"valid"`` correlate.  These tests
+force the worker count and a zero threshold and compare cell bytes with the
+single call, over kernels short enough for numpy's small-kernel branch,
+equal lengths, both operand orders, random lengths and random cell ranges.
 """
 
 import os
@@ -24,8 +24,8 @@ from riskcounts import _parallel, distributions
 from riskcounts.distributions import (
     CountDistribution,
     _aligned,
-    _cell_ranges,
     _correlate,
+    _cost_before,
     binomial_distribution,
     convolve,
 )
@@ -114,19 +114,33 @@ def test_convolve_in_either_operand_order_keeps_its_bytes(n1, n2, workers, seed)
     assert len(forked) == 2 * (n1 + n2 > 2)
 
 
-def test_ranges_cover_the_cells_at_about_equal_cost():
+def _cell_ranges(monkeypatch, n1, n2, start, stop, workers):
+    """The ranges, relative to ``start``, that ``_correlate`` splits cells
+    ``start`` to ``stop - 1`` into on ``workers`` CPUs, none computed."""
+    forked = []
+    _force(monkeypatch, workers)
+    monkeypatch.setattr(_parallel, "run",
+                        lambda fill, ranges, shape: forked.append(ranges) or np.zeros(shape))
+    _correlate(np.zeros(n1), np.zeros(n2), start, stop)
+    [ranges] = forked
+    return ranges
+
+
+def test_ranges_cover_the_cells_at_about_equal_cost(monkeypatch):
     for n1, n2, workers in [(1000, 1000, 2), (80_000, 75_000, 2), (5000, 3, 4), (10, 1, 3), (2, 2, 3)]:
-        ranges = _cell_ranges(n1, n2, 0, n1 + n2 - 1, workers)
+        ranges = _cell_ranges(monkeypatch, n1, n2, 0, n1 + n2 - 1, workers)
         assert ranges[0][0] == 0 and ranges[-1][1] == n1 + n2 - 1
         assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(ranges[-1][1], 0)]))
-    # equal operands split at the middle cell; with a short kernel each
-    # edge cell costs about as much as a quarter of the cells
-    assert _cell_ranges(1000, 1000, 0, 1999, 2) == [(0, 1000), (1000, 1999)]
-    assert _cell_ranges(5000, 3, 0, 5002, 4) == [(0, 2), (2, 2501), (2501, 5001), (5001, 5002)]
+    # each bound is the last cell within its share: equal operands split
+    # just before the middle cell, and with a short kernel each edge cell
+    # costs about as much as a quarter of the cells
+    assert _cell_ranges(monkeypatch, 1000, 1000, 0, 1999, 2) == [(0, 999), (999, 1999)]
+    assert _cell_ranges(monkeypatch, 5000, 3, 0, 5002, 4) == [
+        (0, 1), (1, 2501), (2501, 5000), (5000, 5002)]
 
 
 def _cost(n1, n2, start, stop):
-    """A range's cost as ``_cell_ranges`` counts it, cell by cell."""
+    """A range's cost as ``_cost_before`` counts it, cell by cell."""
     edge = n2 - 1
     return sum(min(k + 1, n2, n1 + n2 - 1 - k)
                + (k < edge or k >= n1) * distributions._EDGE_CELL_MACS for k in range(start, stop))
@@ -140,12 +154,6 @@ def _cost(n1, n2, start, stop):
     (3000, 2000, 4000, 4999, 3),  # the right edge alone
 ])
 def test_sub_range_splits_balance_cost_and_keep_the_bytes(n1, n2, start, stop, workers):
-    ranges = _cell_ranges(n1, n2, start, stop, workers)
-    assert len(ranges) == workers and ranges[0][0] == start and ranges[-1][1] == stop
-    assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(stop, 0)]))
-    share = _cost(n1, n2, start, stop) / workers
-    widest = max(_cost(n1, n2, k, k + 1) for k in range(start, stop))
-    assert all(abs(_cost(n1, n2, a, b) - share) <= widest for a, b in ranges)
     x, y = _operands(n1 + n2, n1, n2)
     expected = np.empty(stop - start)
     distributions._cells(x, y, start, stop, expected)
@@ -153,20 +161,32 @@ def test_sub_range_splits_balance_cost_and_keep_the_bytes(n1, n2, start, stop, w
         forked = _force(mp, workers)
         got = _correlate(x, y, start, stop)
     assert got.tobytes() == expected.tobytes()
-    assert forked == [[(a - start, b - start) for a, b in ranges]]
+    [ranges] = forked
+    ranges = [(a + start, b + start) for a, b in ranges]
+    assert len(ranges) == workers and ranges[0][0] == start and ranges[-1][1] == stop
+    assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(stop, 0)]))
+    share = _cost(n1, n2, start, stop) / workers
+    widest = max(_cost(n1, n2, k, k + 1) for k in range(start, stop))
+    assert all(abs(_cost(n1, n2, a, b) - share) <= widest for a, b in ranges)
+    # the caller's range: at most a share, or one cell dearer than a share
+    assert _cost(n1, n2, *ranges[0]) <= share or ranges[0][1] - ranges[0][0] == 1
 
 
 def test_small_convolutions_run_in_process(monkeypatch):
     forked = _force(monkeypatch, 2)
-    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 10**6)
+    # the cost of every cell of a 1000 x 1000 correlate: 1e6 MACs, and
+    # _EDGE_CELL_MACS for each of its 1,998 edge cells
+    full = _cost_before(1000, 1000, 1999)
+    assert full == 10**6 + 1998 * distributions._EDGE_CELL_MACS
+    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", full)
     x, y = _operands(0, 1000, 999)
-    _correlate(x, y, 0, 1998)  # 999,000 MACs
+    _correlate(x, y, 0, 1998)  # 999,000 MACs and 1,996 edge cells
     assert forked == []
     x, y = _operands(0, 1000, 1000)
-    _correlate(x, y, 1, 1999)  # the range's MACs count, not the operands'
+    _correlate(x, y, 1, 1999)  # the range's cost counts, not the operands'
     assert forked == []
     assert _correlate(x, y, 0, 1999).tobytes() == np.correlate(x, y, "full").tobytes()
-    assert forked == [[(0, 1000), (1000, 1999)]]
+    assert forked == [[(0, 999), (999, 1999)]]
 
 
 @pytest.mark.parametrize("cpus, threads, split", [

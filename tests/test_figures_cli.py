@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import warnings
 
 import pytest
 
@@ -445,12 +446,16 @@ def test_arm_figures_keep_accepting_loose_eps(tmp_path, capsys):
 
 
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")
+    # the version is declared once, in the package, and read from there
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
     import riskcounts
 
     pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
-    with open(pyproject, "rb") as handle:
-        version = tomllib.load(handle)["project"]["version"]
+    with warnings.catch_warnings():  # "[tool.setuptools] ... is still *beta*"
+        warnings.simplefilter("ignore")
+        project = config.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    version = project["version"]
     assert version == riskcounts.__version__
     csv_text = render_figure_csv(build_figure(1, SMALL))
     assert read_metadata(csv_text)["tool_version"] == version

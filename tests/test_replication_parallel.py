@@ -1,11 +1,12 @@
 """Replication studies across processes give the in-process report.
 
-``replication_study`` splits its replications into contiguous ranges, runs
-the first itself and the others in forked workers, and reduces the p-values
-in index order in the caller.  These tests force the worker count (by
-patching the usable-CPU count and the size threshold) and check that the
-report, the error raised, and the outcome after a lost worker are those of
-one process.
+``replication_study`` hands its replications to ``_parallel.split``, which
+cuts them into contiguous ranges, runs the first in the caller and the
+others in forked workers, and the study reduces the p-values in index order
+in the caller.  These tests force the worker count (by patching
+``_parallel.usable_cpus`` and the study's size threshold), record the ranges
+by wrapping ``_parallel.run``, and check that the report, the error raised,
+and the outcome after a lost worker are those of one process.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcounts import cohort
+from riskcounts import _parallel, cohort
 from riskcounts.cli import main
 from riskcounts.cohort import (
     MAX_REPLICATIONS,
@@ -39,8 +40,26 @@ _REPLICATE_RANGE = cohort._replicate_range
 def _force(monkeypatch, workers):
     """Run every study on ``workers`` processes (fewer if it has fewer
     replications)."""
-    monkeypatch.setattr(cohort, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
     monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
+
+
+def _record(monkeypatch, compute=True):
+    """The ranges of each study split across workers, one list per study;
+    without ``compute`` no range is computed and every p-value reads 0."""
+    forked = []
+    run = _parallel.run
+
+    def recording(fill, ranges, shape):
+        forked.append(ranges)
+        return run(fill, ranges, shape) if compute else np.zeros(shape)
+
+    monkeypatch.setattr(_parallel, "run", recording)
+    return forked
+
+
+def _no_draws(spec, seed, variants, cc, start, stop, rows):
+    rows.fill(0.5)
 
 
 def _outcome(spec, replications, **kw):
@@ -98,14 +117,12 @@ def test_any_worker_count_gives_the_in_process_report(
 
 
 def test_the_parallel_path_forks(monkeypatch):
-    calls = []
-    forked = cohort._forked_outcomes
-    monkeypatch.setattr(cohort, "_forked_outcomes", lambda *a: calls.append(a) or forked(*a))
     spec = load_bundled("proxy_spec").payload
     expected = _in_process(spec, 7)
+    forked = _record(monkeypatch)
     _force(monkeypatch, 3)
     assert replication_study(spec, 7) == expected
-    assert [ranges for _, ranges in calls] == [[(0, 2), (2, 4), (4, 7)]]
+    assert forked == [[(0, 2), (2, 4), (4, 7)]]
 
 
 def test_a_repeated_variant_is_tallied_once_per_row():
@@ -115,17 +132,40 @@ def test_a_repeated_variant_is_tallied_once_per_row():
     assert twice == (single, single)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
 def test_small_studies_run_in_process(monkeypatch):
-    monkeypatch.setattr(cohort, "_usable_cpus", lambda: 4)
-    assert cohort._workers(cohort._PARALLEL_MIN_INDIVIDUALS - 1, 100) == 1
-    assert cohort._workers(cohort._PARALLEL_MIN_INDIVIDUALS, 100) == 4
-    assert cohort._workers(cohort._PARALLEL_MIN_INDIVIDUALS, 3) == 3
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
+    forked = _record(monkeypatch, compute=False)
+    # 6,000 individual-equivalents a replication at 1,000 per group
+    spec = CausalSpec(1_000, "none", 0.1, 0.1)
+    at_threshold = cohort._PARALLEL_MIN_INDIVIDUALS // (2_000 + cohort._REPLICATION_SETUP)
+    replication_study(spec, at_threshold - 1)
+    assert forked == []
+    replication_study(spec, at_threshold)
+    assert len(forked) == 1 and len(forked[0]) == 4
+    # three replications as large as the threshold: one worker each
+    big = CausalSpec(cohort._PARALLEL_MIN_INDIVIDUALS // 6 - cohort._REPLICATION_SETUP // 2,
+                     "none", 0.1, 0.1)
+    replication_study(big, 3)
+    assert forked[1:] == [[(0, 1), (1, 2), (2, 3)]]
 
 
-def test_ranges_cover_the_replications_in_order():
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
+def test_ranges_cover_the_replications_in_order(monkeypatch):
+    monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
+    monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
+    forked = _record(monkeypatch, compute=False)
+    spec = load_bundled("null_spec").payload
     for replications in range(1, 30):
         for workers in range(1, min(replications, 6) + 1):
-            ranges = cohort._ranges(replications, workers)
+            monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
+            forked.clear()
+            replication_study(spec, replications)
+            if workers == 1:
+                assert forked == []
+                continue
+            [ranges] = forked
             assert len(ranges) == workers
             assert ranges[0][0] == 0 and ranges[-1][1] == replications
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -149,8 +189,9 @@ ONE_SIDED_VARIANTS = ("covariate_a", "covariate_b")
 
 def _first_failure(seed, start, stop):
     """The text of the error replications start..stop-1 raise, or None."""
+    rows = np.empty((stop - start, len(ONE_SIDED_VARIANTS)))
     try:
-        _REPLICATE_RANGE(ONE_SIDED, seed, ONE_SIDED_VARIANTS, True, start, stop)
+        _REPLICATE_RANGE(ONE_SIDED, seed, ONE_SIDED_VARIANTS, True, start, stop, rows)
     except DomainError as exc:
         return str(exc)
     return None
@@ -160,7 +201,7 @@ def test_one_sided_covariate_error_matches_the_serial_loop(monkeypatch):
     # a seed where the first range of three runs clean, the second fails on
     # one covariate and the third on the other: only the second's may surface
     replications = 9
-    ranges = cohort._ranges(replications, 3)
+    ranges = [(0, 3), (3, 6), (6, 9)]
     for seed in range(500):
         first, second, third = (_first_failure(seed, *r) for r in ranges)
         if first is None and second and third and second != third:
@@ -170,14 +211,16 @@ def test_one_sided_covariate_error_matches_the_serial_loop(monkeypatch):
     kw = dict(seed=seed, variants=ONE_SIDED_VARIANTS)
     serial = _in_process(ONE_SIDED, replications, **kw)
     assert serial == f"DomainError: {second}"
+    forked = _record(monkeypatch)
     _force(monkeypatch, 3)
     assert _outcome(ONE_SIDED, replications, **kw) == serial
+    assert forked == [ranges]
 
 
-def _failing_after_zero(spec, seed, variants, cc, start, stop):
+def _failing_after_zero(spec, seed, variants, cc, start, stop, rows):
     if start > 0:
         raise DomainError(f"range from {start}")
-    return _REPLICATE_RANGE(spec, seed, variants, cc, start, stop)
+    _REPLICATE_RANGE(spec, seed, variants, cc, start, stop, rows)
 
 
 def test_the_lowest_failing_worker_range_is_raised(monkeypatch):
@@ -201,7 +244,7 @@ def test_an_error_in_the_callers_range_is_raised(monkeypatch):
 def _dying_range(*args):
     if os.getpid() != _PARENT:
         os._exit(1)
-    return _REPLICATE_RANGE(*args)
+    _REPLICATE_RANGE(*args)
 
 
 def test_a_dead_worker_gives_the_in_process_report(monkeypatch):
@@ -226,20 +269,23 @@ def test_a_dead_worker_does_not_end_the_cli_in_a_traceback(monkeypatch, tmp_path
     assert capsys.readouterr() == expected
 
 
-def test_unpicklable_work_falls_back_to_the_caller(monkeypatch):
+def test_work_given_as_a_lambda_runs_on_forked_workers(monkeypatch):
+    # workers inherit the work by fork; nothing is pickled
     spec = load_bundled("null_spec").payload
     expected = _in_process(spec, 5)
+    forked = _record(monkeypatch)
     _force(monkeypatch, 3)
     monkeypatch.setattr(cohort, "_replicate_range", lambda *a: _REPLICATE_RANGE(*a))
     assert replication_study(spec, 5) == expected
+    assert forked == [[(0, 1), (1, 3), (3, 5)]]
 
 
 def _study_in_daemon(conn):
     ranges = []
 
     def recording(*args):
-        ranges.append(args[-2:])
-        return _REPLICATE_RANGE(*args)
+        ranges.append(args[-3:-1])
+        _REPLICATE_RANGE(*args)
 
     cohort._replicate_range = recording
     report = replication_study(load_bundled("proxy_spec").payload, 5, seed=11)
@@ -296,14 +342,36 @@ def test_replications_past_the_cap_are_refused_before_any_draw(monkeypatch):
 
 
 def test_replications_at_the_cap_are_accepted(monkeypatch):
-    monkeypatch.setattr(cohort, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(
-        cohort, "_replicate_range",
-        lambda spec, seed, variants, cc, start, stop: np.full((stop - start, len(variants)), 0.5),
-    )
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
     report = replication_study(load_bundled("null_spec").payload, MAX_REPLICATIONS)
     assert report.replications == MAX_REPLICATIONS
     assert report.rows[0].mean_p_value == 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.lists(st.lists(st.floats(0, 1) | st.sampled_from([0.1, 5e-324, 1.0]),
+                           min_size=3, max_size=3), min_size=1, max_size=300))
+def test_the_reduction_is_a_loop_of_python_adds(p):
+    # the serial reduction: each p-value compared with alpha and added with
+    # += in replication order
+    rejects, sums = [0] * 3, [0.0] * 3
+    for row in p:
+        for j, value in enumerate(row):
+            rejects[j] += value < 0.1
+            sums[j] += value
+
+    def given_rows(spec, seed, variants, cc, start, stop, rows):
+        rows[...] = p[start:stop]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_parallel, "usable_cpus", lambda: 1)
+        mp.setattr(cohort, "_replicate_range", given_rows)
+        report = replication_study(load_bundled("null_spec").payload, len(p), alpha=0.1,
+                                   variants=("true_exposure",) * 3)
+    got = [(r.rejection_rate, r.mean_p_value) for r in report.rows]
+    assert got == [(rejects[j] / len(p), sums[j] / len(p)) for j in range(3)]
+    assert all(type(value) is float for row in got for value in row)
 
 
 def _simulate_stderr(tmp_path, capsys, doc, *extra):

@@ -33,9 +33,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: CLI on the remaining arguments.
 DRIVER = """\
 import os, sys
-from riskcounts import _parallel, cohort
+from riskcounts import _parallel
 from riskcounts.cli import main
-_parallel.usable_cpus = cohort._usable_cpus = lambda: 2
+_parallel.usable_cpus = lambda: 2
 fork = os.fork
 def reporting_fork():
     pid = fork()
@@ -107,9 +107,19 @@ def test_killing_summarize_mid_convolution_leaves_no_worker(tmp_path):
 
 
 def test_work_runs_in_process_where_workers_could_outlive_the_caller(monkeypatch):
-    assert _parallel.workers(4, 10) == (4 if sys.platform.startswith("linux") else 1)
+    forked = []
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(_parallel, "run", lambda fill, ranges, shape: forked.append(ranges))
+
+    def split():
+        return _parallel.split(lambda start, stop, rows: rows.fill(1.0), (10,), lambda m: m, 0)
+
+    split()
+    assert forked == ([[(0, 2), (2, 5), (5, 7), (7, 10)]] if sys.platform.startswith("linux") else [])
+    forked.clear()
     monkeypatch.setattr(_parallel, "_prctl", lambda: None)
-    assert _parallel.workers(4, 10) == 1
+    assert split().tolist() == [1.0] * 10
+    assert forked == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
