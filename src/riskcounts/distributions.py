@@ -189,6 +189,8 @@ class CountDistribution:
     masses: np.ndarray = field(init=False, repr=False, compare=False)
     #: ``(exp(log_mass), its exact sum)`` from a builder that already
     #: computed both, so that a window is exponentiated and summed once.
+    #: The builder hands ``log_mass`` and the masses over: both are frozen
+    #: in place, where a caller's ``log_mass`` is copied.
     _exp_sum: InitVar[tuple[np.ndarray, float] | None] = None
 
     def __post_init__(self, _exp_sum: tuple[np.ndarray, float] | None = None) -> None:
@@ -201,12 +203,15 @@ class CountDistribution:
         arr = np.asarray(self.log_mass, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != hi - lo + 1:
             raise DomainError("log_mass length must equal the support size")
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, so they test finiteness without a
+        # window-sized temporary
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise DomainError("every stored log_mass must be finite")
         trunc = float(self.truncated_mass)
         if not (0.0 <= trunc <= 1.0):
             raise DomainError(f"truncated_mass must lie in [0, 1], got {trunc!r}")
-        arr = arr.copy()
+        if _exp_sum is None:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "support_lo", lo)
         object.__setattr__(self, "support_hi", hi)
@@ -318,7 +323,8 @@ def _point_mass(kind: str, k: int) -> CountDistribution:
     )
 
 
-#: Elements per block of ``_exact_sum``: its temporaries stay in cache.
+#: Elements per block of ``_exact_sum`` and of a window's fill
+#: (``_extend_run``): their temporaries stay in cache.
 _SUM_BLOCK = 1 << 14
 
 #: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024].
@@ -365,12 +371,17 @@ def _aligned(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend_run(run: list[np.ndarray], steps: np.ndarray) -> None:
-    """Append the running sum of ``steps`` to ``run``, continuing from the
+def _extend_run(run: list[np.ndarray], log_ratio, start: int, stop: int, step: int) -> None:
+    """Append to ``run`` the running sum of ``log_ratio(k)`` for k from
+    ``start`` toward ``stop`` (excluded) by ``step`` (1 or -1), one chunk of
+    at most ``_SUM_BLOCK`` cells at a time.  Each chunk continues from the
     run's last value: the same bits as one ``np.cumsum`` over the whole run."""
-    if run:
-        steps[0] += run[-1][-1]
-    run.append(np.cumsum(steps))
+    for a in range(start, stop, step * _SUM_BLOCK):
+        b = min(a + _SUM_BLOCK, stop) if step > 0 else max(a - _SUM_BLOCK, stop)
+        steps = log_ratio(np.arange(a, b, step, dtype=np.float64))
+        if run:
+            steps[0] += run[-1][-1]
+        run.append(np.cumsum(steps))
 
 
 def _write_run(out: np.ndarray, run: list[np.ndarray], op, anchor_log: float) -> None:
@@ -412,6 +423,13 @@ def _build_windowed(
     nonincreasing past the respective edge (log-concave pmf), which is what
     makes the geometric tail bound rigorous.  A side without that guarantee
     is extended to its domain edge outright.
+
+    Each round fills its new cells in blocks of ``_SUM_BLOCK``
+    (``_extend_run``), so no temporary of ``log_ratio`` outgrows a block.
+    The bits are those of one fill: ``log_ratio`` is elementwise, so each
+    step log is the same whatever block holds it, and ``np.cumsum`` adds in
+    index order, so a block whose first step has the run's last value added
+    continues the very same sequence of roundings.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -445,10 +463,10 @@ def _build_windowed(
                 "met at desk scale for these parameters"
             )
         if lo < filled_lo:
-            _extend_run(below, log_ratio(np.arange(filled_lo - 1, lo - 1, -1, dtype=np.float64)))
+            _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
             filled_lo = lo
         if hi > filled_hi:
-            _extend_run(above, log_ratio(np.arange(filled_hi, hi, dtype=np.float64)))
+            _extend_run(above, log_ratio, filled_hi, hi, 1)
             filled_hi = hi
 
         ok_lo = lo == 0

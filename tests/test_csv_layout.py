@@ -13,6 +13,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riskcounts import cli, figures
 from riskcounts.cli import main
@@ -213,6 +215,58 @@ def test_replay_refuses_a_scenario_of_the_wrong_kind(figure_text, report_text):
     fixed = figure_text.split("# scenario: ")[1].split("\n")[0]
     with pytest.raises(ScenarioError, match="must carry a causal_spec"):
         replay_text(_set(report_text, "scenario", fixed))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_header_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "duplicate", "move", "swap"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        _json_values,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit_header(text, edits):
+    """``text`` with its ``#`` header lines deleted, duplicated, moved or
+    given a JSON value of any type, edit by edit; the body is kept."""
+    lines = text.splitlines(keepends=True)
+    n_head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    head = lines[:n_head]
+    for op, i, j, value in edits:
+        if not head:
+            break
+        i %= len(head)
+        if op == "delete":
+            del head[i]
+        elif op == "duplicate":
+            head.insert(j % (len(head) + 1), head[i])
+        elif op == "move":
+            line = head.pop(i)
+            head.insert(j % (len(head) + 1), line)
+        else:
+            key = head[i].partition(":")[0]
+            head[i] = f"{key}: {json.dumps(value)}\n"
+    return "".join(head + lines[n_head:])
+
+
+@pytest.mark.parametrize("fixture", ["figure_text", "report_text"])
+@given(edits=_header_edits)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_an_edited_header_replays_or_is_refused(fixture, request, edits):
+    text = _edit_header(request.getfixturevalue(fixture), edits)
+    try:
+        out = replay_text(text)
+    except (ScenarioError, DomainError):
+        return
+    assert isinstance(out, str)
 
 
 # ---------------------------------------------------------------------------

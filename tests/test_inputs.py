@@ -9,8 +9,10 @@ import pytest
 
 from riskcounts.cli import main
 from riskcounts.distributions import (
+    BetaParams,
     CountDistribution,
     DomainError,
+    beta_binomial_distribution,
     binomial_distribution,
     convolve,
     poisson_distribution,
@@ -133,6 +135,8 @@ def test_small_but_representable_risk_keeps_its_window():
         lambda: poisson_distribution(50.0),
         lambda: convolve(binomial_distribution(1000, 0.1), binomial_distribution(900, 0.2)),
         lambda: binomial_distribution(7, 0.0),
+        lambda: binomial_distribution(2, 5e-324),
+        lambda: beta_binomial_distribution(200_000, BetaParams(0.5, 9.5)),
     ],
 )
 def test_masses_equal_exp_of_log_mass_and_are_read_only(build):
@@ -140,6 +144,36 @@ def test_masses_equal_exp_of_log_mass_and_are_read_only(build):
     assert np.array_equal(d.masses, np.exp(d.log_mass))
     assert not d.masses.flags.writeable
     assert not d.log_mass.flags.writeable
+    for arr in (d.log_mass, d.masses):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_a_handed_over_window_is_frozen_in_place():
+    """A builder's arrays become the law's own, with no copy."""
+    log_mass = np.log([0.25, 0.75])
+    masses = np.exp(log_mass)
+    d = CountDistribution("binomial", 0, 1, log_mass, 0.0, _exp_sum=(masses, 1.0))
+    assert d.log_mass is log_mass and d.masses is masses
+    assert not log_mass.flags.writeable and not masses.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_non_finite_log_mass_is_refused(bad, at):
+    log_mass = np.log([0.25, 0.5, 0.25])
+    log_mass[at] = bad
+    with pytest.raises(DomainError, match="every stored log_mass must be finite"):
+        CountDistribution("binomial", 0, 2, log_mass, 0.0)
+
+
+def test_a_callers_log_mass_is_copied():
+    log_mass = np.log([0.25, 0.75])
+    d = CountDistribution("binomial", 0, 1, log_mass, 0.0)
+    log_mass[0] = 0.0
+    assert log_mass.flags.writeable
+    assert d.log_mass.tolist() == [math.log(0.25), math.log(0.75)]
+    assert d.pmf(0) == 0.25
 
 
 def test_handed_over_sum_is_still_checked():

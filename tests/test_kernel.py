@@ -10,6 +10,7 @@
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,7 @@ def both_builders(monkeypatch):
         (10**5, 0.5, 9.5),
         (10**5, 9.5, 0.5),
         (958564, 2e-4, 99.8),
+        (10**6, 0.5, 9.5),  # a below run of 50,000 cells, over four blocks
     ],
 )
 def test_builder_equals_oracle_over_many_widening_rounds(both_builders, n, alpha, beta):
@@ -456,7 +458,7 @@ def test_poisson_builder_equals_oracle(both_builders, lam):
 @pytest.mark.parametrize(
     "n, p, cut",
     [(2, 5e-324, True), (7, 5e-324, True), (10, 1e-320, False), (3, 2e-308, False),
-     (10**9, 1e-8, False), (10**9, 0.5, False)],
+     (10**9, 1e-8, False), (10**9, 0.5, False), (10**9, 0.011, False), (10**9, 0.01, False)],
 )
 def test_binomial_builder_equals_oracle_incl_subnormal_cut(both_builders, n, p, cut):
     law = binomial_distribution(n, p)
@@ -473,6 +475,61 @@ def test_poisson_builder_equals_oracle_at_the_subnormal_cut(both_builders):
 def test_builder_cap_refusal_is_unchanged(both_builders):
     with pytest.raises(DomainError, match="exceeds the 20000000-point cap"):
         beta_binomial_distribution(10**8, BetaParams(0.5, 0.5))
+
+
+#: The us_rr2 exposed arm at calibration's first concentration, c = 10.
+US_RR2_C10 = (160_000_000, BetaParams(10 * 2e-7, 10 * (1 - 2e-7)))
+US_RR2_REFUSAL = (
+    "support window of 22264918 points exceeds the 20000000-point cap; the eps "
+    "contract cannot be met at desk scale for these parameters"
+)
+
+
+def test_us_rr2_refusal_at_c10_is_unchanged(both_builders):
+    with pytest.raises(DomainError) as got:
+        beta_binomial_distribution(*US_RR2_C10)
+    assert str(got.value) == US_RR2_REFUSAL
+
+
+def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
+    """Binomial(n, p) step ratios and anchor through ``_build_windowed``,
+    anchored at ``anchor``.  ``whole`` fills 0..n_max in one round, so the
+    ``below`` run is ``anchor`` cells long and the ``above`` run ``n_max -
+    anchor``; otherwise both sides widen round by round, the high one up to
+    ``n_max`` at most."""
+    q = 1.0 - p
+
+    def log_ratio(ks):
+        return np.log((n - ks) * p / ((ks + 1.0) * q))
+
+    return distributions._build_windowed(
+        kind="binomial", mean=n * p, sd=math.sqrt(n * p * q), n_max=n if n_max is None else n_max,
+        log_ratio=log_ratio, anchor_fn=distributions._binomial_anchor(n, p), anchor_at=anchor,
+        eps=eps, monotone_lo=not whole, monotone_hi=not whole,
+    )
+
+
+@pytest.mark.parametrize("below", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+@pytest.mark.parametrize("above", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+def test_builder_equals_oracle_where_a_run_meets_a_block_edge(both_builders, below, above):
+    n = below + above
+    law = binomial_window(n, (below + 0.5) / (n + 1), below)
+    assert (law.support_lo, law.support_hi) == (0, n)
+    assert both_builders == [1]
+
+
+@pytest.mark.parametrize("off", [-1, 0, 1])
+def test_builder_equals_oracle_where_a_widened_run_meets_a_block_edge(both_builders, off):
+    """The high side widens over several rounds and stops at ``n_max``, two
+    blocks past the anchor give or take a cell."""
+    anchor = 2 * 10**6
+    # At eps 5e-324 a tail bound is met only where the edge mass underflows,
+    # about 38 sd (38,600 cells) from the anchor: past n_max above, and
+    # more than two blocks below.
+    law = binomial_window(2 * anchor, 0.5, anchor, n_max=anchor + 2 * BLOCK + off, eps=5e-324, whole=False)
+    assert law.support_hi == anchor + 2 * BLOCK + off
+    assert law.support_lo < anchor - 2 * BLOCK
+    assert both_builders[0] >= 3
 
 
 @given(
@@ -495,3 +552,42 @@ def test_builder_equals_oracle(both_builders, n, log_p, kind, log_c, eps):
             beta_binomial_distribution(min(n, 10**6), BetaParams(p * c, (1 - p) * c), eps=eps)
     except DomainError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(build):
+    """``build()`` (or the ``DomainError`` it raises) and the peak traced
+    allocation while it ran."""
+    tracemalloc.start()
+    try:
+        try:
+            result = build()
+        except DomainError as exc:
+            result = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_window_build_holds_no_window_sized_temporaries():
+    """A 4M-cell window (ny_rr2's exposed arm at c = 10) ends as two arrays,
+    ``log_mass`` and ``masses``, and its runs of step sums are freed before
+    ``masses`` is made; its fill adds a block at a time.  A fill in one call
+    made window-sized temporaries, and the law copied ``log_mass``: 3.00x."""
+    law, peak = traced_peak(lambda: beta_binomial_distribution(4_000_000, BetaParams(10 * 2e-7, 10 * (1 - 2e-7))))
+    assert len(law.log_mass) > 3_000_000
+    bound = 2.25 * law.log_mass.nbytes + (1 << 20)
+    assert peak <= bound, f"the build peaked at {peak} bytes, bound {bound:.0f}"
+
+
+def test_a_refused_window_is_refused_without_its_temporaries():
+    """The us_rr2 build at c = 10 is refused after an 11M-cell round; its
+    runs alone are 89 MB.  A fill in one call peaked at 222 MB."""
+    refusal, peak = traced_peak(lambda: beta_binomial_distribution(*US_RR2_C10))
+    assert str(refusal) == US_RR2_REFUSAL
+    assert peak < 100_000_000, f"the refused build peaked at {peak} bytes"
