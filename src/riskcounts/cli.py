@@ -10,9 +10,11 @@ Subcommands::
 
 Every command is deterministic given its inputs and the declared seed; file
 outputs go through an atomic write so a partial file is never left behind.
-Option precedence is command line > scenario-file control > built-in
-default.  Probabilities print with six significant digits, a two-digit
-approximation, and the truncation error bound where one applies.
+The output controls (coverage, eps, seed, alpha, replications) are declared
+once, in ``_CONTROLS``; each resolves to its command-line flag, else the
+scenario file's control, else the built-in default.  Probabilities print
+with six significant digits, a two-digit approximation, and the truncation
+error bound where one applies.
 """
 
 from __future__ import annotations
@@ -36,14 +38,9 @@ from .figures import (
     replay_text,
     write_text_atomic,
 )
-from .scenarios import ScenarioError, load_scenario
+from .scenarios import ScenarioError, ScenarioFile, load_scenario
 
 __all__ = ["main", "render_replication_csv", "replay_file", "replay_text"]
-
-_DEFAULT_COVERAGE = 0.9999
-_DEFAULT_ALPHA = 0.05
-_DEFAULT_SEED = 0
-_DEFAULT_REPLICATIONS = 1000
 
 _CAUTION_NOTE = """\
 caution: the p-value measures surprise under a no-difference model.  It does
@@ -61,15 +58,6 @@ named exposure causes the outcome."""
 def _prob(value: float) -> str:
     """Six significant digits plus a rough two-digit reading."""
     return f"{value:#.6g} (~ {value:.2g})"
-
-
-def _pick(cli_value, file_value, default):
-    """Option precedence: command line beats file control beats default."""
-    if cli_value is not None:
-        return cli_value
-    if file_value is not None:
-        return file_value
-    return default
 
 
 def _pct(coverage: float) -> str:
@@ -92,6 +80,34 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+#: Output control -> (argparse type, help text, built-in default); the names
+#: are exactly ``scenarios.ScenarioFile``'s controls.
+_CONTROLS = {
+    "coverage": (float, "interval coverage level (default 0.9999)", 0.9999),
+    "eps": (float, "total truncated-mass budget per distribution", DEFAULT_EPS),
+    "seed": (_seed, "master seed for the replication stream", 0),
+    "alpha": (float, "test size (default 0.05)", 0.05),
+    "replications": (int, "number of synthetic cohorts to draw", 1000),
+}
+
+
+def _add_controls(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        kind, text, _ = _CONTROLS[name]
+        p.add_argument(f"--{name}", type=kind, default=None, help=text)
+
+
+def _resolve(args: argparse.Namespace, sf: ScenarioFile | None) -> dict:
+    """Each control the subcommand declared: its flag, else the scenario
+    file's control, else the built-in default."""
+    return {
+        name: next(v for v in (getattr(args, name), getattr(sf, name, None), default)
+                   if v is not None)
+        for name, (_, _, default) in _CONTROLS.items()
+        if hasattr(args, name)
+    }
 
 
 def _fail(message: str) -> int:
@@ -163,10 +179,8 @@ def _summary_lines(a: ScenarioAnalysis, coverage: float) -> list[str]:
     return lines
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
-    coverage = _pick(args.coverage, sf.coverage, _DEFAULT_COVERAGE)
-    eps = _pick(args.eps, sf.eps, DEFAULT_EPS)
+def cmd_summarize(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float,
+                  eps: float) -> int:
     if isinstance(sf.payload, CausalSpec):
         return _fail(
             "summarize needs a risk scenario (exposure_scenario or "
@@ -181,10 +195,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
-    coverage = _pick(args.coverage, sf.coverage, _DEFAULT_COVERAGE)
-    eps = _pick(args.eps, sf.eps, DEFAULT_EPS)
+def cmd_figure(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float,
+               eps: float) -> int:
     if args.id in (2, 4) and isinstance(sf.payload, ExposureScenario):
         if args.calibrate_ratio is None:
             return _fail(
@@ -225,9 +237,8 @@ def _print_test(t: TwoByTwo, result: TestResult, continuity: bool) -> None:
     print(_CAUTION_NOTE)
 
 
-def cmd_pvalue(args: argparse.Namespace) -> int:
+def cmd_pvalue(args: argparse.Namespace, sf: None, *, alpha: float) -> int:
     t = TwoByTwo(args.cases_a, args.n_a, args.cases_b, args.n_b)
-    alpha = args.alpha if args.alpha is not None else _DEFAULT_ALPHA
     result = two_proportion_test(t, continuity_correction=args.continuity, alpha=alpha)
     _print_test(t, result, args.continuity)
     return 0
@@ -238,14 +249,11 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
+def cmd_simulate(args: argparse.Namespace, sf: ScenarioFile, *, seed: int, alpha: float,
+                 replications: int) -> int:
     payload = sf.payload
     if not isinstance(payload, CausalSpec):
         return _fail("simulate needs a causal_spec scenario file")
-    replications = _pick(args.replications, sf.replications, _DEFAULT_REPLICATIONS)
-    alpha = _pick(args.alpha, sf.alpha, _DEFAULT_ALPHA)
-    seed = _pick(args.seed, sf.seed, _DEFAULT_SEED)
     report = replication_study(
         payload,
         replications,
@@ -267,16 +275,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    sf = load_scenario(args.scenario)
+def cmd_calibrate(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float,
+                  eps: float) -> int:
     payload = sf.payload
     if not isinstance(payload, ExposureScenario):
         return _fail(
             "calibrate needs an exposure_scenario with fixed risks; priors "
             "are then fitted to the target spread ratio"
         )
-    coverage = _pick(args.coverage, sf.coverage, _DEFAULT_COVERAGE)
-    eps = _pick(args.eps, sf.eps, DEFAULT_EPS)
     target = args.target_ratio
 
     print(
@@ -312,42 +318,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, coverage=False, eps=False,
-                   seed=False, alpha=False, replications=False, out=False,
-                   continuity=False) -> None:
-        if coverage:
-            p.add_argument("--coverage", type=float, default=None,
-                           help="interval coverage level (default 0.9999)")
-        if eps:
-            p.add_argument("--eps", type=float, default=None,
-                           help="total truncated-mass budget per distribution")
-        if seed:
-            p.add_argument("--seed", type=_seed, default=None,
-                           help="master seed for the replication stream")
-        if alpha:
-            p.add_argument("--alpha", type=float, default=None,
-                           help="test size (default 0.05)")
-        if replications:
-            p.add_argument("--replications", type=int, default=None,
-                           help="number of synthetic cohorts to draw")
-        if out:
-            p.add_argument("--out", type=Path, default=None,
-                           help="output CSV path (atomic write)")
-        if continuity:
-            p.add_argument("--no-continuity", dest="continuity",
-                           action="store_false",
-                           help="drop the continuity correction")
-
     p_sum = sub.add_parser("summarize", help="arm-versus-arm comparison report")
     p_sum.add_argument("scenario", type=Path, help="scenario JSON file")
-    add_common(p_sum, coverage=True, eps=True)
+    _add_controls(p_sum, "coverage", "eps")
     p_sum.set_defaults(func=cmd_summarize)
 
     p_fig = sub.add_parser("figure", help="write one figure's data table as CSV")
     p_fig.add_argument("scenario", type=Path, help="scenario JSON file")
     p_fig.add_argument("--id", type=int, required=True, choices=FIGURE_IDS,
                        help="figure number")
-    add_common(p_fig, coverage=True, eps=True)
+    _add_controls(p_fig, "coverage", "eps")
     p_fig.add_argument("--out", type=Path, required=True,
                        help="output CSV path (atomic write)")
     p_fig.add_argument("--calibrate-ratio", type=float, default=None,
@@ -360,20 +340,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pv.add_argument("n_a", type=int)
     p_pv.add_argument("cases_b", type=int)
     p_pv.add_argument("n_b", type=int)
-    add_common(p_pv, alpha=True, continuity=True)
+    _add_controls(p_pv, "alpha")
+    p_pv.add_argument("--no-continuity", dest="continuity", action="store_false",
+                      help="drop the continuity correction")
     p_pv.set_defaults(func=cmd_pvalue)
 
     p_sim = sub.add_parser("simulate", help="replication study on a causal spec")
     p_sim.add_argument("scenario", type=Path, help="scenario JSON file")
-    add_common(p_sim, seed=True, alpha=True, replications=True, out=True,
-               continuity=True)
+    _add_controls(p_sim, "seed", "alpha", "replications")
+    p_sim.add_argument("--out", type=Path, default=None,
+                       help="output CSV path (atomic write)")
+    p_sim.add_argument("--no-continuity", dest="continuity", action="store_false",
+                      help="drop the continuity correction")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="fit beta priors to a spread-ratio target")
     p_cal.add_argument("scenario", type=Path, help="exposure scenario JSON file")
     p_cal.add_argument("target_ratio", type=float,
                        help="desired predictive/plug-in interval width ratio")
-    add_common(p_cal, coverage=True, eps=True)
+    _add_controls(p_cal, "coverage", "eps")
     p_cal.set_defaults(func=cmd_calibrate)
 
     return parser
@@ -388,12 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(value, list):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args)
-    except ScenarioError as exc:
-        return _fail(str(exc))
-    except (DomainError, CalibrationError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+        sf = load_scenario(args.scenario) if hasattr(args, "scenario") else None
+        return args.func(args, sf, **_resolve(args, sf))
+    except (ScenarioError, DomainError, CalibrationError, OSError) as exc:
         return _fail(str(exc))
 
 

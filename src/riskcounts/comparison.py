@@ -372,8 +372,8 @@ class ScenarioAnalysis:
         comp = self.split_comparison
         split_iv = central_interval(comp.split, coverage)
         low_iv = central_interval(comp.all_low, coverage)
-        suffix = np.cumsum(comp.split.masses[::-1])[::-1]
-        tail = float(suffix[split_iv.hi - comp.split.support_lo])
+        # P(split >= top) = P(split > top - 1)
+        tail = float(_above_lookup(comp.split, np.array([split_iv.hi - 1]))[0])
         return LivesSavedBounds(
             best_case=split_iv.hi - low_iv.lo,
             most_likely=comp.mode_split - comp.mode_all_low,

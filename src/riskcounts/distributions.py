@@ -698,16 +698,12 @@ def convolve(
     # heap puts them, and its dot products run slower off that alignment.
     longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
     start, kept = _kept_cells(_aligned(longer.masses), _aligned(shorter.masses[::-1]), eps / 4.0)
+    lo = a.support_lo + b.support_lo + start
 
-    # Drop any remaining zero-mass edge cells (an all-finite log_mass is
-    # part of the contract).
-    nz = np.nonzero(kept)[0]
-    kept = kept[nz[0] : nz[-1] + 1]
-    lo = a.support_lo + b.support_lo + start + int(nz[0])
-
-    # Interior cells can underflow to exactly zero only when the inputs are
-    # strongly bimodal; floor them at the smallest normal double (an
-    # overstatement of at most ~1e-300 mass) to keep the logs finite.
+    # Both end cells are positive (``_kept_cells``).  Interior cells can
+    # underflow to exactly zero only when the inputs are strongly bimodal;
+    # floor them at the smallest normal double (an overstatement of at most
+    # ~1e-300 mass) to keep the logs finite.
     kept = np.maximum(kept, np.finfo(np.float64).tiny)
 
     stored = _exact_sum(kept)
@@ -734,6 +730,10 @@ def _kept_cells(x: np.ndarray, y: np.ndarray, budget: float) -> tuple[int, np.nd
     clamp to it changes nothing.  Where a bound is not certified, the tails
     meet, or no kept cell exceeds ``budget``, every cell is computed and
     trimmed from its running sums.
+
+    Both end cells are positive: a running sum passes ``budget`` (at least
+    0) only by adding a positive cell, and the largest cell of two laws'
+    masses is positive.
     """
     cells = len(x) + len(y) - 1
     start = _certified_head(x, y, budget)

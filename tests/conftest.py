@@ -1,0 +1,38 @@
+"""Shared test helpers: forcing the worker split, and the host facts that
+the worker count and some pinned bytes depend on."""
+
+import numpy as np
+
+from riskcounts import _parallel
+
+#: The cost thresholds below which work stays in the calling process.
+CONVOLVE_THRESHOLD = "riskcounts.distributions._PARALLEL_MIN_MACS"
+STUDY_THRESHOLD = "riskcounts.cohort._PARALLEL_MIN_INDIVIDUALS"
+
+
+def pytest_report_header(config):
+    return (f"riskcounts: usable CPUs {_parallel.usable_cpus()}, "
+            f"BLAS threads {_parallel.blas_threads()}")
+
+
+def force_workers(monkeypatch, cpus=None, *, blas=None, threshold=None, compute=True):
+    """Force ``cpus`` usable CPUs, ``blas`` BLAS threads and a zero cost
+    ``threshold`` (the caller's, as a dotted name), each where given, and
+    return the list that gets the ranges of each split ``_parallel.run``
+    is handed.  Without ``compute`` no range is computed and every row of
+    the split's array reads 0."""
+    if cpus is not None:
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+    if blas is not None:
+        monkeypatch.setattr(_parallel, "blas_threads", lambda: blas)
+    if threshold is not None:
+        monkeypatch.setattr(threshold, 0)
+    forked = []
+    run = _parallel.run
+
+    def recording(fill, ranges, shape):
+        forked.append(ranges)
+        return run(fill, ranges, shape) if compute else np.zeros(shape)
+
+    monkeypatch.setattr(_parallel, "run", recording)
+    return forked

@@ -17,7 +17,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from riskcounts import BetaParams, UncertainScenario, _parallel, distributions, summarize
+from conftest import CONVOLVE_THRESHOLD, force_workers
+from riskcounts import BetaParams, UncertainScenario, distributions, summarize
 from riskcounts.cli import main
 from riskcounts.scenarios import bundled_text
 
@@ -30,13 +31,7 @@ _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve")
 def forced_split(monkeypatch, request):
     """Split every convolution over two processes and record its ranges;
     each golden ``summarize`` must have been split."""
-    forked = []
-    run = _parallel.run
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
-    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 0)
-    monkeypatch.setattr(_parallel, "run",
-                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
+    forked = force_workers(monkeypatch, 2, blas=1, threshold=CONVOLVE_THRESHOLD)
     yield forked
     if request.node.originalname == "test_summarize_stdout_matches_golden":
         assert forked and all(len(ranges) == 2 for ranges in forked)

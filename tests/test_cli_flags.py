@@ -1,6 +1,7 @@
 """Command-line flags and ``pvalue`` arguments that are malformed or extreme
 end every subcommand in exit 0, or in exit 2 with one ``error:`` line and no
-traceback.
+traceback; and every output control a subcommand declares resolves to its
+flag, else the scenario file's control, else the built-in default.
 
 The property draws each flag of each subcommand from valid values and from
 NaN, both infinities, negatives, zero, huge numbers, non-numbers and the empty
@@ -9,14 +10,17 @@ replication counts stop at 20, so every accepted run stays short; counts
 past ``MAX_REPLICATIONS`` are refused by their own test.
 """
 
+import argparse
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskcounts import cli, scenarios
 from riskcounts.cli import main
 
 EXPOSURE = {"schema_version": 1, "exposure_scenario": {
@@ -138,3 +142,96 @@ def test_simulate_refuses_fewer_than_one_replication_in_the_studys_words(where, 
     assert _run(["simulate", str(scenario), *extra]) == (
         2, "", f"error: replications must be >= 1, got {value}\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# control precedence: command line > scenario-file control > built-in default
+# ---------------------------------------------------------------------------
+
+
+def _percent(value):
+    return f"{value * 100:g}%"
+
+
+#: (command, control) -> (flag value, file value, built-in default), the
+#: pattern whose every match prints the resolved value, and how it prints.
+#: summarize and calibrate print no eps: their flag and file values are
+#: refused, and the refusal names the value.  pvalue reads no file.
+PRECEDENCE = {
+    ("summarize", "coverage"): ((0.95, 0.99, 0.9999), r"mode \d+, (\S+) interval", _percent),
+    ("summarize", "eps"): ((1e-7, 1e-8, 1e-12), r"eps <= 1e-09 .*, got (\S+)", repr),
+    ("figure", "coverage"): ((0.95, 0.99, 0.9999), r"# calibrate_coverage: (\S+)", repr),
+    ("figure", "eps"): ((1e-13, 1e-11, 1e-12), r"# eps: (\S+)", repr),
+    ("calibrate", "coverage"): ((0.95, 0.99, 0.9999), r"at (\S+) coverage", _percent),
+    ("calibrate", "eps"): ((3e-6, 2e-6, 1e-12), r"eps must lie in .*, got (\S+)", repr),
+    ("simulate", "seed"): ((5, 3, 0), r"# seed: (\S+)", repr),
+    ("simulate", "alpha"): ((0.1, 0.01, 0.05), r"# alpha: (\S+)", repr),
+    ("simulate", "replications"): ((7, 4, 1000), r"# replications: (\S+)", repr),
+    ("pvalue", "alpha"): ((0.1, None, 0.05), r"at alpha=(\S+):", repr),
+}
+
+#: Each command's input: the scenario document, or pvalue's counts, and the
+#: arguments after it.
+INPUTS = {
+    "summarize": (EXPOSURE, []),
+    "figure": (EXPOSURE, ["--id", "2", "--calibrate-ratio", "2", "--out", "OUT"]),
+    "calibrate": (EXPOSURE, ["2"]),
+    "simulate": (CAUSAL, []),
+    "pvalue": (None, ["10", "100", "20", "100"]),
+}
+
+
+def _output(folder, command, control, flag=None, in_file=None):
+    """Exit code, stdout, stderr and any figure written, for one run with
+    the control given as a flag and in the scenario file (None: not given)."""
+    doc, rest = INPUTS[command]
+    out = folder / "out.csv"
+    out.unlink(missing_ok=True)
+    argv = [command, *[str(out) if a == "OUT" else a for a in rest]]
+    if doc is not None:
+        scenario = folder / "scenario.json"
+        scenario.write_text(json.dumps({**doc, control: in_file} if in_file is not None else doc),
+                            encoding="utf-8")
+        argv.insert(1, str(scenario))
+    if flag is not None:
+        argv += [f"--{control}", repr(flag)]
+    code, stdout, stderr = _run(argv)
+    return code, stdout, stderr, out.read_text(encoding="utf-8") if out.exists() else ""
+
+
+def test_the_cli_declares_exactly_the_scenario_file_controls():
+    assert cli._CONTROLS.keys() == scenarios._CONTROLS.keys()
+    [commands] = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    declared = {(command, action.dest)
+                for command, parser in commands.choices.items()
+                for action in parser._actions if action.dest in cli._CONTROLS}
+    assert declared == set(PRECEDENCE)
+
+
+#: Runs whose resolved value the output does not print: the default eps is
+#: accepted, so nothing names it.
+UNPRINTED = {("summarize", "eps", "default"), ("calibrate", "eps", "default")}
+
+
+@pytest.mark.parametrize("command, control, case", [
+    (command, control, case)
+    for command, control in sorted(PRECEDENCE)
+    for case in ("flag beats file", "file beats default", "default")
+    if command != "pvalue" or case != "file beats default"
+])
+def test_a_control_resolves_to_its_flag_else_the_file_else_the_default(
+    command, control, case, tmp_path
+):
+    (flag, in_file, default), pattern, shown = PRECEDENCE[command, control]
+    want = {"flag beats file": flag, "file beats default": in_file, "default": default}[case]
+    got = _output(tmp_path, command, control,
+                  flag=flag if case == "flag beats file" else None,
+                  in_file=in_file if case != "default" else None)
+    # the run the resolved value gives as a flag, with nothing in the file
+    assert got == _output(tmp_path, command, control, flag=want)
+    readings = set(re.findall(pattern, "".join(got[1:])))
+    if (command, control, case) in UNPRINTED:
+        assert got[0] == 0 and readings == set()
+    else:
+        assert readings == {shown(want)}, got

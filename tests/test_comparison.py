@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from riskcounts import (
+    BetaParams,
     ExposureScenario,
+    UncertainScenario,
     binomial_distribution,
     counterfactual_all_low,
     lives_saved_bounds,
@@ -21,6 +23,7 @@ from riskcounts import (
     summarize,
     times_as_many,
 )
+from riskcounts.comparison import ScenarioAnalysis
 
 LA = ExposureScenario(2_000_000, 2_000_000, 2e-7, 1e-7)
 LA_RR106 = ExposureScenario(2_000_000, 2_000_000, 0.00020034, 0.000189)
@@ -207,6 +210,22 @@ def test_lives_saved_bounds_structure_and_regression():
     assert lives.best_case == 239
     assert lives.most_likely == 22
     assert lives.tail_prob_best_case == pytest.approx(5.04e-5, abs=1e-6)
+
+
+@pytest.mark.parametrize("scenario", [
+    LA_RR106,
+    UncertainScenario(2_000_000, 2_000_000, BetaParams(200.34, 999_799.66), BetaParams(189.0, 999_811.0)),
+], ids=["fixed", "uncertain"])
+def test_best_case_tail_keeps_the_bits_of_its_own_suffix_sum(scenario):
+    # the tail read through _above_lookup against the reversed cumsum it replaced
+    analysis = ScenarioAnalysis(scenario)
+    lives = analysis.lives_saved(0.9999)
+    split = analysis.split_comparison.split
+    suffix = np.cumsum(split.masses[::-1])[::-1]
+    old = float(suffix[lives.split_interval.hi - split.support_lo])
+    assert type(lives.tail_prob_best_case) is float
+    assert lives.tail_prob_best_case.hex() == old.hex()
+    assert 0 < old < 1e-3
 
 
 def test_lives_saved_can_go_negative():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONVOLVE_THRESHOLD, force_workers
 from riskcounts import _parallel, distributions
 from riskcounts.distributions import (
     CountDistribution,
@@ -36,14 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _force(monkeypatch, workers):
     """Run every convolution on ``workers`` processes (fewer if it has fewer
     cells) and record the ranges each forked split used."""
-    forked = []
-    run = _parallel.run
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
-    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 0)
-    monkeypatch.setattr(_parallel, "run",
-                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
-    return forked
+    return force_workers(monkeypatch, workers, blas=1, threshold=CONVOLVE_THRESHOLD)
 
 
 def _operands(seed, n1, n2):

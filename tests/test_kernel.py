@@ -25,6 +25,7 @@ from riskcounts.distributions import (
     DomainError,
     _aligned,
     _exact_sum,
+    _kept_cells,
     beta_binomial_distribution,
     binomial_distribution,
     convolve,
@@ -291,6 +292,18 @@ _laws = st.one_of(_base_laws, st.builds(convolve, _base_laws, _base_laws))
 def test_convolve_keeps_the_full_trim_bytes_on_built_laws(a, b, eps):
     same_law(convolve(a, b, eps), oracle_convolve(a, b, eps))
     same_law(convolve(b, a, eps), oracle_convolve(b, a, eps))
+
+
+@given(a=_laws, b=_laws, eps=st.floats(0.0, 1e-6, exclude_min=True))
+@settings(max_examples=120, deadline=None)
+@example(a=binomial_distribution(10**5, 0.3), b=binomial_distribution(900, 0.5), eps=5e-324)
+@example(a=beta_binomial_distribution(500, BetaParams(0.1, 0.2)),
+         b=binomial_distribution(0, 0.5), eps=1e-12)
+def test_kept_cells_end_in_positive_cells_on_built_laws(a, b, eps):
+    # convolve keeps both end cells as they are: no zero cell to strip
+    longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
+    _, kept = _kept_cells(_aligned(longer.masses), _aligned(shorter.masses[::-1]), eps / 4.0)
+    assert kept[0] > 0 and kept[-1] > 0
 
 
 @pytest.fixture

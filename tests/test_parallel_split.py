@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import force_workers
 from riskcounts import _parallel
 
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -34,16 +35,6 @@ def _expected(shape):
     return out
 
 
-def _record(monkeypatch, cpus):
-    """Force ``cpus`` usable CPUs and record the ranges of each split."""
-    forked = []
-    run = _parallel.run
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_parallel, "run",
-                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
-    return forked
-
-
 def _before(costs):
     """``cost_before`` over a table of per-row costs."""
     prefix = [0, *np.cumsum(costs, dtype=np.int64).tolist()]
@@ -60,7 +51,7 @@ def test_split_tiles_the_rows_at_about_equal_cost(costs, columns, cpus):
     shape = (units, *columns)
     before = _before(costs)
     with pytest.MonkeyPatch.context() as mp:
-        forked = _record(mp, cpus)
+        forked = force_workers(mp, cpus)
         got = _parallel.split(_fill, shape, before, 0)
     assert got.shape == shape
     assert got.tobytes() == _expected(shape).tobytes()
@@ -89,7 +80,7 @@ def test_split_tiles_the_rows_at_about_equal_cost(costs, columns, cpus):
 @given(units=st.integers(1, 200), per_row=st.integers(1, 10**9), cpus=st.integers(2, 5))
 def test_linear_cost_gives_sizes_within_one_the_first_smallest(units, per_row, cpus):
     with pytest.MonkeyPatch.context() as mp:
-        forked = _record(mp, cpus)
+        forked = force_workers(mp, cpus)
         got = _parallel.split(_fill, (units,), lambda m: m * per_row, units * per_row)
     assert got.tobytes() == _expected((units,)).tobytes()
     if units == 1:
@@ -106,7 +97,7 @@ def _no_blas_threads():
 
 
 def test_work_below_the_threshold_stays_in_process_without_reading_blas(monkeypatch):
-    forked = _record(monkeypatch, 4)
+    forked = force_workers(monkeypatch, 4)
     monkeypatch.setattr(_parallel, "blas_threads", _no_blas_threads)
     got = _parallel.split(_fill, (40, 2), lambda m: 10 * m, 401, blas=True)
     assert got.tobytes() == _expected((40, 2)).tobytes()
@@ -114,8 +105,7 @@ def test_work_below_the_threshold_stays_in_process_without_reading_blas(monkeypa
 
 
 def test_one_usable_cpu_stays_in_process(monkeypatch):
-    forked = _record(monkeypatch, 1)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
+    forked = force_workers(monkeypatch, 1, blas=1)
     for blas in (False, True):
         got = _parallel.split(_fill, (40,), lambda m: m, 0, blas=blas)
         assert got.tobytes() == _expected((40,)).tobytes()
@@ -123,7 +113,7 @@ def test_one_usable_cpu_stays_in_process(monkeypatch):
 
 
 def test_an_unreadable_blas_thread_count_stays_in_process(monkeypatch):
-    forked = _record(monkeypatch, 4)
+    forked = force_workers(monkeypatch, 4)
     monkeypatch.setattr(_parallel, "blas_threads", lambda: None)
     got = _parallel.split(_fill, (40,), lambda m: m, 0, blas=True)
     assert got.tobytes() == _expected((40,)).tobytes()
@@ -132,7 +122,6 @@ def test_an_unreadable_blas_thread_count_stays_in_process(monkeypatch):
 
 @linux_only
 def test_the_threshold_is_the_whole_cost(monkeypatch):
-    forked = _record(monkeypatch, 2)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
+    forked = force_workers(monkeypatch, 2, blas=1)
     _parallel.split(_fill, (40,), lambda m: 10 * m, 400, blas=True)
     assert forked == [[(0, 20), (20, 40)]]

@@ -27,14 +27,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskcounts import _parallel, distributions, figures
+from conftest import CONVOLVE_THRESHOLD, force_workers
+from riskcounts import _parallel, figures
 from riskcounts.cli import main
 from riskcounts.distributions import CountDistribution
 from riskcounts.figures import FigureTable, read_metadata, render_figure_csv
 from riskcounts.scenarios import bundled_text
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SRC = TESTS.parent / "src"
 BLOCK = figures._BLOCK_ROWS
 
 
@@ -42,13 +44,7 @@ BLOCK = figures._BLOCK_ROWS
 def forced_split(monkeypatch, request):
     """Split every convolution over two processes and record its ranges;
     a pinned figure that convolves (3 and 4) must have been split."""
-    forked = []
-    run = _parallel.run
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: 1)
-    monkeypatch.setattr(distributions, "_PARALLEL_MIN_MACS", 0)
-    monkeypatch.setattr(_parallel, "run",
-                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
+    forked = force_workers(monkeypatch, 2, blas=1, threshold=CONVOLVE_THRESHOLD)
     yield forked
     if request.node.originalname == "test_figure_bytes_match_golden_digest":
         assert bool(forked) == (request.node.callspec.params["figure_id"] in (3, 4))
@@ -202,14 +198,10 @@ BLAS_THREADS = min(2, _parallel.usable_cpus())
 #: it, then prints the ranges as JSON on the last line.
 THREADED_FIGURE = """\
 import json, sys
-from riskcounts import _parallel, distributions
+import pytest
+from conftest import CONVOLVE_THRESHOLD, force_workers
 from riskcounts.cli import main
-forked = []
-run = _parallel.run
-_parallel.usable_cpus = lambda: 2
-_parallel.blas_threads = lambda: 1
-distributions._PARALLEL_MIN_MACS = 0
-_parallel.run = lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape)
+forked = force_workers(pytest.MonkeyPatch(), 2, blas=1, threshold=CONVOLVE_THRESHOLD)
 code = main(sys.argv[1:])
 print(json.dumps(forked))
 sys.exit(code)
@@ -227,7 +219,8 @@ def test_figure_bytes_match_golden_digest(name, figure_id, tmp_path, capsys, for
     out = tmp_path / "figure.csv"
     argv = ["figure", scenario, "--id", str(figure_id), "--out", str(out)]
     if (name, figure_id) in THREADED_FIGURE_SHA256:
-        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(BLAS_THREADS)}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]),
+               "OPENBLAS_NUM_THREADS": str(BLAS_THREADS)}
         run = subprocess.run([sys.executable, "-c", THREADED_FIGURE, *argv], env=env,
                              capture_output=True, text=True, check=True, timeout=600)
         printed, ranges = run.stdout.rsplit("\n", 2)[:2]

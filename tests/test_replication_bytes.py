@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from riskcounts import _parallel, cohort
+from conftest import STUDY_THRESHOLD, force_workers
 from riskcounts.cli import main
 from riskcounts.cohort import MAX_COHORT_SIZE, TRUE_CAUSES
 from riskcounts.figures import replay_text
@@ -76,13 +76,7 @@ MAX_COHORT_DIGEST = "ffc3f8bb8d093e5610cded4036536f936f258c4ccae69c51eb2a944a23d
 @pytest.fixture(autouse=True)
 def forced_workers(monkeypatch):
     """Run each study on up to three processes and record its ranges."""
-    forked = []
-    run = _parallel.run
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
-    monkeypatch.setattr(_parallel, "run",
-                        lambda fill, ranges, shape: forked.append(ranges) or run(fill, ranges, shape))
-    return forked
+    return force_workers(monkeypatch, 3, threshold=STUDY_THRESHOLD)
 
 
 def _full_spec(n_per_group, true_cause):

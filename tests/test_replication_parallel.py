@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import STUDY_THRESHOLD, force_workers
 from riskcounts import _parallel, cohort
 from riskcounts.cli import main
 from riskcounts.cohort import (
@@ -39,23 +40,8 @@ _REPLICATE_RANGE = cohort._replicate_range
 
 def _force(monkeypatch, workers):
     """Run every study on ``workers`` processes (fewer if it has fewer
-    replications)."""
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
-
-
-def _record(monkeypatch, compute=True):
-    """The ranges of each study split across workers, one list per study;
-    without ``compute`` no range is computed and every p-value reads 0."""
-    forked = []
-    run = _parallel.run
-
-    def recording(fill, ranges, shape):
-        forked.append(ranges)
-        return run(fill, ranges, shape) if compute else np.zeros(shape)
-
-    monkeypatch.setattr(_parallel, "run", recording)
-    return forked
+    replications) and record the ranges of each, one list per study."""
+    return force_workers(monkeypatch, workers, threshold=STUDY_THRESHOLD)
 
 
 def _no_draws(spec, seed, variants, cc, start, stop, rows):
@@ -119,8 +105,7 @@ def test_any_worker_count_gives_the_in_process_report(
 def test_the_parallel_path_forks(monkeypatch):
     spec = load_bundled("proxy_spec").payload
     expected = _in_process(spec, 7)
-    forked = _record(monkeypatch)
-    _force(monkeypatch, 3)
+    forked = _force(monkeypatch, 3)
     assert replication_study(spec, 7) == expected
     assert forked == [[(0, 2), (2, 4), (4, 7)]]
 
@@ -134,9 +119,8 @@ def test_a_repeated_variant_is_tallied_once_per_row():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
 def test_small_studies_run_in_process(monkeypatch):
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 4)
     monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
-    forked = _record(monkeypatch, compute=False)
+    forked = force_workers(monkeypatch, 4, compute=False)
     # 6,000 individual-equivalents a replication at 1,000 per group
     spec = CausalSpec(1_000, "none", 0.1, 0.1)
     at_threshold = cohort._PARALLEL_MIN_INDIVIDUALS // (2_000 + cohort._REPLICATION_SETUP)
@@ -154,8 +138,7 @@ def test_small_studies_run_in_process(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
 def test_ranges_cover_the_replications_in_order(monkeypatch):
     monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
-    monkeypatch.setattr(cohort, "_PARALLEL_MIN_INDIVIDUALS", 0)
-    forked = _record(monkeypatch, compute=False)
+    forked = force_workers(monkeypatch, threshold=STUDY_THRESHOLD, compute=False)
     spec = load_bundled("null_spec").payload
     for replications in range(1, 30):
         for workers in range(1, min(replications, 6) + 1):
@@ -211,8 +194,7 @@ def test_one_sided_covariate_error_matches_the_serial_loop(monkeypatch):
     kw = dict(seed=seed, variants=ONE_SIDED_VARIANTS)
     serial = _in_process(ONE_SIDED, replications, **kw)
     assert serial == f"DomainError: {second}"
-    forked = _record(monkeypatch)
-    _force(monkeypatch, 3)
+    forked = _force(monkeypatch, 3)
     assert _outcome(ONE_SIDED, replications, **kw) == serial
     assert forked == [ranges]
 
@@ -273,8 +255,7 @@ def test_work_given_as_a_lambda_runs_on_forked_workers(monkeypatch):
     # workers inherit the work by fork; nothing is pickled
     spec = load_bundled("null_spec").payload
     expected = _in_process(spec, 5)
-    forked = _record(monkeypatch)
-    _force(monkeypatch, 3)
+    forked = _force(monkeypatch, 3)
     monkeypatch.setattr(cohort, "_replicate_range", lambda *a: _REPLICATE_RANGE(*a))
     assert replication_study(spec, 5) == expected
     assert forked == [[(0, 1), (1, 3), (3, 5)]]
