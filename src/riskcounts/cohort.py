@@ -7,24 +7,19 @@ what lets the replication studies measure how often a significance
 procedure "finds" a cause that is not one.
 
 Determinism: every draw derives from numpy's SeedSequence/Philox
-counter-based scheme.  Replication ``i`` of a study seeds its generator
-with the entropy tuple ``(master_seed, i)``, so replications are
-independent and order-free.  A study hands its replications to
-``_parallel.split``, which decides whether they run in-process or in
-contiguous ranges across forked workers, and reduces every replication's
-p-values in index order in the calling process, so the report's bits do not
-depend on the worker count.
+counter-based scheme.  Replication ``i`` of a study draws from the entropy
+tuple ``(master_seed, i)``, so replications are independent and order-free.
+Each range of replications holds one Philox, re-keyed before replication
+``i`` to exactly the state ``Philox(SeedSequence((master_seed, i)))`` starts
+in (its key, counter 0, an empty buffer), so its stream is that of a fresh
+generator without building one per replication.  A study hands its
+replications to ``_parallel.split``, which decides whether they run
+in-process or in contiguous ranges across forked workers, and reduces every
+replication's p-values in index order in the calling process, so the
+report's bits do not depend on the worker count.
 
-Draw order inside one cohort is fixed and documented: latent factor (two
-draws: mixing uniforms, then fair coins; only when the latent factor is in
-play), outcomes, covariates in listed order (rules without noise consume
-no randomness), proxy flips last.  The three uniform streams (mixing,
-outcomes, proxy flips) are taken in blocks of ``_BLOCK`` individuals and
-compared in place, so no per-individual risk array is built; Philox's
-``random()`` spends one 64-bit word per double whatever the block, so the
-stream and every array are those of a single call.  The fair coins and each
-covariate's normal noise stay one call each: numpy's bounded int8 draw
-buffers bits within a call, which blocks would change.
+``generate`` and the replication ranges draw through one routine,
+``_draw``, which documents the draw order inside one cohort.
 """
 
 from __future__ import annotations
@@ -67,17 +62,18 @@ TRUE_CAUSES = ("exposure-label", "latent-factor", "none")
 
 Seed = int | tuple[int, ...]
 
-#: Individuals per block of a uniform stream in ``generate``.
+#: Individuals per block of a uniform stream in ``_draw``.
 _BLOCK = 1 << 16
 
-#: A replication's fixed cost (seeding, Philox setup, scoring), about 50 us,
-#: in individuals drawn (about 14 ns each on a 2-vCPU x86-64 host).
+#: A replication's fixed cost (seeding and re-keying its Philox, scoring,
+#: the range's Python calls), about 25 us, in individuals drawn (7-11 ns
+#: each on a 2-vCPU x86-64 host, so 2,500-4,000).
 _REPLICATION_SETUP = 4_000
 
 #: Studies smaller than this, counted as replications x (2 n_per_group +
 #: ``_REPLICATION_SETUP``), run in-process.  Forking and starting the pool
 #: costs 10-20 ms and two busy processes run 5-30% slower each, so on the
-#: host above two processes break even near this size (about 80 ms on one
+#: host above two processes break even near this size (about 40 ms on one
 #: CPU: 1,000 replications at 1,000 per group, or 1,500 at 1 per group).
 _PARALLEL_MIN_INDIVIDUALS = 6_000_000
 
@@ -199,17 +195,34 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _draw_bool(rng: np.random.Generator, size: int, fill) -> np.ndarray:
-    """A boolean array of ``size`` entries from one uniform each, drawn in
-    blocks of ``_BLOCK``; ``fill(u, start, out)`` writes block ``u``, which
-    starts at entry ``start``, into ``out``."""
-    out = np.empty(size, dtype=bool)
-    buf = np.empty(min(size, _BLOCK))
+def _arrays(spec: CausalSpec):
+    """Fresh arrays for ``_draw``: the block of uniforms, and the outcome,
+    latent and proxy arrays (None where ``spec`` draws no such array)."""
+    n2 = 2 * spec.n_per_group
+    latent = spec.true_cause == "latent-factor"
+    return (
+        np.empty(min(n2, _BLOCK)),
+        np.empty(n2, dtype=bool),
+        np.empty(n2, dtype=bool) if latent else None,
+        np.empty(n2, dtype=bool) if spec.proxy_rule is not None else None,
+    )
+
+
+def _levels(rule: CovariateRule) -> tuple[float, float]:
+    """``intercept + slope * g`` for g = 0 and 1, rounded (signed zeros too)
+    as the same float64 sum per individual would be."""
+    return rule.intercept + rule.slope * 0.0, rule.intercept + rule.slope * 1.0
+
+
+def _draw_bool(rng: np.random.Generator, buf: np.ndarray, out: np.ndarray, fill) -> None:
+    """Fill the boolean array ``out`` from one uniform per entry, drawn into
+    ``buf`` in blocks of ``_BLOCK``; ``fill(u, start, out)`` writes block
+    ``u``, which starts at entry ``start``, into ``out``."""
+    size = len(out)
     for start in range(0, size, _BLOCK):
         u = buf[: size - start]
         rng.random(out=u)
         fill(u, start, out[start : start + len(u)])
-    return out
 
 
 def _halves(n: int, op0, x0: float, op1, x1: float):
@@ -224,28 +237,41 @@ def _halves(n: int, op0, x0: float, op1, x1: float):
     return fill
 
 
-def generate(spec: CausalSpec, seed: Seed) -> Cohort:
-    """Draw one cohort; fully determined by (spec, seed).
+def _draw(
+    spec: CausalSpec,
+    rng: np.random.Generator,
+    buf: np.ndarray,
+    outcome: np.ndarray,
+    latent: np.ndarray | None,
+    proxy: np.ndarray | None,
+) -> dict[str, np.ndarray]:
+    """Draw one cohort of ``spec`` from ``rng`` into the caller's arrays
+    (``_arrays``), and return the values of each covariate with noise by
+    name, in new arrays.  Individuals 0..n-1 are group 0, n..2n-1 group 1.
 
-    ``seed`` is a master seed or a tuple of them, each ``check_seed``-valid.
+    The draw order is fixed: latent factor (two draws: mixing uniforms, then
+    fair coins; only when the latent factor is in play), outcomes,
+    covariates in listed order (rules without noise consume no randomness
+    and are left to the caller), proxy flips last.  The three uniform
+    streams (mixing, outcomes, proxy flips) are taken in blocks of
+    ``_BLOCK`` individuals and compared in place, so no per-individual risk
+    array is built; Philox's ``random()`` spends one 64-bit word per double
+    whatever the block, so the stream and every array are those of a single
+    call.  The fair coins and each covariate's normal noise stay one call
+    each: numpy's bounded int8 draw buffers bits within a call, which
+    blocks would change.
     """
-    for part in seed if isinstance(seed, tuple) else (seed,):
-        check_seed(part)
-    rng = _rng(seed)
     n = spec.n_per_group
-    n2 = 2 * n
-    group = np.repeat(np.array([0, 1], dtype=np.int8), n)
-    true_exposure = group == 1
-
-    latent: np.ndarray | None = None
-    if spec.true_cause == "latent-factor":
+    if latent is not None:
+        # ``latent`` holds the mix until the coins are drawn
         s = spec.latent_group_correlation
-        mix = _draw_bool(rng, n2, lambda u, start, out: np.less(u, s, out=out))
-        # the coins are 0/1 bytes: viewed as booleans they are the latent
-        # factor wherever the mix does not copy the group
-        latent = rng.integers(0, 2, size=n2, dtype=np.int8).view(bool)
-        np.copyto(latent, true_exposure, where=mix)
-        del mix
+        _draw_bool(rng, buf, latent, lambda u, start, out: np.less(u, s, out=out))
+        coins = rng.integers(0, 2, size=2 * n, dtype=np.int8).view(bool)
+        # where the mix copies the group, group 0 reads False and group 1
+        # True; elsewhere the coin stands
+        np.greater(coins[:n], latent[:n], out=latent[:n])
+        np.logical_or(latent[n:], coins[n:], out=latent[n:])
+        del coins
         p0, p1 = spec.baseline_p, spec.effect_p
 
         def fill_outcome(u: np.ndarray, start: int, out: np.ndarray) -> None:
@@ -255,23 +281,39 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
     else:
         p1 = spec.effect_p if spec.true_cause == "exposure-label" else spec.baseline_p
         fill_outcome = _halves(n, np.less, spec.baseline_p, np.less, p1)
-    outcome = _draw_bool(rng, n2, fill_outcome)
+    _draw_bool(rng, buf, outcome, fill_outcome)
 
-    covariates: dict[str, np.ndarray] = {}
+    noisy: dict[str, np.ndarray] = {}
     for rule in spec.covariate_rules:
-        # intercept + slope * g for g = 0 and 1, rounded (signed zeros too)
-        # as the same float64 sum per individual would be
-        levels = np.array([rule.intercept + rule.slope * 0.0, rule.intercept + rule.slope * 1.0])
-        values = np.repeat(levels, n)
         if rule.noise_sd > 0.0:
-            values += rng.normal(0.0, rule.noise_sd, size=n2)
-        covariates[rule.name] = values
+            values = rng.normal(0.0, rule.noise_sd, size=2 * n)
+            for half, level in zip((values[:n], values[n:]), _levels(rule)):
+                np.add(half, level, out=half)
+            noisy[rule.name] = values
 
-    proxy: np.ndarray | None = None
-    if spec.proxy_rule is not None:
+    if proxy is not None:
         # a flip reads group 0 as exposed and group 1 as unexposed
         acc = spec.proxy_rule.accuracy
-        proxy = _draw_bool(rng, n2, _halves(n, np.greater_equal, acc, np.less, acc))
+        _draw_bool(rng, buf, proxy, _halves(n, np.greater_equal, acc, np.less, acc))
+    return noisy
+
+
+def generate(spec: CausalSpec, seed: Seed) -> Cohort:
+    """Draw one cohort; fully determined by (spec, seed).
+
+    ``seed`` is a master seed or a tuple of them, each ``check_seed``-valid.
+    """
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        check_seed(part)
+    n = spec.n_per_group
+    group = np.repeat(np.array([0, 1], dtype=np.int8), n)
+    true_exposure = group == 1
+    buf, outcome, latent, proxy = _arrays(spec)
+    noisy = _draw(spec, _rng(seed), buf, outcome, latent, proxy)
+    covariates = {
+        rule.name: noisy[rule.name] if rule.noise_sd > 0.0 else np.repeat(_levels(rule), n)
+        for rule in spec.covariate_rules
+    }
 
     for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
         if arr is not None:
@@ -307,39 +349,76 @@ def _split_score(
     return _score_test(cases_a, n_a, cases_b, n_b, continuity_correction)
 
 
+def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
+    """The score test of ``variant`` on cohorts of ``spec``, as a function
+    ``score(c0, c1, outcome, proxy, covariates)`` of a cohort's cases in
+    group 0 and in group 1, its outcomes, its proxy exposure and its
+    covariate values by name (only rules with noise are looked up), giving
+    ``(statistic, p_value)``.
+
+    A rule without noise puts each group wholly on one side of its
+    threshold, so it is scored from the group counts.  A variant that cannot
+    be scored gets a function that raises its error: scoring a cohort
+    raises it after the variants listed before it.
+    """
+    n = spec.n_per_group
+    try:
+        if variant == "true_exposure":
+            # the label split is the two halves of the cohort
+            return lambda c0, c1, *_: _score_test(c1, n, c0, n, continuity_correction)
+        if variant == "proxy_exposure":
+            if spec.proxy_rule is None:
+                raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
+            return lambda c0, c1, outcome, proxy, covariates: _split_score(
+                outcome, proxy, continuity_correction
+            )
+        if not variant.startswith("covariate_"):
+            raise DomainError(f"unknown analysis variant {variant!r}")
+        rule = spec.rule(variant[len("covariate_") :])
+        if rule.noise_sd > 0.0:
+            return lambda c0, c1, outcome, proxy, covariates: _split_score(
+                outcome, _covariate_mask(rule, covariates[rule.name]), continuity_correction
+            )
+        _, group1 = _covariate_mask(rule, np.array(_levels(rule)))
+        if group1:
+            return lambda c0, c1, *_: _score_test(c1, n, c0, n, continuity_correction)
+        return lambda c0, c1, *_: _score_test(c0, n, c1, n, continuity_correction)
+    except DomainError as exc:
+        error = exc
+
+        def fail(*_):
+            raise error
+
+        return fail
+
+
 def _variant_score(
     cohort: Cohort, variant: str, continuity_correction: bool
 ) -> tuple[float, float]:
-    if variant == "true_exposure":
-        # the label split is the two halves of the cohort
-        n = cohort.spec.n_per_group
-        cases_a = np.count_nonzero(cohort.outcome[n:])
-        cases_b = np.count_nonzero(cohort.outcome[:n])
-        return _score_test(cases_a, n, cases_b, n, continuity_correction)
-    if variant == "proxy_exposure":
-        if cohort.proxy_exposure is None:
-            raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
-        mask = cohort.proxy_exposure
-    elif variant.startswith("covariate_"):
-        mask = _covariate_mask(cohort, variant[len("covariate_") :])
-    else:
-        raise DomainError(f"unknown analysis variant {variant!r}")
-    return _split_score(cohort.outcome, mask, continuity_correction)
+    n = cohort.spec.n_per_group
+    score = _scorer(cohort.spec, variant, continuity_correction)
+    return score(
+        np.count_nonzero(cohort.outcome[:n]),
+        np.count_nonzero(cohort.outcome[n:]),
+        cohort.outcome,
+        cohort.proxy_exposure,
+        cohort.covariates,
+    )
 
 
-def _covariate_mask(cohort: Cohort, name: str) -> np.ndarray:
-    rule = cohort.spec.rule(name)
+def _covariate_mask(rule: CovariateRule, values: np.ndarray) -> np.ndarray:
+    """Which ``values`` of ``rule``'s covariate lie on group 1's side of its
+    threshold, midway between its two levels."""
     if rule.slope == 0.0:
         raise DomainError(
-            f"covariate {name!r} cannot separate the cohort: its rule does "
+            f"covariate {rule.name!r} cannot separate the cohort: its rule does "
             "not vary with group"
         )
     threshold = rule.intercept + rule.slope / 2.0
-    values = cohort.covariates[name]
     mask = values > threshold if rule.slope > 0.0 else values < threshold
     if mask.all() or not mask.any():
         raise DomainError(
-            f"covariate {name!r} does not separate the cohort into two "
+            f"covariate {rule.name!r} does not separate the cohort into two "
             "nonempty groups"
         )
     return mask
@@ -362,9 +441,7 @@ def banana_swap(
     """
     alpha = _check_probability(alpha, "alpha")
     by_label = _variant_score(cohort, "true_exposure", continuity_correction)
-    by_covariate = _split_score(
-        cohort.outcome, _covariate_mask(cohort, covariate_name), continuity_correction
-    )
+    by_covariate = _variant_score(cohort, f"covariate_{covariate_name}", continuity_correction)
     return tuple(
         TestResult(statistic=z, p_value=p, alpha=alpha, reject=p < alpha)
         for z, p in (by_label, by_covariate)
@@ -430,6 +507,7 @@ def replication_study(
     if variants is None:
         variants = default_variants(spec)
     variants = tuple(variants)
+    seed = check_seed(seed)
     p = _parallel.split(
         lambda start, stop, rows: _replicate_range(
             spec, seed, variants, continuity_correction, start, stop, rows
@@ -461,10 +539,27 @@ def _replicate_range(
 ) -> None:
     """Write the p-values of replications ``start`` to ``stop - 1`` into
     ``rows``: one row per replication, one column per variant.  Stops at the
-    first error."""
+    first error.
+
+    ``seed`` is ``check_seed``-valid.  Each replication is ``generate(spec,
+    (seed, i))`` scored as ``_variant_score`` scores it, drawn into one set
+    of ``_arrays`` from one Philox that is re-keyed, not rebuilt.
+    """
+    n = spec.n_per_group
+    scorers = [_scorer(spec, v, continuity_correction) for v in variants]
+    buf, outcome, latent, proxy = _arrays(spec)
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    # the state a fresh Philox starts in (counter 0, an empty buffer, no
+    # spare 32-bit word); each replication sets the key it would be seeded with
+    state = bits.state
     for row, i in enumerate(range(start, stop)):
-        cohort = generate(spec, (seed, i))
-        rows[row] = [_variant_score(cohort, v, continuity_correction)[1] for v in variants]
+        state["state"]["key"] = np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+        bits.state = state
+        noisy = _draw(spec, rng, buf, outcome, latent, proxy)
+        c0 = np.count_nonzero(outcome[:n])
+        c1 = np.count_nonzero(outcome[n:])
+        rows[row] = [score(c0, c1, outcome, proxy, noisy)[1] for score in scorers]
 
 
 def proxy_study(

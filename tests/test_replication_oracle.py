@@ -13,6 +13,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; importing it here keeps that out of traced peaks
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,8 @@ from riskcounts.cohort import (
     CovariateRule,
     ProxyRule,
     VariantStats,
+    _replicate_range,
+    _variant_score,
     banana_swap,
     default_variants,
     generate,
@@ -346,6 +349,126 @@ def test_banana_swap_matches_the_oracle(noise_sd, continuity):
 
 
 # ---------------------------------------------------------------------------
+# a replication range against one generate call per replication
+# ---------------------------------------------------------------------------
+
+
+def _per_cohort_rows(spec, seed, variants, continuity, start, stop):
+    """The rows the loop of one ``generate`` per replication writes before
+    its first error, and that error's text (None if it runs clean)."""
+    rows = []
+    try:
+        for i in range(start, stop):
+            cohort = generate(spec, (seed, i))
+            rows.append([_variant_score(cohort, v, continuity)[1] for v in variants])
+    except DomainError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+def assert_range_matches_the_per_cohort_loop(spec, seed, variants, continuity, start, stop):
+    """``_replicate_range`` writes the loop's rows bit for bit, raises its
+    error, and leaves the failing row and every row after it unwritten."""
+    want, want_error = _per_cohort_rows(spec, seed, variants, continuity, start, stop)
+    got = np.full((stop - start, len(variants)), np.nan)
+    try:
+        _replicate_range(spec, seed, variants, continuity, start, stop, got)
+        got_error = None
+    except DomainError as exc:
+        got_error = str(exc)
+    assert got_error == want_error
+    written = len(want)
+    want = np.array(want, dtype=float).reshape(written, len(variants))
+    assert got[:written].tobytes() == want.tobytes()
+    assert np.isnan(got[written:]).all()
+    return written
+
+
+#: Groups whose cohort of 2 n is below, at and above one block.
+BLOCK_SIZES = (_BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1)
+RANGE_VARIANTS = ("true_exposure", "proxy_exposure", "covariate_up", "covariate_down",
+                  "covariate_missing", "no_such_variant")
+
+
+@st.composite
+def range_specs(draw):
+    rules = []
+    for name, sign in (("up", 1.0), ("down", -1.0)):
+        if draw(st.booleans()):
+            rules.append(CovariateRule(
+                name,
+                intercept=draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)),
+                slope=sign * draw(st.sampled_from([0.0, 1e-17]) | st.floats(0.1, 3.0)),
+                noise_sd=draw(st.sampled_from([0.0, 0.5, 4.0]) | st.floats(0.0, 3.0)),
+            ))
+    accuracy = draw(st.none() | PROBABILITIES)
+    return CausalSpec(
+        n_per_group=draw(st.sampled_from(BLOCK_SIZES) | st.integers(1, 40)),
+        true_cause=draw(st.sampled_from(TRUE_CAUSES)),
+        baseline_p=draw(PROBABILITIES),
+        effect_p=draw(PROBABILITIES),
+        covariate_rules=tuple(rules),
+        proxy_rule=None if accuracy is None else ProxyRule(accuracy),
+        latent_group_correlation=draw(PROBABILITIES),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    range_specs(),
+    st.sampled_from([0, 2**32, 2**64 + 3]) | st.integers(0, 2**70),
+    st.lists(st.sampled_from(RANGE_VARIANTS), min_size=1, max_size=4) | st.none(),
+    st.booleans(),
+    st.integers(0, 6),
+    st.integers(0, 3),
+)
+def test_a_range_writes_the_rows_of_one_generate_per_replication(
+    spec, seed, variants, continuity, start, count
+):
+    variants = default_variants(spec) if variants is None else tuple(variants)
+    assert_range_matches_the_per_cohort_loop(
+        spec, seed, variants, continuity, start, start + count
+    )
+
+
+@pytest.mark.parametrize("proxy", [None, ProxyRule(0.7)])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("true_cause", TRUE_CAUSES)
+def test_a_range_matches_the_per_cohort_loop_at_block_edges(true_cause, n, proxy):
+    # noiseless and noisy covariates of either slope sign; a two-word seed
+    spec = CausalSpec(
+        n, true_cause, 0.3, 0.6,
+        covariate_rules=(CovariateRule("a", 1.0, 2.0), CovariateRule("b", 0.0, -1.0),
+                         CovariateRule("c", -0.0, 1.5, 0.8), CovariateRule("d", 2.0, -0.5, 1.2)),
+        proxy_rule=proxy, latent_group_correlation=0.4,
+    )
+    for seed in (0, 2**32 + 9):
+        assert assert_range_matches_the_per_cohort_loop(
+            spec, seed, default_variants(spec), True, 3, 5
+        ) == 2
+
+
+@pytest.mark.parametrize("variants, stop", [
+    (("true_exposure", "covariate_flat"), 1),
+    (("true_exposure", "proxy_exposure"), 1),
+    (("true_exposure", "no_such_variant"), 1),
+    (("covariate_wide", "true_exposure"), 40),
+])
+def test_a_range_raises_the_per_cohort_loop_error_at_its_replication(variants, stop):
+    # a flat rule is one-sided at once; with one individual per group a
+    # wide noisy rule puts both on one side in some replications only (at
+    # seed 22, first in the eighth replication from 2)
+    spec = CausalSpec(
+        1, "none", 0.5, 0.5,
+        covariate_rules=(CovariateRule("flat", 1.0, 1e-17), CovariateRule("wide", 0.0, 1.0, 3.0)),
+    )
+    written = assert_range_matches_the_per_cohort_loop(spec, 22, variants, True, 2, 2 + stop)
+    assert written < stop
+    if stop > 1:
+        assert written > 0
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -365,3 +488,25 @@ def test_generate_at_max_cohort_size_holds_no_per_individual_floats():
         tracemalloc.stop()
     assert cohort.outcome.nbytes == MAX_COHORT_SIZE
     assert peak < bound, f"generate peaked at {peak} bytes, bound {bound}"
+
+
+def test_a_range_at_max_cohort_size_reuses_its_arrays():
+    """A range at MAX_COHORT_SIZE holds one 10 MB outcome array and one block
+    of doubles (512 KiB): no per-individual float64 array (80 MB), and a
+    noiseless covariate is scored from its levels.  Its second replication
+    draws into the first one's arrays, so it adds at most one block."""
+    spec = CausalSpec(MAX_COHORT_SIZE // 2, "exposure-label", 0.01, 0.012,
+                      covariate_rules=(CovariateRule("x", 1.0, 1.0),))
+    variants = default_variants(spec)
+    peaks = []
+    for replications in (1, 2):
+        rows = np.empty((replications, len(variants)))
+        tracemalloc.start()
+        try:
+            _replicate_range(spec, 7, variants, True, 0, replications, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bound = MAX_COHORT_SIZE + (1 << 20)
+    assert max(peaks) < bound, f"ranges peaked at {peaks} bytes, bound {bound}"
+    assert peaks[1] <= peaks[0] + _BLOCK * 8, f"two replications peaked at {peaks}"

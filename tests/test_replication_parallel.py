@@ -214,8 +214,28 @@ def test_the_lowest_failing_worker_range_is_raised(monkeypatch):
 
 def test_an_error_in_the_callers_range_is_raised(monkeypatch):
     _force(monkeypatch, 3)
-    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
-        replication_study(load_bundled("null_spec").payload, 6, seed=-1)
+    with pytest.raises(DomainError, match="^unknown analysis variant 'no_such_variant'$"):
+        replication_study(load_bundled("null_spec").payload, 6, variants=("no_such_variant",))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"),
+    (True, "seed must be an integer, got True"),
+])
+def test_a_bad_seed_is_refused_before_any_worker_forks(monkeypatch, seed, message):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no process in this test")  # the caller computes the range
+
+    _force(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(DomainError) as exc:
+        replication_study(load_bundled("null_spec").payload, 10_000, seed=seed)
+    assert str(exc.value) == message
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------
