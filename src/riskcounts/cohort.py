@@ -19,7 +19,15 @@ replication's p-values in index order in the calling process, so the
 report's bits do not depend on the worker count.
 
 ``generate`` and the replication ranges draw through one routine,
-``_draw``, which documents the draw order inside one cohort.
+``_draw``, which documents the draw order inside one cohort and yields it
+block by block.  ``generate`` stores every block.  A range reduces each
+block as it is drawn to the cell counts its tests read: the outcomes to the
+cases in each group, and each proxy or noisy-covariate block to the
+individuals and cases on one side of its split.  So a range holds a
+per-individual array only while a later phase reads it: the latent factor
+until the outcomes are drawn, and the outcomes only when a proxy or noisy
+covariate is tested.  Covariate noise is drawn in blocks too, which gives
+the values of one call and leaves the stream where one call leaves it.
 """
 
 from __future__ import annotations
@@ -64,6 +72,10 @@ Seed = int | tuple[int, ...]
 
 #: Individuals per block of a uniform stream in ``_draw``.
 _BLOCK = 1 << 16
+
+#: Individuals per block of a covariate's noise in ``_draw``: its doubles
+#: and the block of uniforms together stay under 1 MiB.
+_NOISE_BLOCK = _BLOCK // 4
 
 #: A replication's fixed cost (seeding and re-keying its Philox, scoring,
 #: the range's Python calls), about 25 us, in individuals drawn (7-11 ns
@@ -196,15 +208,13 @@ def _rng(seed: Seed) -> np.random.Generator:
 
 
 def _arrays(spec: CausalSpec):
-    """Fresh arrays for ``_draw``: the block of uniforms, and the outcome,
-    latent and proxy arrays (None where ``spec`` draws no such array)."""
+    """Fresh buffers for ``_draw``: a block of uniforms, a block of flags,
+    and the latent array (None unless ``spec``'s latent factor is drawn)."""
     n2 = 2 * spec.n_per_group
-    latent = spec.true_cause == "latent-factor"
     return (
         np.empty(min(n2, _BLOCK)),
-        np.empty(n2, dtype=bool),
-        np.empty(n2, dtype=bool) if latent else None,
-        np.empty(n2, dtype=bool) if spec.proxy_rule is not None else None,
+        np.empty(min(n2, _BLOCK), dtype=bool),
+        np.empty(n2, dtype=bool) if spec.true_cause == "latent-factor" else None,
     )
 
 
@@ -214,88 +224,105 @@ def _levels(rule: CovariateRule) -> tuple[float, float]:
     return rule.intercept + rule.slope * 0.0, rule.intercept + rule.slope * 1.0
 
 
-def _draw_bool(rng: np.random.Generator, buf: np.ndarray, out: np.ndarray, fill) -> None:
-    """Fill the boolean array ``out`` from one uniform per entry, drawn into
-    ``buf`` in blocks of ``_BLOCK``; ``fill(u, start, out)`` writes block
-    ``u``, which starts at entry ``start``, into ``out``."""
-    size = len(out)
-    for start in range(0, size, _BLOCK):
-        u = buf[: size - start]
-        rng.random(out=u)
-        fill(u, start, out[start : start + len(u)])
+def _cut(n: int, start: int, k: int) -> int:
+    """How many of the ``k`` individuals from ``start`` on are in group 0
+    (the first ``n``)."""
+    return min(max(n - start, 0), k)
 
 
-def _halves(n: int, op0, x0: float, op1, x1: float):
-    """A ``_draw_bool`` fill giving entries of group 0 (the first ``n``)
-    ``op0(u, x0)`` and those of group 1 ``op1(u, x1)``."""
-
-    def fill(u: np.ndarray, start: int, out: np.ndarray) -> None:
-        cut = min(max(n - start, 0), len(u))
-        op0(u[:cut], x0, out=out[:cut])
-        op1(u[cut:], x1, out=out[cut:])
-
-    return fill
+def _uniforms(rng: np.random.Generator, buf: np.ndarray, left: int) -> np.ndarray:
+    """The next block of at most ``len(buf)`` of ``left`` uniforms, drawn
+    into ``buf``."""
+    u = buf[:left]
+    rng.random(out=u)
+    return u
 
 
 def _draw(
     spec: CausalSpec,
     rng: np.random.Generator,
     buf: np.ndarray,
-    outcome: np.ndarray,
+    flags: np.ndarray,
+    outcome: np.ndarray | None,
     latent: np.ndarray | None,
-    proxy: np.ndarray | None,
-) -> dict[str, np.ndarray]:
-    """Draw one cohort of ``spec`` from ``rng`` into the caller's arrays
-    (``_arrays``), and return the values of each covariate with noise by
-    name, in new arrays.  Individuals 0..n-1 are group 0, n..2n-1 group 1.
+):
+    """Draw one cohort of ``spec`` from ``rng`` and yield it block by block
+    as ``(rule, start, block)``, ``start`` being the block's first
+    individual: the outcomes with rule None, then the values of each
+    covariate with noise with its rule, then the proxy exposures with
+    ``spec.proxy_rule``.  Individuals 0..n-1 are group 0, n..2n-1 group 1.
+
+    ``buf``, ``flags`` and ``latent`` come from ``_arrays``.  Outcomes are
+    written into ``outcome`` when the caller keeps one per individual, else
+    into ``flags`` like the proxy exposures; a block is valid until the
+    next one is drawn.
 
     The draw order is fixed: latent factor (two draws: mixing uniforms, then
     fair coins; only when the latent factor is in play), outcomes,
     covariates in listed order (rules without noise consume no randomness
-    and are left to the caller), proxy flips last.  The three uniform
-    streams (mixing, outcomes, proxy flips) are taken in blocks of
-    ``_BLOCK`` individuals and compared in place, so no per-individual risk
-    array is built; Philox's ``random()`` spends one 64-bit word per double
-    whatever the block, so the stream and every array are those of a single
-    call.  The fair coins and each covariate's normal noise stay one call
-    each: numpy's bounded int8 draw buffers bits within a call, which
-    blocks would change.
+    and are left to the caller), proxy flips last.  Every phase is drawn
+    whether or not the caller reads it: normal noise takes no fixed number
+    of words from the stream, so each later phase starts wherever the ones
+    before it left off.  The three uniform streams (mixing, outcomes, proxy
+    flips) are taken in blocks of ``_BLOCK`` individuals and compared in
+    place, so no per-individual risk array is built; Philox's ``random()``
+    spends one 64-bit word per double whatever the block, so the stream and
+    every value are those of a single call.  The noise is taken in blocks of
+    ``_NOISE_BLOCK``: ``normal()`` keeps nothing between values, so its
+    blocks too give a single call's values and leave the stream where it
+    would.  The fair coins stay one call: numpy's bounded int8 draw buffers
+    bits within a call, which blocks would change.
     """
     n = spec.n_per_group
+    n2 = 2 * n
     if latent is not None:
         # ``latent`` holds the mix until the coins are drawn
         s = spec.latent_group_correlation
-        _draw_bool(rng, buf, latent, lambda u, start, out: np.less(u, s, out=out))
-        coins = rng.integers(0, 2, size=2 * n, dtype=np.int8).view(bool)
+        for start in range(0, n2, _BLOCK):
+            u = _uniforms(rng, buf, n2 - start)
+            np.less(u, s, out=latent[start : start + len(u)])
+        coins = rng.integers(0, 2, size=n2, dtype=np.int8).view(bool)
         # where the mix copies the group, group 0 reads False and group 1
         # True; elsewhere the coin stands
         np.greater(coins[:n], latent[:n], out=latent[:n])
         np.logical_or(latent[n:], coins[n:], out=latent[n:])
         del coins
-        p0, p1 = spec.baseline_p, spec.effect_p
 
-        def fill_outcome(u: np.ndarray, start: int, out: np.ndarray) -> None:
+    p0 = spec.baseline_p
+    p1 = spec.baseline_p if spec.true_cause == "none" else spec.effect_p
+    for start in range(0, n2, _BLOCK):
+        u = _uniforms(rng, buf, n2 - start)
+        k = len(u)
+        out = flags[:k] if outcome is None else outcome[start : start + k]
+        if latent is None:
+            cut = _cut(n, start, k)
+            np.less(u[:cut], p0, out=out[:cut])
+            np.less(u[cut:], p1, out=out[cut:])
+        else:
             np.less(u, p0, out=out)
-            np.copyto(out, u < p1, where=latent[start : start + len(u)])
+            np.copyto(out, u < p1, where=latent[start : start + k])
+        yield None, start, out
 
-    else:
-        p1 = spec.effect_p if spec.true_cause == "exposure-label" else spec.baseline_p
-        fill_outcome = _halves(n, np.less, spec.baseline_p, np.less, p1)
-    _draw_bool(rng, buf, outcome, fill_outcome)
-
-    noisy: dict[str, np.ndarray] = {}
     for rule in spec.covariate_rules:
         if rule.noise_sd > 0.0:
-            values = rng.normal(0.0, rule.noise_sd, size=2 * n)
-            for half, level in zip((values[:n], values[n:]), _levels(rule)):
-                np.add(half, level, out=half)
-            noisy[rule.name] = values
+            level0, level1 = _levels(rule)
+            for start in range(0, n2, _NOISE_BLOCK):
+                values = rng.normal(0.0, rule.noise_sd, size=min(n2 - start, _NOISE_BLOCK))
+                cut = _cut(n, start, len(values))
+                np.add(values[:cut], level0, out=values[:cut])
+                np.add(values[cut:], level1, out=values[cut:])
+                yield rule, start, values
 
-    if proxy is not None:
+    if spec.proxy_rule is not None:
         # a flip reads group 0 as exposed and group 1 as unexposed
         acc = spec.proxy_rule.accuracy
-        _draw_bool(rng, buf, proxy, _halves(n, np.greater_equal, acc, np.less, acc))
-    return noisy
+        for start in range(0, n2, _BLOCK):
+            u = _uniforms(rng, buf, n2 - start)
+            k = len(u)
+            cut = _cut(n, start, k)
+            np.greater_equal(u[:cut], acc, out=flags[:cut])
+            np.less(u[cut:], acc, out=flags[cut:k])
+            yield spec.proxy_rule, start, flags[:k]
 
 
 def generate(spec: CausalSpec, seed: Seed) -> Cohort:
@@ -308,12 +335,17 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
     n = spec.n_per_group
     group = np.repeat(np.array([0, 1], dtype=np.int8), n)
     true_exposure = group == 1
-    buf, outcome, latent, proxy = _arrays(spec)
-    noisy = _draw(spec, _rng(seed), buf, outcome, latent, proxy)
+    buf, flags, latent = _arrays(spec)
+    outcome = np.empty(2 * n, dtype=bool)
+    proxy = None if spec.proxy_rule is None else np.empty(2 * n, dtype=bool)
     covariates = {
-        rule.name: noisy[rule.name] if rule.noise_sd > 0.0 else np.repeat(_levels(rule), n)
+        rule.name: np.empty(2 * n) if rule.noise_sd > 0.0 else np.repeat(_levels(rule), n)
         for rule in spec.covariate_rules
     }
+    for rule, start, block in _draw(spec, _rng(seed), buf, flags, outcome, latent):
+        if rule is not None:
+            kept = proxy if isinstance(rule, ProxyRule) else covariates[rule.name]
+            kept[start : start + len(block)] = block
 
     for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
         if arr is not None:
@@ -335,26 +367,52 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
 # ---------------------------------------------------------------------------
 
 
+def _side(rule: ProxyRule | CovariateRule, values: np.ndarray) -> np.ndarray:
+    """Which individuals lie on group 1's side of ``rule``'s split: the
+    proxy exposures as drawn, or the covariate ``values`` beyond the
+    threshold midway between the rule's two levels."""
+    if isinstance(rule, ProxyRule):
+        return values
+    threshold = rule.intercept + rule.slope / 2.0
+    return values > threshold if rule.slope > 0.0 else values < threshold
+
+
+def _cells(side: np.ndarray, outcome: np.ndarray) -> tuple[int, int]:
+    """``(individuals, cases)`` on the ``side`` of a split, given the
+    outcomes of the same individuals."""
+    return np.count_nonzero(side), np.count_nonzero(side & outcome)
+
+
 def _split_score(
-    outcome: np.ndarray, mask: np.ndarray, continuity_correction: bool
+    n_a: int, cases_a: int, n: int, cases: int, continuity_correction: bool
 ) -> tuple[float, float]:
-    """``(statistic, p_value)`` of the score test of ``mask`` against its
-    complement; a split with an empty arm carries no evidence either way."""
-    n_a = np.count_nonzero(mask)
-    n_b = mask.size - n_a
+    """``(statistic, p_value)`` of the score test of a side of ``n_a`` of a
+    cohort's ``n`` individuals, holding ``cases_a`` of its ``cases``,
+    against the rest; a split with an empty side carries no evidence either
+    way."""
+    n_b = n - n_a
     if n_a == 0 or n_b == 0:
         return 0.0, 1.0
-    cases_a = np.count_nonzero(outcome & mask)
-    cases_b = np.count_nonzero(outcome) - cases_a
-    return _score_test(cases_a, n_a, cases_b, n_b, continuity_correction)
+    return _score_test(cases_a, n_a, cases - cases_a, n_b, continuity_correction)
+
+
+def _check_separates(rule: CovariateRule, n_a: int, n: int) -> None:
+    """Refuse a covariate split that puts ``n_a`` of ``n`` on one side:
+    all or none."""
+    if n_a == 0 or n_a == n:
+        raise DomainError(
+            f"covariate {rule.name!r} does not separate the cohort into two "
+            "nonempty groups"
+        )
 
 
 def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
-    """The score test of ``variant`` on cohorts of ``spec``, as a function
-    ``score(c0, c1, outcome, proxy, covariates)`` of a cohort's cases in
-    group 0 and in group 1, its outcomes, its proxy exposure and its
-    covariate values by name (only rules with noise are looked up), giving
-    ``(statistic, p_value)``.
+    """The score test of ``variant`` on cohorts of ``spec``, as ``(split,
+    score)``.  ``score(c0, c1, cells)`` gives ``(statistic, p_value)`` from a
+    cohort's cases in group 0 and in group 1 and, in ``cells[split]``, the
+    ``_cells`` of ``split``: the proxy rule or the covariate rule with noise
+    the variant splits the cohort by.  ``split`` is None for a variant
+    scored from the group counts alone.
 
     A rule without noise puts each group wholly on one side of its
     threshold, so it is scored from the group counts.  A variant that cannot
@@ -365,63 +423,62 @@ def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
     try:
         if variant == "true_exposure":
             # the label split is the two halves of the cohort
-            return lambda c0, c1, *_: _score_test(c1, n, c0, n, continuity_correction)
+            return None, lambda c0, c1, cells: _score_test(c1, n, c0, n, continuity_correction)
         if variant == "proxy_exposure":
-            if spec.proxy_rule is None:
+            proxy = spec.proxy_rule
+            if proxy is None:
                 raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
-            return lambda c0, c1, outcome, proxy, covariates: _split_score(
-                outcome, proxy, continuity_correction
+            return proxy, lambda c0, c1, cells: _split_score(
+                *cells[proxy], 2 * n, c0 + c1, continuity_correction
             )
         if not variant.startswith("covariate_"):
             raise DomainError(f"unknown analysis variant {variant!r}")
         rule = spec.rule(variant[len("covariate_") :])
-        if rule.noise_sd > 0.0:
-            return lambda c0, c1, outcome, proxy, covariates: _split_score(
-                outcome, _covariate_mask(rule, covariates[rule.name]), continuity_correction
+        if rule.slope == 0.0:
+            raise DomainError(
+                f"covariate {rule.name!r} cannot separate the cohort: its rule does "
+                "not vary with group"
             )
-        _, group1 = _covariate_mask(rule, np.array(_levels(rule)))
-        if group1:
-            return lambda c0, c1, *_: _score_test(c1, n, c0, n, continuity_correction)
-        return lambda c0, c1, *_: _score_test(c0, n, c1, n, continuity_correction)
+        if rule.noise_sd > 0.0:
+
+            def score(c0: int, c1: int, cells) -> tuple[float, float]:
+                n_a, cases_a = cells[rule]
+                _check_separates(rule, n_a, 2 * n)
+                return _split_score(n_a, cases_a, 2 * n, c0 + c1, continuity_correction)
+
+            return rule, score
+        sides = _side(rule, np.array(_levels(rule)))
+        _check_separates(rule, np.count_nonzero(sides), 2)
+        if sides[1]:
+            return None, lambda c0, c1, cells: _score_test(c1, n, c0, n, continuity_correction)
+        return None, lambda c0, c1, cells: _score_test(c0, n, c1, n, continuity_correction)
     except DomainError as exc:
         error = exc
 
         def fail(*_):
             raise error
 
-        return fail
+        return None, fail
 
 
 def _variant_score(
     cohort: Cohort, variant: str, continuity_correction: bool
 ) -> tuple[float, float]:
+    """``variant``'s score test on ``cohort``, from the same counts a
+    replication range reduces its draws to."""
     n = cohort.spec.n_per_group
-    score = _scorer(cohort.spec, variant, continuity_correction)
+    split, score = _scorer(cohort.spec, variant, continuity_correction)
+    cells = {}
+    if split is not None:
+        values = (
+            cohort.proxy_exposure
+            if isinstance(split, ProxyRule)
+            else cohort.covariates[split.name]
+        )
+        cells[split] = _cells(_side(split, values), cohort.outcome)
     return score(
-        np.count_nonzero(cohort.outcome[:n]),
-        np.count_nonzero(cohort.outcome[n:]),
-        cohort.outcome,
-        cohort.proxy_exposure,
-        cohort.covariates,
+        np.count_nonzero(cohort.outcome[:n]), np.count_nonzero(cohort.outcome[n:]), cells
     )
-
-
-def _covariate_mask(rule: CovariateRule, values: np.ndarray) -> np.ndarray:
-    """Which ``values`` of ``rule``'s covariate lie on group 1's side of its
-    threshold, midway between its two levels."""
-    if rule.slope == 0.0:
-        raise DomainError(
-            f"covariate {rule.name!r} cannot separate the cohort: its rule does "
-            "not vary with group"
-        )
-    threshold = rule.intercept + rule.slope / 2.0
-    mask = values > threshold if rule.slope > 0.0 else values < threshold
-    if mask.all() or not mask.any():
-        raise DomainError(
-            f"covariate {rule.name!r} does not separate the cohort into two "
-            "nonempty groups"
-        )
-    return mask
 
 
 def banana_swap(
@@ -542,12 +599,18 @@ def _replicate_range(
     first error.
 
     ``seed`` is ``check_seed``-valid.  Each replication is ``generate(spec,
-    (seed, i))`` scored as ``_variant_score`` scores it, drawn into one set
-    of ``_arrays`` from one Philox that is re-keyed, not rebuilt.
+    (seed, i))`` scored as ``_variant_score`` scores it, drawn from one
+    Philox that is re-keyed, not rebuilt.  Each block ``_draw`` yields is
+    reduced at once to the counts the variants' scorers read: the cases in
+    each group and the ``_cells`` of each split.  Outcomes are kept one per
+    individual only when a split is scored, for its blocks to read; no
+    proxy flag or covariate value outlives its block.
     """
     n = spec.n_per_group
     scorers = [_scorer(spec, v, continuity_correction) for v in variants]
-    buf, outcome, latent, proxy = _arrays(spec)
+    splits = {split for split, _ in scorers if split is not None}
+    buf, flags, latent = _arrays(spec)
+    outcome = np.empty(2 * n, dtype=bool) if splits else None
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     # the state a fresh Philox starts in (counter 0, an empty buffer, no
@@ -556,10 +619,19 @@ def _replicate_range(
     for row, i in enumerate(range(start, stop)):
         state["state"]["key"] = np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
         bits.state = state
-        noisy = _draw(spec, rng, buf, outcome, latent, proxy)
-        c0 = np.count_nonzero(outcome[:n])
-        c1 = np.count_nonzero(outcome[n:])
-        rows[row] = [score(c0, c1, outcome, proxy, noisy)[1] for score in scorers]
+        c0 = c1 = 0
+        cells = dict.fromkeys(splits, (0, 0))
+        for rule, at, block in _draw(spec, rng, buf, flags, outcome, latent):
+            k = len(block)
+            if rule is None:
+                cut = _cut(n, at, k)
+                c0 += np.count_nonzero(block[:cut])
+                c1 += np.count_nonzero(block[cut:])
+            elif rule in cells:
+                n_a, cases_a = _cells(_side(rule, block), outcome[at : at + k])
+                was_n, was_cases = cells[rule]
+                cells[rule] = (was_n + n_a, was_cases + cases_a)
+        rows[row] = [score(c0, c1, cells)[1] for _, score in scorers]
 
 
 def proxy_study(

@@ -41,7 +41,6 @@ import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from . import _parallel
@@ -90,6 +89,22 @@ _BRACKET_SIGMAS = 12.0
 
 #: Hard cap on stored support points (desk-scale memory).
 _MAX_SUPPORT_POINTS = 20_000_000
+
+#: A widening round that would fill this many cells or more first walks the
+#: rounds after it without filling (``_walk_to_cap``), so that a window the
+#: cap will refuse is refused before it is filled.
+_WALK_MIN_CELLS = 1 << 20
+
+#: Unit roundoff of a double.
+_U = 2.0**-53
+
+#: Bound on the absolute error of an anchor's 40-digit evaluation before its
+#: rounding to a double, where ``_walk_to_cap`` runs (cell indices below
+#: 2^53).  Its dozen log-gamma and log terms stay below 1e27 in magnitude
+#: (c ln c at ``MAX_CONCENTRATION``; n ln n and lambda ln lambda are far
+#: smaller there), and each operation at ``_ANCHOR_DPS`` digits (136 bits)
+#: errs by under 2^-135 of its result: 12 * 1e27 * 2^-135 < 3e-13.
+_ANCHOR_ERROR = 1e-12
 
 #: Bound on the mass a log-concave window drops past a step ratio that
 #: underflowed to zero.  Such a ratio is below 2^-1073 (the quotient rounds
@@ -405,6 +420,112 @@ def _geometric_tail_bound(edge_log_mass: float, log_r: float) -> float:
     return math.exp(edge_log_mass) * r / (1.0 - r)
 
 
+def _cap_error(points: int) -> DomainError:
+    return DomainError(
+        f"support window of {points} points exceeds the "
+        f"{_MAX_SUPPORT_POINTS}-point cap; the eps contract cannot be "
+        "met at desk scale for these parameters"
+    )
+
+
+def _edge_slack(anchor_log: float, edge_log: float, steps: int) -> float:
+    """A bound on how far a window edge ``steps`` cells from the anchor, as
+    filled, lies from ``edge_log``, the anchor's value at the edge.
+
+    The filled cell is ``anchor_log`` plus the running sum of ``steps``
+    step logs.  The bound is the sum of:
+      * each anchor's own error, ``_ANCHOR_ERROR`` plus its rounding;
+      * each step's quotient, at most five roundings, and its log, within
+        4 ulps: 5u per step plus 8u times the sum of |step logs|, which a
+        unimodal pmf bounds by -anchor_log - edge_log (its mode's log is
+        at most 0);
+      * the running sum's rounding, at most u times the sum of its partial
+        sums (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., section 4.2), each at most max(-anchor_log, anchor_log -
+        edge_log) by unimodality;
+      * the roundings of the edge's own sum and of ``edge_log`` +- slack.
+    The 1s and 2s added to the log bounds absorb the difference between the
+    evaluated and the true logs, far below 1.
+    """
+    partial = max(-anchor_log, anchor_log - edge_log) + 1.0
+    variation = -anchor_log - edge_log + 2.0
+    return 2.0 * _ANCHOR_ERROR + 1.01 * _U * (
+        steps * (partial + 7.0)
+        + 8.0 * variation
+        + 4.0 * (abs(anchor_log) + abs(edge_log) + 1.0)
+    )
+
+
+def _edge_decision(
+    anchor_log: float, edge_log: float, steps: int, log_r: float, per_side: float
+) -> bool | None:
+    """Whether a window edge ``steps`` cells from the anchor passes the
+    widening loop's tail test, decided from ``edge_log``, the anchor's value
+    at the edge, instead of the filled cell; None when undecided.
+
+    The test is monotone in the edge's value, so it is decided where it
+    holds at ``edge_log + slack`` or fails at ``edge_log - slack``
+    (``_edge_slack``): where the tail bound clears eps/4 by a factor
+    exp(slack).
+    """
+    slack = _edge_slack(anchor_log, edge_log, steps)
+    if not slack < 1.0:
+        return None
+    if _geometric_tail_bound(edge_log + slack, log_r) <= per_side:
+        return True
+    if _geometric_tail_bound(edge_log - slack, log_r) > per_side:
+        return False
+    return None
+
+
+def _walk_to_cap(
+    lo: int,
+    hi: int,
+    step: int,
+    rounds: int,
+    n_max: int | None,
+    log_ratio,
+    anchor_fn,
+    anchor_k: int,
+    anchor_log: float,
+    per_side: float,
+) -> None:
+    """Raise ``_build_windowed``'s cap error if its widening loop, about to
+    fill the window ``[lo, hi]`` with ``rounds`` rounds left, would reach a
+    window over the cap; return as soon as that is not certain.
+
+    The rounds are walked with the loop's own ``lo``/``hi``/``step`` rule
+    and tail test, but each edge is read from ``anchor_fn`` instead of the
+    filled window (``_edge_decision``).  The walk stops, leaving the loop to
+    fill as it would have, at the first undecided edge or at a window whose
+    two sides both pass.
+    """
+    for _ in range(rounds):
+        if hi - lo + 1 > _MAX_SUPPORT_POINTS:
+            raise _cap_error(hi - lo + 1)
+        ok_lo = lo == 0 or _edge_decision(
+            anchor_log,
+            anchor_fn(lo),
+            anchor_k - lo,
+            -float(log_ratio(np.array([lo - 1.0]))[0]),
+            per_side,
+        )
+        ok_hi = (n_max is not None and hi == n_max) or _edge_decision(
+            anchor_log,
+            anchor_fn(hi),
+            hi - anchor_k,
+            float(log_ratio(np.array([float(hi)]))[0]),
+            per_side,
+        )
+        if ok_lo is None or ok_hi is None or (ok_lo and ok_hi):
+            return
+        if not ok_lo:
+            lo = max(0, lo - step)
+        if not ok_hi:
+            hi = hi + step if n_max is None else min(n_max, hi + step)
+        step *= 2
+
+
 def _build_windowed(
     kind: str,
     mean: float,
@@ -430,6 +551,10 @@ def _build_windowed(
     step log is the same whatever block holds it, and ``np.cumsum`` adds in
     index order, so a block whose first step has the run's last value added
     continues the very same sequence of roundings.
+
+    Before the first round that would fill ``_WALK_MIN_CELLS`` cells,
+    ``_walk_to_cap`` raises the cap error without filling where the loop
+    would certainly reach a window over the cap.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -455,12 +580,16 @@ def _build_windowed(
     above: list[np.ndarray] = []
     below: list[np.ndarray] = []
     filled_lo = filled_hi = anchor_k
-    for _ in range(128):
+    # a window can outgrow the cap only if the domain is wider than it, and
+    # the walk's error bound needs cell indices that are exact doubles
+    walk = n_max is None or _MAX_SUPPORT_POINTS < n_max + 1 < 2**53
+    for rounds in range(128, 0, -1):
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
-            raise DomainError(
-                f"support window of {hi - lo + 1} points exceeds the "
-                f"{_MAX_SUPPORT_POINTS}-point cap; the eps contract cannot be "
-                "met at desk scale for these parameters"
+            raise _cap_error(hi - lo + 1)
+        if walk and (filled_lo - lo) + (hi - filled_hi) >= _WALK_MIN_CELLS:
+            walk = False
+            _walk_to_cap(
+                lo, hi, step, rounds, n_max, log_ratio, anchor_fn, anchor_k, anchor_log, per_side
             )
         if lo < filled_lo:
             _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
@@ -523,10 +652,14 @@ def _build_windowed(
 
 # The anchor evaluations are the one place extended precision is needed:
 # a double-precision log-gamma difference at arguments ~1e6-1e9 carries an
-# absolute error far above what the mass identity tolerates.
+# absolute error far above what the mass identity tolerates.  mpmath is
+# imported here, not at the top: it adds 20-35 ms and about 4 MB to CLI
+# start-up, and ``pvalue`` and ``simulate`` never evaluate an anchor.
 
 
 def _binomial_anchor(n: int, p: float):
+    import mpmath
+
     def anchor(k: int) -> float:
         with mpmath.workdps(_ANCHOR_DPS):
             x = mpmath.mpf(p)
@@ -543,6 +676,8 @@ def _binomial_anchor(n: int, p: float):
 
 
 def _poisson_anchor(lam: float):
+    import mpmath
+
     def anchor(k: int) -> float:
         with mpmath.workdps(_ANCHOR_DPS):
             x = mpmath.mpf(lam)
@@ -552,6 +687,8 @@ def _poisson_anchor(lam: float):
 
 
 def _beta_binomial_anchor(n: int, a: float, b: float):
+    import mpmath
+
     def anchor(k: int) -> float:
         with mpmath.workdps(_ANCHOR_DPS):
             aa = mpmath.mpf(a)
@@ -569,6 +706,8 @@ def _beta_binomial_anchor(n: int, a: float, b: float):
 
 
 def _log_beta(x, y):
+    import mpmath
+
     return mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
 
 

@@ -7,6 +7,9 @@ test.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -364,3 +367,35 @@ def test_stored_arrays_are_read_only():
         d.log_mass[0] = 0.0
     with pytest.raises(ValueError):
         d.masses[0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+#: Each constructor's first anchor, evaluated in a fresh interpreter.
+FIRST_BUILDS = {
+    "binomial": "binomial_distribution(1000, 0.3)",
+    "poisson": "poisson_distribution(12.5)",
+    "beta-binomial": "beta_binomial_distribution(5000, BetaParams(2.5, 7.0))",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_BUILDS))
+def test_the_cli_imports_mpmath_only_when_an_anchor_is_evaluated(kind):
+    build = FIRST_BUILDS[kind]
+    code = (
+        "import sys, riskcounts.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "from riskcounts import *\n"
+        f"d = {build}\n"
+        "print('mpmath' in sys.modules)\n"
+        "print(d.support_lo, d.truncated_mass.hex(), d.log_mass.tobytes().hex())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    d = eval(build)
+    assert out == ["False", "True",
+                   f"{d.support_lo} {d.truncated_mass.hex()} {d.log_mass.tobytes().hex()}"]

@@ -12,6 +12,7 @@
 import math
 import tracemalloc
 
+import mpmath  # noqa: F401  the anchors import it on first use; here it stays out of traced peaks
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -504,6 +505,116 @@ def test_us_rr2_refusal_at_c10_is_unchanged(both_builders):
     assert str(got.value) == US_RR2_REFUSAL
 
 
+#: A cap small enough that windows near it build in milliseconds.
+SMALL_CAP = 4_000
+#: A trigger no build reaches: the walk never runs.
+NO_WALK = 1 << 62
+
+
+def law_or_refusal(build, cap, walk_min_cells):
+    """``build()``'s law, or its refusal's message, under ``cap`` support
+    points, walking toward the cap before a round of ``walk_min_cells``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_MAX_SUPPORT_POINTS", cap)
+        mp.setattr(distributions, "_WALK_MIN_CELLS", walk_min_cells)
+        try:
+            law = build()
+        except DomainError as exc:
+            return str(exc)
+    return law.support_lo, law.support_hi, law.log_mass.tobytes(), law.truncated_mass.hex()
+
+
+@st.composite
+def builds_near_the_cap(draw):
+    """A binomial, Poisson or beta-binomial build whose count sd puts its
+    eps window near ``SMALL_CAP`` cells."""
+    kind = draw(st.sampled_from(["binomial", "poisson", "beta-binomial"]))
+    sd = draw(st.floats(SMALL_CAP / 80, SMALL_CAP / 8))
+    eps = draw(st.sampled_from([5e-324, 1e-14, 1e-12, 1e-9, 1e-6]))
+    p = draw(st.floats(1e-6, 0.5) | st.floats(0.5, 1.0 - 1e-6))
+    pq = p * (1.0 - p)
+    if kind == "poisson":
+        return lambda: poisson_distribution(sd * sd, eps=eps)
+    if kind == "binomial":
+        n = max(1, round(sd * sd / pq))
+        return lambda: binomial_distribution(n, p, eps=eps)
+    # n p q (c + n) / (c + 1) = sd^2, solved for n
+    c = 10.0 ** draw(st.floats(-1.0, 7.0))
+    n = (-pq * c + math.sqrt((pq * c) ** 2 + 4.0 * pq * sd * sd * (c + 1.0))) / (2.0 * pq)
+    return lambda: beta_binomial_distribution(max(1, round(n)), BetaParams(p * c, (1.0 - p) * c), eps=eps)
+
+
+@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000]),
+       st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
+@settings(max_examples=150, deadline=None)
+def test_walking_toward_the_cap_keeps_every_law_and_refusal(build, walk_min_cells, cap):
+    assert law_or_refusal(build, cap, walk_min_cells) == law_or_refusal(build, cap, NO_WALK)
+
+
+@given(
+    n=st.integers(1, 10**9),
+    log_p=st.floats(-12.0, 0.0),
+    kind=st.sampled_from(["binomial", "poisson", "beta-binomial"]),
+    log_c=st.floats(0.0, 7.0),
+    eps=st.sampled_from([5e-324, 1e-14, 1e-12, 1e-9, 1e-6]),
+)
+@settings(max_examples=80, deadline=None)
+def test_filled_window_edges_lie_within_the_walks_slack(n, log_p, kind, log_c, eps):
+    """Each edge of a built window, as filled, lies within ``_edge_slack``
+    of its anchor value, which the walk toward the cap decides from."""
+    p = min(10.0**log_p, 1.0 - 1e-9)
+    try:
+        if kind == "binomial":
+            law = binomial_distribution(n, p, eps=eps)
+            anchor_fn, anchor_k = distributions._binomial_anchor(n, p), min(int((n + 1) * p), n)
+        elif kind == "poisson":
+            law = poisson_distribution(n * p, eps=eps)
+            anchor_fn, anchor_k = distributions._poisson_anchor(n * p), int(n * p)
+        else:
+            n, c = min(n, 10**6), 10.0**log_c
+            a, b = p * c, (1.0 - p) * c
+            law = beta_binomial_distribution(n, BetaParams(a, b), eps=eps)
+            anchor_fn = distributions._beta_binomial_anchor(n, a, b)
+            anchor_k = int(round(n * a / (a + b)))
+    except DomainError:
+        return
+    if len(law.log_mass) == 1:
+        return
+    anchor_log = anchor_fn(anchor_k)
+    assert law.log_mass[anchor_k - law.support_lo] == anchor_log
+    for edge in (law.support_lo, law.support_hi):
+        edge_log = anchor_fn(edge)
+        slack = distributions._edge_slack(anchor_log, edge_log, abs(edge - anchor_k))
+        assert abs(law.log_mass[edge - law.support_lo] - edge_log) <= slack
+
+
+def test_an_edge_within_its_slack_of_the_tail_test_is_left_undecided():
+    anchor_log, edge_log, steps, log_r = -9.0, -40.0, 10**6, -1e-3
+    slack = distributions._edge_slack(anchor_log, edge_log, steps)
+    bound = distributions._geometric_tail_bound(edge_log, log_r)
+    decide = distributions._edge_decision
+    assert decide(anchor_log, edge_log, steps, log_r, bound) is None
+    assert decide(anchor_log, edge_log, steps, log_r, bound * math.exp(3 * slack)) is True
+    assert decide(anchor_log, edge_log, steps, log_r, bound * math.exp(-3 * slack)) is False
+    assert decide(anchor_log, edge_log, steps, 0.0, 1.0) is False
+    assert decide(anchor_log, -math.inf, steps, log_r, bound) is None
+
+
+def test_the_walk_refuses_us_rr2_before_filling_a_round_of_a_million_cells(monkeypatch):
+    filled = []
+    extend_run = distributions._extend_run
+
+    def counted(run, log_ratio, start, stop, step):
+        filled.append(abs(stop - start))
+        extend_run(run, log_ratio, start, stop, step)
+
+    monkeypatch.setattr(distributions, "_extend_run", counted)
+    with pytest.raises(DomainError) as got:
+        beta_binomial_distribution(*US_RR2_C10)
+    assert str(got.value) == US_RR2_REFUSAL
+    assert max(filled) < distributions._WALK_MIN_CELLS, filled
+
+
 def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
     """Binomial(n, p) step ratios and anchor through ``_build_windowed``,
     anchored at ``anchor``.  ``whole`` fills 0..n_max in one round, so the
@@ -599,8 +710,11 @@ def test_a_window_build_holds_no_window_sized_temporaries():
 
 
 def test_a_refused_window_is_refused_without_its_temporaries():
-    """The us_rr2 build at c = 10 is refused after an 11M-cell round; its
-    runs alone are 89 MB.  A fill in one call peaked at 222 MB."""
+    """The us_rr2 build at c = 10 is refused before the round that would
+    fill 1.4M cells: the walk toward the cap finds the 22M-point window
+    first, so only the 1.55M cells of the rounds before it (12.4 MB of
+    step sums) are filled.  Filling every round up to the refusal (11.2M
+    cells) peaked at 86.5 MB; a fill in one call at 222 MB."""
     refusal, peak = traced_peak(lambda: beta_binomial_distribution(*US_RR2_C10))
     assert str(refusal) == US_RR2_REFUSAL
-    assert peak < 100_000_000, f"the refused build peaked at {peak} bytes"
+    assert peak < 16 << 20, f"the refused build peaked at {peak} bytes"

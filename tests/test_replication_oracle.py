@@ -22,6 +22,7 @@ from riskcounts.classical import TestResult as Result
 from riskcounts.classical import TwoByTwo, _score_test, two_proportion_test
 from riskcounts.cohort import (
     _BLOCK,
+    _NOISE_BLOCK,
     MAX_COHORT_SIZE,
     TRUE_CAUSES,
     CausalSpec,
@@ -435,9 +436,10 @@ def test_a_range_writes_the_rows_of_one_generate_per_replication(
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 @pytest.mark.parametrize("true_cause", TRUE_CAUSES)
 def test_a_range_matches_the_per_cohort_loop_at_block_edges(true_cause, n, proxy):
-    # noiseless and noisy covariates of either slope sign; a two-word seed
+    # noiseless and noisy covariates of either slope sign; a two-word seed;
+    # an effect small enough that no p-value underflows to 0 at these sizes
     spec = CausalSpec(
-        n, true_cause, 0.3, 0.6,
+        n, true_cause, 0.3, 0.31,
         covariate_rules=(CovariateRule("a", 1.0, 2.0), CovariateRule("b", 0.0, -1.0),
                          CovariateRule("c", -0.0, 1.5, 0.8), CovariateRule("d", 2.0, -0.5, 1.2)),
         proxy_rule=proxy, latent_group_correlation=0.4,
@@ -446,6 +448,87 @@ def test_a_range_matches_the_per_cohort_loop_at_block_edges(true_cause, n, proxy
         assert assert_range_matches_the_per_cohort_loop(
             spec, seed, default_variants(spec), True, 3, 5
         ) == 2
+
+
+#: Cohorts whose group boundary falls inside a block of uniforms (2n just
+#: above one block) and inside a block of noise, or inside a later block.
+STRADDLE_SIZES = (_BLOCK // 2 + 1, _BLOCK // 2 + 3 * _NOISE_BLOCK // 4, _BLOCK + 7)
+SPLIT_VARIANTS = ("true_exposure", "proxy_exposure", "covariate_up", "covariate_down",
+                  "covariate_flat")
+
+
+@st.composite
+def split_specs(draw):
+    # always a proxy or a noisy covariate; "flat" is noisy with no slope
+    rules = [CovariateRule("flat", draw(st.floats(-2.0, 2.0)), 0.0, 1.0)]
+    for name, sign in (("up", 1.0), ("down", -1.0)):
+        if draw(st.booleans()):
+            rules.append(CovariateRule(
+                name,
+                intercept=draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)),
+                slope=sign * draw(st.sampled_from([1e-17]) | st.floats(0.1, 3.0)),
+                noise_sd=draw(st.sampled_from([0.5, 4.0]) | st.floats(1e-3, 3.0)),
+            ))
+    accuracy = draw(st.none() | PROBABILITIES) if len(rules) > 1 else draw(PROBABILITIES)
+    return CausalSpec(
+        n_per_group=draw(st.sampled_from(STRADDLE_SIZES) | st.integers(1, 40)),
+        true_cause=draw(st.sampled_from(TRUE_CAUSES)),
+        baseline_p=draw(PROBABILITIES),
+        effect_p=draw(PROBABILITIES),
+        covariate_rules=tuple(rules),
+        proxy_rule=None if accuracy is None else ProxyRule(accuracy),
+        latent_group_correlation=draw(PROBABILITIES),
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    split_specs(),
+    st.sampled_from([2**32, 2**63 + 1]) | st.integers(2**32, 2**80),
+    st.lists(st.sampled_from(SPLIT_VARIANTS), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(0, 4),
+    st.integers(1, 3),
+)
+def test_a_range_reduces_its_splits_to_the_counts_of_one_generate_per_replication(
+    spec, seed, variants, continuity, start, count
+):
+    # variant lists that read no split (the outcomes are then never kept),
+    # that list a noisy covariate twice, or that score a noisy covariate
+    # with no slope, one that is one-sided, or a proxy with an empty side
+    assert_range_matches_the_per_cohort_loop(
+        spec, seed, tuple(variants), continuity, start, start + count
+    )
+
+
+@pytest.mark.parametrize("n", STRADDLE_SIZES)
+def test_a_range_reads_splits_that_straddle_the_group_boundary(n):
+    # an effect small enough that no p-value underflows to 0 at these sizes
+    spec = CausalSpec(
+        n, "exposure-label", 0.3, 0.303,
+        covariate_rules=(CovariateRule("up", 0.0, 0.5, 0.8), CovariateRule("down", 1.0, -2.0, 3.0)),
+        proxy_rule=ProxyRule(0.9),
+    )
+    for variants in (("covariate_up", "proxy_exposure", "covariate_up", "covariate_down"),
+                     ("true_exposure",), ("covariate_down", "true_exposure")):
+        assert assert_range_matches_the_per_cohort_loop(
+            spec, 2**32 + 5, variants, True, 0, 2
+        ) == 2
+
+
+@pytest.mark.parametrize("size", [2_000, 200_000, 10**6])
+@pytest.mark.parametrize("block", [512, _NOISE_BLOCK, 1 << 16])
+def test_normal_noise_drawn_in_blocks_is_one_call(size, block):
+    """``_draw`` takes a covariate's noise in blocks: each block gives the
+    values of one call and leaves the stream where one call leaves it."""
+    whole = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, size))))
+    blocks = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, size))))
+    want = whole.normal(0.0, 1.7, size=size)
+    got = np.concatenate([blocks.normal(0.0, 1.7, size=min(block, size - start))
+                          for start in range(0, size, block)])
+    assert got.tobytes() == want.tobytes()
+    assert str(blocks.bit_generator.state) == str(whole.bit_generator.state)
+    assert blocks.random(3).tobytes() == whole.random(3).tobytes()
 
 
 @pytest.mark.parametrize("variants, stop", [
@@ -490,14 +573,42 @@ def test_generate_at_max_cohort_size_holds_no_per_individual_floats():
     assert peak < bound, f"generate peaked at {peak} bytes, bound {bound}"
 
 
-def test_a_range_at_max_cohort_size_reuses_its_arrays():
-    """A range at MAX_COHORT_SIZE holds one 10 MB outcome array and one block
-    of doubles (512 KiB): no per-individual float64 array (80 MB), and a
-    noiseless covariate is scored from its levels.  Its second replication
-    draws into the first one's arrays, so it adds at most one block."""
-    spec = CausalSpec(MAX_COHORT_SIZE // 2, "exposure-label", 0.01, 0.012,
-                      covariate_rules=(CovariateRule("x", 1.0, 1.0),))
-    variants = default_variants(spec)
+#: One range at MAX_COHORT_SIZE per kind of spec, with the variants it
+#: scores and the bound on its traced peak.  A range keeps the outcomes (10 MB
+#: of one-byte flags) only when a proxy or noisy covariate is scored, and the
+#: latent array (10 MB) while the one-call coins (10 MB) are combined into
+#: it; a block of uniforms is 512 KiB.
+_CAP = MAX_COHORT_SIZE // 2
+RANGE_PEAKS = {
+    "exposure-label": (
+        CausalSpec(_CAP, "exposure-label", 0.01, 0.012,
+                   covariate_rules=(CovariateRule("x", 1.0, 1.0),)),
+        None, 1 << 20),
+    "proxy": (
+        CausalSpec(_CAP, "exposure-label", 0.01, 0.012, proxy_rule=ProxyRule(0.8)),
+        None, MAX_COHORT_SIZE + (1 << 20)),
+    "proxy, label only": (
+        CausalSpec(_CAP, "exposure-label", 0.01, 0.012, proxy_rule=ProxyRule(0.8)),
+        ("true_exposure",), 1 << 20),
+    "one noisy covariate": (
+        CausalSpec(_CAP, "exposure-label", 0.01, 0.012,
+                   covariate_rules=(CovariateRule("x", 0.0, 1.0, 0.5),)),
+        None, MAX_COHORT_SIZE + (1 << 20)),
+    "latent factor": (
+        CausalSpec(_CAP, "latent-factor", 0.01, 0.012, latent_group_correlation=0.5),
+        None, 2 * MAX_COHORT_SIZE + (1 << 20)),
+}
+
+
+@pytest.mark.parametrize("kind", RANGE_PEAKS)
+def test_a_range_at_max_cohort_size_reuses_its_arrays(kind):
+    """A range at MAX_COHORT_SIZE reduces each block to counts as it is
+    drawn: it holds no per-individual float64 array (80 MB), no proxy flags
+    and no covariate values, and outcomes only when a split reads them.
+    Its second replication draws into the first one's arrays, so it adds at
+    most one block."""
+    spec, variants, bound = RANGE_PEAKS[kind]
+    variants = default_variants(spec) if variants is None else variants
     peaks = []
     for replications in (1, 2):
         rows = np.empty((replications, len(variants)))
@@ -507,6 +618,5 @@ def test_a_range_at_max_cohort_size_reuses_its_arrays():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    bound = MAX_COHORT_SIZE + (1 << 20)
     assert max(peaks) < bound, f"ranges peaked at {peaks} bytes, bound {bound}"
     assert peaks[1] <= peaks[0] + _BLOCK * 8, f"two replications peaked at {peaks}"
