@@ -21,6 +21,12 @@ log is taken.  Each step then contributes ~1 ulp of absolute log error and
 the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
 
+One widening loop (``_window``) finds each window.  ``_build_windowed``
+stores it as a law; callers that need only an interval (calibration and
+spread reports) read it block by block instead (``_StreamedCdf``), through
+the same checks and to the same bits, holding 8 bytes per cell where a law
+holds 16 and its cdf 8 more.
+
 Convolution is a direct ``np.correlate`` that computes only the cells its
 trim keeps.  Each tail is dropped while its running sum stays at most eps/4;
 where a tail ends is found without computing its cells, from prefix sums of
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,6 +193,31 @@ class BetaParams:
 _KINDS = ("binomial", "poisson", "beta-binomial", "convolution")
 
 
+# The mass contract's checks, shared by ``CountDistribution`` and the
+# streamed interval probe (``_StreamedCdf``), which reads a window it never
+# stores.
+
+
+def _check_finite(log_mass: np.ndarray) -> None:
+    # min and max propagate NaN, so they test finiteness without a
+    # window-sized temporary
+    if not (math.isfinite(log_mass.min()) and math.isfinite(log_mass.max())):
+        raise DomainError("every stored log_mass must be finite")
+
+
+def _check_truncated(truncated_mass: float) -> float:
+    trunc = float(truncated_mass)
+    if not (0.0 <= trunc <= 1.0):
+        raise DomainError(f"truncated_mass must lie in [0, 1], got {trunc!r}")
+    return trunc
+
+
+def _check_identity(stored: float, trunc: float) -> None:
+    total = stored + trunc
+    if abs(total - 1.0) > MASS_IDENTITY_TOL:
+        raise DomainError(f"mass identity violated: stored+truncated = {total!r}")
+
+
 @dataclass(frozen=True)
 class CountDistribution:
     """A law over case counts on the window ``support_lo..support_hi``.
@@ -218,13 +250,8 @@ class CountDistribution:
         arr = np.asarray(self.log_mass, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != hi - lo + 1:
             raise DomainError("log_mass length must equal the support size")
-        # min and max propagate NaN, so they test finiteness without a
-        # window-sized temporary
-        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
-            raise DomainError("every stored log_mass must be finite")
-        trunc = float(self.truncated_mass)
-        if not (0.0 <= trunc <= 1.0):
-            raise DomainError(f"truncated_mass must lie in [0, 1], got {trunc!r}")
+        _check_finite(arr)
+        trunc = _check_truncated(self.truncated_mass)
         if _exp_sum is None:
             arr = arr.copy()
         arr.setflags(write=False)
@@ -239,11 +266,7 @@ class CountDistribution:
             masses, stored = _exp_sum
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-        total = stored + trunc
-        if abs(total - 1.0) > MASS_IDENTITY_TOL:
-            raise DomainError(
-                f"mass identity violated: stored+truncated = {total!r}"
-            )
+        _check_identity(stored, trunc)
 
     # -- derived views ------------------------------------------------
 
@@ -252,6 +275,10 @@ class CountDistribution:
         c = np.cumsum(self.masses)
         c.setflags(write=False)
         return c
+
+    def _search(self, q: float) -> int:
+        """``np.searchsorted(cdf, q, side="left")`` on the stored cdf."""
+        return int(np.searchsorted(self._cdf, q, side="left"))
 
     @property
     def stored_mass(self) -> float:
@@ -347,33 +374,54 @@ _FREXP_MIN = -1073
 _FREXP_SPAN = 1024 - _FREXP_MIN + 1
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of non-negative finite doubles.
+class _ExactSum:
+    """The correctly rounded sum of non-negative doubles, fed a block at a
+    time (``add``) and read once all are in (``total``).
 
-    Equal to ``math.fsum(x)``, which is also correctly rounded.  Each value
-    is m * 2^(e-53) with an integer m < 2^53 (``np.frexp``); m splits into
-    a high and a low half below 2^27, so every per-exponent bucket total of
-    a block is an integer below 2^53 and ``np.bincount`` adds it exactly.
-    The bucket totals are then combined as one Python integer, whose true
-    division by a power of two rounds correctly.  An infinity or NaN gives
-    what ``math.fsum`` gives for non-negative inputs.
+    Equal to ``math.fsum`` over every value added, which is also correctly
+    rounded, whatever the split into blocks.  Each value is m * 2^(e-53)
+    with an integer m < 2^53 (``np.frexp``); m splits into a high and a low
+    half below 2^27, so every per-exponent bucket total of a ``_SUM_BLOCK``
+    is an integer below 2^53 and ``np.bincount`` adds it exactly.  The
+    int64 bucket totals then add exactly across blocks, and are combined as
+    one Python integer, whose true division by a power of two rounds
+    correctly.  An infinity or NaN gives what ``math.fsum`` gives for
+    non-negative inputs: NaN if any value is NaN, else infinity.
     """
-    if len(x) and not math.isfinite(peak := float(x.max())):
-        return peak
-    hi_tot = np.zeros(_FREXP_SPAN, dtype=np.int64)
-    lo_tot = np.zeros(_FREXP_SPAN, dtype=np.int64)
-    for a in range(0, len(x), _SUM_BLOCK):
-        m, e = np.frexp(x[a : a + _SUM_BLOCK])
-        m *= 2.0**53
-        hi = np.floor(m * 2.0**-26)
-        m -= hi * 2.0**26
-        e -= _FREXP_MIN
-        hi_tot += np.bincount(e, weights=hi, minlength=_FREXP_SPAN).astype(np.int64)
-        lo_tot += np.bincount(e, weights=m, minlength=_FREXP_SPAN).astype(np.int64)
-    total = 0
-    for i in np.flatnonzero(hi_tot | lo_tot).tolist():
-        total += ((int(hi_tot[i]) << 26) + int(lo_tot[i])) << i
-    return total / (1 << (53 - _FREXP_MIN))
+
+    def __init__(self) -> None:
+        self._hi = np.zeros(_FREXP_SPAN, dtype=np.int64)
+        self._lo = np.zeros(_FREXP_SPAN, dtype=np.int64)
+        self._non_finite: float | None = None
+
+    def add(self, x: np.ndarray) -> _ExactSum:
+        if len(x) and not math.isfinite(peak := float(x.max())):
+            if self._non_finite is None or math.isnan(peak):
+                self._non_finite = peak
+        if self._non_finite is not None:
+            return self
+        for a in range(0, len(x), _SUM_BLOCK):
+            m, e = np.frexp(x[a : a + _SUM_BLOCK])
+            m *= 2.0**53
+            hi = np.floor(m * 2.0**-26)
+            m -= hi * 2.0**26
+            e -= _FREXP_MIN
+            self._hi += np.bincount(e, weights=hi, minlength=_FREXP_SPAN).astype(np.int64)
+            self._lo += np.bincount(e, weights=m, minlength=_FREXP_SPAN).astype(np.int64)
+        return self
+
+    def total(self) -> float:
+        if self._non_finite is not None:
+            return self._non_finite
+        total = 0
+        for i in np.flatnonzero(self._hi | self._lo).tolist():
+            total += ((int(self._hi[i]) << 26) + int(self._lo[i])) << i
+        return total / (1 << (53 - _FREXP_MIN))
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x)`` for non-negative doubles, through ``_ExactSum``."""
+    return _ExactSum().add(x).total()
 
 
 def _aligned(x: np.ndarray) -> np.ndarray:
@@ -397,14 +445,6 @@ def _extend_run(run: list[np.ndarray], log_ratio, start: int, stop: int, step: i
         if run:
             steps[0] += run[-1][-1]
         run.append(np.cumsum(steps))
-
-
-def _write_run(out: np.ndarray, run: list[np.ndarray], op, anchor_log: float) -> None:
-    """Fill ``out`` with ``op(anchor_log, run)``, chunk by chunk."""
-    at = 0
-    for chunk in run:
-        op(anchor_log, chunk, out=out[at : at + len(chunk)])
-        at += len(chunk)
 
 
 def _geometric_tail_bound(edge_log_mass: float, log_r: float) -> float:
@@ -490,7 +530,7 @@ def _walk_to_cap(
     anchor_log: float,
     per_side: float,
 ) -> None:
-    """Raise ``_build_windowed``'s cap error if its widening loop, about to
+    """Raise ``_window``'s cap error if its widening loop, about to
     fill the window ``[lo, hi]`` with ``rounds`` rounds left, would reach a
     window over the cap; return as soon as that is not certain.
 
@@ -526,8 +566,42 @@ def _walk_to_cap(
         step *= 2
 
 
-def _build_windowed(
-    kind: str,
+class _Window(NamedTuple):
+    """A window the widening loop of ``_window`` settled on, as the running
+    sums of step logs it filled, not yet as log masses.
+
+    ``below`` and ``above`` hold, chunk by chunk, the running sums of the
+    step logs outward from the anchor: cell ``anchor_k - 1 - t`` is
+    ``anchor_log - below[t]`` and cell ``anchor_k + 1 + t`` is ``anchor_log
+    + above[t]``, counting t over the chunks in order.  ``dropped`` bounds
+    the mass cut off past an underflowed step ratio (0 where none was).
+    """
+
+    lo: int
+    hi: int
+    anchor_log: float
+    below: list[np.ndarray]
+    above: list[np.ndarray]
+    dropped: float
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.below) + 1 + len(self.above)
+
+    def log_block(self, j: int) -> np.ndarray:
+        """Block ``j`` of the window's log masses, in index order: the
+        ``below`` chunks reversed, then the anchor, then the ``above``
+        chunks.  Each cell is the one subtraction or addition that also
+        makes it in a whole-window fill."""
+        nb = len(self.below)
+        if j < nb:
+            return self.anchor_log - self.below[nb - 1 - j][::-1]
+        if j == nb:
+            return np.array([self.anchor_log])
+        return self.anchor_log + self.above[j - nb - 1]
+
+
+def _window(
     mean: float,
     sd: float,
     n_max: int | None,
@@ -537,8 +611,9 @@ def _build_windowed(
     eps: float,
     monotone_lo: bool = True,
     monotone_hi: bool = True,
-) -> CountDistribution:
-    """Shared bracket-fill-verify-widen loop for all window constructors.
+) -> _Window:
+    """The bracket-fill-verify-widen loop shared by every window build
+    (``_build_windowed`` stores the window, ``_StreamedCdf`` streams it).
 
     ``monotone_lo`` / ``monotone_hi`` declare that the step ratios are
     nonincreasing past the respective edge (log-concave pmf), which is what
@@ -572,9 +647,8 @@ def _build_windowed(
     step = max(64, math.ceil(4.0 * sd))
     # Every constructor's anchor lies inside the first bracket, so it stays
     # put while the window widens.  Each round fills only the cells it adds:
-    # ``above`` and ``below`` hold the running sums of the step logs outward
-    # from the anchor, which cover the cells down to ``filled_lo`` and up to
-    # ``filled_hi``.
+    # ``above`` and ``below`` cover the cells down to ``filled_lo`` and up
+    # to ``filled_hi``.
     anchor_k = min(max(anchor_at, lo), hi)
     anchor_log = anchor_fn(anchor_k)
     above: list[np.ndarray] = []
@@ -618,36 +692,136 @@ def _build_windowed(
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
 
-    log_mass = np.empty(hi - lo + 1, dtype=np.float64)
-    idx = anchor_k - lo
-    log_mass[idx] = anchor_log
-    _write_run(log_mass[idx + 1 :], above, np.add, anchor_log)
-    if idx:
-        _write_run(log_mass[idx - 1 :: -1], below, np.subtract, anchor_log)
-    del above, below  # frees the runs before the window is exponentiated
-
     # A step ratio that underflows to zero (a subnormal risk) leaves -inf
-    # cells above it; a log-concave window ends at the last finite cell and
-    # carries the dropped tail's bound instead.
+    # cells above it; a log-concave window that ends in -inf ends instead
+    # before the first -inf cell above the anchor, and carries the dropped
+    # tail's bound.  (A window with a -inf cell at or below the anchor fails
+    # the law's finiteness check, cut or not.)
     dropped = 0.0
-    if monotone_lo and monotone_hi and np.isneginf(log_mass[-1]):
-        cut = int(np.argmax(np.isneginf(log_mass)))
-        if cut > anchor_k - lo:
-            log_mass = log_mass[:cut]
-            hi = lo + cut - 1
-            dropped = _UNDERFLOW_TAIL
+    if monotone_lo and monotone_hi and above and np.isneginf(anchor_log + above[-1][-1]):
+        for i, chunk in enumerate(above):
+            cut = np.flatnonzero(np.isneginf(anchor_log + chunk))
+            if len(cut):
+                above = above[:i] + ([chunk[: cut[0]]] if cut[0] else [])
+                break
+        hi = anchor_k + sum(map(len, above))
+        dropped = _UNDERFLOW_TAIL
+    return _Window(lo, hi, anchor_log, below, above, dropped)
+
+
+def _truncated(stored: float, dropped: float, eps: float) -> float:
+    """A window build's ``truncated_mass``, from its stored mass."""
+    return min(max(1.0 - stored, 0.0) + dropped, eps)
+
+
+def _build_windowed(
+    kind: str,
+    mean: float,
+    sd: float,
+    n_max: int | None,
+    log_ratio,
+    anchor_fn,
+    anchor_at: int,
+    eps: float,
+    monotone_lo: bool = True,
+    monotone_hi: bool = True,
+) -> CountDistribution:
+    """The law of kind ``kind`` on the window ``_window`` settles on, with
+    its log masses written block by block (``_Window.log_block``)."""
+    w = _window(mean, sd, n_max, log_ratio, anchor_fn, anchor_at, eps, monotone_lo, monotone_hi)
+    log_mass = np.empty(w.hi - w.lo + 1, dtype=np.float64)
+    at = 0
+    for j in range(w.n_blocks):
+        block = w.log_block(j)
+        log_mass[at : at + len(block)] = block
+        at += len(block)
+    lo, hi, dropped = w.lo, w.hi, w.dropped
+    del w  # frees the runs before the window is exponentiated
 
     masses = np.exp(log_mass)
     stored = _exact_sum(masses)
-    truncated = min(max(1.0 - stored, 0.0) + dropped, eps)
     return CountDistribution(
         kind=kind,
         support_lo=lo,
         support_hi=hi,
         log_mass=log_mass,
-        truncated_mass=truncated,
+        truncated_mass=_truncated(stored, dropped, eps),
         _exp_sum=(masses, stored),
     )
+
+
+class _StreamedCdf:
+    """What ``central_interval`` reads of the law ``_build_windowed`` makes
+    of a window -- its support, ``cdf`` and ``_search`` -- without the law.
+
+    The window's log masses are read block by block (``_Window.log_block``),
+    in index order.  Each block passes the law's finiteness check, is
+    exponentiated, added to the exact sum, and summed by ``np.cumsum``
+    continuing from the last value of the block before: the same bits as
+    one ``np.cumsum`` over the window.  Only that last value is kept per
+    block.  The stored mass then passes the law's truncated-mass and
+    identity checks, in the law's order.  A quantile search or a cdf value
+    recomputes the one block that holds it from the window's runs, which
+    are all it holds: 8 bytes per cell.
+    """
+
+    def __init__(self, w: _Window, eps: float) -> None:
+        self.support_lo, self.support_hi = w.lo, w.hi
+        self._w = w
+        total = _ExactSum()
+        starts, ends = [], []
+        at = 0
+        for j in range(w.n_blocks):
+            block = w.log_block(j)
+            _check_finite(block)
+            masses = np.exp(block, out=block)
+            total.add(masses)
+            starts.append(at)
+            at += len(masses)
+            ends.append(self._carried_cumsum(masses, ends[-1] if ends else 0.0)[-1])
+        stored = total.total()
+        _check_identity(stored, _check_truncated(_truncated(stored, w.dropped, eps)))
+        self._starts = np.array(starts)
+        self._ends = np.array(ends)
+
+    @staticmethod
+    def _carried_cumsum(masses: np.ndarray, carry: float) -> np.ndarray:
+        """``np.cumsum`` of ``masses`` in place, continuing from ``carry``,
+        the cdf before them (adding 0.0 to the first block's non-negative
+        first mass changes no bit)."""
+        masses[0] += carry
+        return np.cumsum(masses, out=masses)
+
+    def _block_cdf(self, j: int) -> np.ndarray:
+        masses = np.exp(self._w.log_block(j))
+        return self._carried_cumsum(masses, self._ends[j - 1] if j else 0.0)
+
+    def _search(self, q: float) -> int:
+        """``np.searchsorted(cdf, q, side="left")`` on the window's cdf:
+        in the first block whose last value reaches ``q``."""
+        j = int(np.searchsorted(self._ends, q, side="left"))
+        if j == len(self._ends):
+            return self.support_hi - self.support_lo + 1
+        return int(self._starts[j]) + int(np.searchsorted(self._block_cdf(j), q, side="left"))
+
+    def cdf(self, k: int) -> float:
+        """``CountDistribution.cdf``: the stored mass at counts <= k."""
+        i = min(k, self.support_hi) - self.support_lo
+        if i < 0:
+            return 0.0
+        j = int(np.searchsorted(self._starts, i, side="right")) - 1
+        return float(self._block_cdf(j)[i - self._starts[j]])
+
+
+def _streamed_law(args: CountDistribution | dict) -> CountDistribution | _StreamedCdf:
+    """The law a constructor's checked arguments ``args`` describe
+    (``_binomial_args``, ``_beta_binomial_args``), as ``central_interval``
+    reads it: a point mass as it is, a window as a ``_StreamedCdf``.
+    ``central_interval`` of it is that of the constructor's law, bit for
+    bit, or raises the same error after the same checks."""
+    if isinstance(args, CountDistribution):
+        return args
+    return _StreamedCdf(_window(**args), args["eps"])
 
 
 # The anchor evaluations are the one place extended precision is needed:
@@ -718,6 +892,15 @@ def _log_beta(x, y):
 
 def binomial_distribution(n: int, p: float, eps: float = DEFAULT_EPS) -> CountDistribution:
     """Binomial(n, p) on a window whose omitted two-sided tail is <= eps."""
+    args = _binomial_args(n, p, eps)
+    if isinstance(args, CountDistribution):
+        return args
+    return _build_windowed(kind="binomial", **args)
+
+
+def _binomial_args(n: int, p: float, eps: float) -> CountDistribution | dict:
+    """``binomial_distribution``'s checked arguments: its point mass, or
+    the keyword arguments of its window (``_window``)."""
     n = _check_count(n, "n")
     p = _check_probability(p, "p")
     eps = _check_eps(eps)
@@ -729,12 +912,11 @@ def binomial_distribution(n: int, p: float, eps: float = DEFAULT_EPS) -> CountDi
     q = 1.0 - p
 
     def log_ratio(ks: np.ndarray) -> np.ndarray:
-        # A subnormal p can underflow the ratio to 0 (see _build_windowed).
+        # A subnormal p can underflow the ratio to 0 (see _window).
         with np.errstate(divide="ignore"):
             return np.log((n - ks) * p / ((ks + 1.0) * q))
 
-    return _build_windowed(
-        kind="binomial",
+    return dict(
         mean=n * p,
         sd=math.sqrt(n * p * q),
         n_max=n,
@@ -780,6 +962,15 @@ def beta_binomial_distribution(
     the lower (upper) domain edge, so the geometric tail bound does not
     apply there and the window is extended to that edge instead.
     """
+    args = _beta_binomial_args(n, prior, eps)
+    if isinstance(args, CountDistribution):
+        return args
+    return _build_windowed(kind="beta-binomial", **args)
+
+
+def _beta_binomial_args(n: int, prior: BetaParams, eps: float) -> CountDistribution | dict:
+    """``beta_binomial_distribution``'s checked arguments: its point mass,
+    or the keyword arguments of its window (``_window``)."""
     n = _check_count(n, "n")
     if not isinstance(prior, BetaParams):
         raise DomainError("prior must be a BetaParams instance")
@@ -801,8 +992,7 @@ def beta_binomial_distribution(
             f"prior {prior} is too concentrated: alpha + beta = {c!r} exceeds "
             f"the bound {MAX_CONCENTRATION:g}"
         )
-    return _build_windowed(
-        kind="beta-binomial",
+    return dict(
         mean=mean,
         sd=math.sqrt(var),
         n_max=n,
@@ -1030,11 +1220,7 @@ def quantile(d: CountDistribution, q: float) -> int:
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    cdf = d._cdf
-    idx = int(np.searchsorted(cdf, q, side="left"))
-    if idx >= len(cdf):
-        return d.support_hi
-    return d.support_lo + idx
+    return min(d.support_lo + d._search(q), d.support_hi)
 
 
 def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
@@ -1043,6 +1229,9 @@ def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
     The reported ``achieved`` coverage is the stored mass inside the
     interval, which by construction is >= the request; a request within the
     truncation budget of 1 cannot be certified and raises instead.
+
+    ``d`` is read only through its support, ``_search`` and ``cdf``, which
+    a ``_StreamedCdf`` gives as well.
     """
     coverage = float(coverage)
     if not (0.0 < coverage < 1.0):
@@ -1050,9 +1239,8 @@ def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
     tail = (1.0 - coverage) / 2.0
     lo = quantile(d, tail)
     hi = quantile(d, 1.0 - tail)
-    cdf = d._cdf
-    below = float(cdf[lo - d.support_lo - 1]) if lo > d.support_lo else 0.0
-    achieved = float(cdf[hi - d.support_lo]) - below
+    below = d.cdf(lo - 1) if lo > d.support_lo else 0.0
+    achieved = d.cdf(hi) - below
     if achieved < coverage - 1e-12:
         raise DomainError(
             f"achieved coverage {achieved!r} falls short of {coverage!r}; "

@@ -17,11 +17,12 @@ from .distributions import (
     BetaParams,
     CountDistribution,
     DomainError,
+    _beta_binomial_args,
+    _binomial_args,
     _check_count,
     _check_eps,
     _check_probability,
-    beta_binomial_distribution,
-    binomial_distribution,
+    _streamed_law,
     central_interval,
 )
 from .comparison import (
@@ -94,10 +95,11 @@ def spread_report(
     """Interval-width ratio of the predictive law over the plug-in binomial.
 
     The plug-in law is the binomial evaluated at the prior mean; both widths
-    are measured at the same equal-tail coverage.
+    are measured at the same equal-tail coverage.  Neither law is stored:
+    each interval is read from its window as it streams (``_streamed_law``).
     """
-    predictive = beta_binomial_distribution(n, prior, eps)
-    plugin = binomial_distribution(n, prior.mean, eps)
+    predictive = _streamed_law(_beta_binomial_args(n, prior, eps))
+    plugin = _streamed_law(_binomial_args(n, prior.mean, eps))
     w_pred = central_interval(predictive, coverage).width
     w_plug = central_interval(plugin, coverage).width
     ratio = w_pred / w_plug if w_plug > 0 else None
@@ -125,8 +127,14 @@ def calibrate_prior(
     ``target_ratio`` times the plug-in spread.
 
     The prior mean is held fixed and the concentration alpha+beta is found
-    by bisection in log-space; the spread ratio is monotone nonincreasing
-    in concentration, and the search is fully deterministic.  Because the
+    by bisection in log-space, and the search is fully deterministic.  The
+    search assumes the spread ratio is nonincreasing in concentration from
+    the lower bound c = 10 up, which need not hold: where P(no case) at
+    c = 10 alone covers the upper quantile the predictive width there is 0,
+    and the ratio first rises with c before it falls (la_rr2's exposed arm,
+    2,000,000 people at risk 2e-7: 0.0 at c = 10, 369.4 at 1e3, 1.8 at
+    3e6).  The search then refuses with "exceeds the maximum 0 reachable",
+    although a concentration with the target ratio exists.  Because the
     widths are integer counts the ratio moves in steps; if no step lands
     within 0.01 of the target inside the concentration bounds, calibration
     fails explicitly rather than returning a silently-off prior.
@@ -159,13 +167,13 @@ def _calibrate(
         prior = BetaParams(hi_c * p_mean, hi_c * (1.0 - p_mean))
         return prior, spread_report(n, prior, coverage, eps)
 
-    w_plug = central_interval(binomial_distribution(n, p_mean, eps), coverage).width
+    w_plug = central_interval(_streamed_law(_binomial_args(n, p_mean, eps)), coverage).width
     if w_plug == 0:
         raise DomainError("plug-in interval width is zero; no ratio to target")
 
     def report_at(c: float) -> SpreadReport:
         prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
-        w = central_interval(beta_binomial_distribution(n, prior, eps), coverage).width
+        w = central_interval(_streamed_law(_beta_binomial_args(n, prior, eps)), coverage).width
         return SpreadReport(width_predictive=w, width_plugin=w_plug, ratio=w / w_plug)
 
     best_c, best = lo_c, report_at(lo_c)

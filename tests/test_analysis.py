@@ -1,7 +1,8 @@
 """One analysis path for fixed and beta-uncertain scenarios.
 
 Golden reports pin ``summarize`` stdout byte for byte; build counts pin that
-each command builds every distinct law once; the effective relative risk of
+each command builds every distinct law once, and that calibration streams
+one window per probe (``_streamed_law``) and builds none; the effective relative risk of
 near-certain-zero arms is checked against a high-precision reference.
 
 Every convolution here is split over two processes (``forced_split``), so
@@ -24,7 +25,7 @@ from riskcounts.scenarios import bundled_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-_BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve")
+_BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
 
 
 @pytest.fixture(autouse=True)
@@ -93,8 +94,7 @@ def _uncertain_path(tmp_path):
     (["summarize", "uncertain"], {"beta_binomial_distribution": 5, "convolve": 1}),
     (["figure", "la_rr106", "--id", "1"], {"binomial_distribution": 2}),
     (["figure", "la_rr106", "--id", "3"], {"binomial_distribution": 3, "convolve": 1}),
-    (["calibrate", "la_rr106", "2.0"],
-     {"beta_binomial_distribution": 22, "binomial_distribution": 2}),
+    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 24}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
     scenario = _uncertain_path(tmp_path) if argv[1] == "uncertain" else _scenario_path(

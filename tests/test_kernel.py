@@ -7,8 +7,11 @@
   refilled the whole window at every widening round, copied here as it
   stood.  Each constructor's call is run through both with the same step
   ratio and anchor functions.
+* The streamed interval probe (``_streamed_law``) must give the interval of
+  the law it never stores, bit for bit, or the same error.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -27,11 +30,14 @@ from riskcounts.distributions import (
     _aligned,
     _exact_sum,
     _kept_cells,
+    _streamed_law,
     beta_binomial_distribution,
     binomial_distribution,
+    central_interval,
     convolve,
     poisson_distribution,
 )
+from riskcounts.predictive import spread_report
 
 BLOCK = distributions._SUM_BLOCK
 
@@ -200,6 +206,26 @@ def test_exact_sum_of_nothing_and_of_non_finite_values():
 def test_exact_sum_matches_fsum_on_a_window():
     law = binomial_distribution(10**8, 0.3)
     assert _exact_sum(law.masses) == math.fsum(law.masses)
+
+
+@given(
+    hnp.arrays(np.float64, st.integers(0, 300),
+               elements=finite_non_negative | st.sampled_from([0.0, 5e-324, math.inf, math.nan])),
+    st.lists(st.integers(0, 300), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+@example(np.array([1.0, math.inf, 2.0, math.nan, 3.0]), [1, 2, 3, 4])
+@example(np.array([1.0, math.nan, math.inf]), [2])
+@example(np.array([5e-324] * 5 + [1e300]), [0, 0, 3, 6])
+def test_the_exact_sum_accumulator_equals_fsum_over_any_block_split(x, cuts):
+    """Any split, empty blocks included; an infinity gives infinity and a
+    NaN anywhere gives NaN, as ``math.fsum`` does."""
+    bounds = sorted([0, len(x)] + [c % (len(x) + 1) for c in cuts])
+    total = distributions._ExactSum()
+    for a, b in zip(bounds, bounds[1:]):
+        total.add(x[a:b])
+    got, want = total.total(), math.fsum(x)
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +512,26 @@ def test_poisson_builder_equals_oracle_at_the_subnormal_cut(both_builders):
     assert both_builders
 
 
+def test_a_neginf_cell_below_the_anchor_is_refused_cut_or_not(both_builders):
+    """``_window`` decides the underflow cut from the above run alone, so a
+    window that also has a -inf cell below its anchor is cut where the
+    oracle keeps it whole; both refuse it at the finiteness check, and so
+    does the streamed probe."""
+    def log_ratio(ks):
+        return np.where(ks == 2.0, np.inf, np.where(ks == 8.0, -np.inf, -0.1))
+
+    args = dict(mean=5.0, sd=1.0, n_max=20, log_ratio=log_ratio, anchor_fn=lambda k: -1.0,
+                anchor_at=5, eps=1e-12)
+    assert distributions._window(**args).dropped == distributions._UNDERFLOW_TAIL
+    for interval in (
+        lambda: central_interval(distributions._build_windowed(kind="binomial", **args), 0.9),
+        lambda: central_interval(_streamed_law(args), 0.9),
+    ):
+        with pytest.raises(DomainError, match="every stored log_mass must be finite"):
+            interval()
+    assert both_builders == []
+
+
 def test_builder_cap_refusal_is_unchanged(both_builders):
     with pytest.raises(DomainError, match="exceeds the 20000000-point cap"):
         beta_binomial_distribution(10**8, BetaParams(0.5, 0.5))
@@ -525,23 +571,26 @@ def law_or_refusal(build, cap, walk_min_cells):
 
 
 @st.composite
-def builds_near_the_cap(draw):
+def builds_near_the_cap(draw, kinds=("binomial", "poisson", "beta-binomial")):
     """A binomial, Poisson or beta-binomial build whose count sd puts its
-    eps window near ``SMALL_CAP`` cells."""
-    kind = draw(st.sampled_from(["binomial", "poisson", "beta-binomial"]))
+    eps window near ``SMALL_CAP`` cells, as a ``functools.partial`` of its
+    constructor."""
+    kind = draw(st.sampled_from(kinds))
     sd = draw(st.floats(SMALL_CAP / 80, SMALL_CAP / 8))
     eps = draw(st.sampled_from([5e-324, 1e-14, 1e-12, 1e-9, 1e-6]))
     p = draw(st.floats(1e-6, 0.5) | st.floats(0.5, 1.0 - 1e-6))
     pq = p * (1.0 - p)
     if kind == "poisson":
-        return lambda: poisson_distribution(sd * sd, eps=eps)
+        return functools.partial(poisson_distribution, sd * sd, eps)
     if kind == "binomial":
         n = max(1, round(sd * sd / pq))
-        return lambda: binomial_distribution(n, p, eps=eps)
+        return functools.partial(binomial_distribution, n, p, eps)
     # n p q (c + n) / (c + 1) = sd^2, solved for n
     c = 10.0 ** draw(st.floats(-1.0, 7.0))
     n = (-pq * c + math.sqrt((pq * c) ** 2 + 4.0 * pq * sd * sd * (c + 1.0))) / (2.0 * pq)
-    return lambda: beta_binomial_distribution(max(1, round(n)), BetaParams(p * c, (1.0 - p) * c), eps=eps)
+    return functools.partial(
+        beta_binomial_distribution, max(1, round(n)), BetaParams(p * c, (1.0 - p) * c), eps
+    )
 
 
 @given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000]),
@@ -679,6 +728,182 @@ def test_builder_equals_oracle(both_builders, n, log_p, kind, log_c, eps):
 
 
 # ---------------------------------------------------------------------------
+# streamed interval probe
+# ---------------------------------------------------------------------------
+
+#: Each probed constructor's argument helper.
+ARGS = {
+    binomial_distribution: distributions._binomial_args,
+    beta_binomial_distribution: distributions._beta_binomial_args,
+}
+
+#: Coverages central_interval takes, and the ones it refuses: 1 - 2^-53
+#: leaves a tail whose upper quantile 1 - tail rounds to 1.
+COVERAGES = [0.5, 0.9, 0.9999, 1.0 - 1e-8, 1.0 - 2.0**-53, 1e-300, 0.0, 1.0, math.nan, -0.5]
+
+
+def interval_or_error(interval):
+    """``interval()`` as its ``(lo, hi, coverage, achieved)`` bits, or its
+    error's type and message."""
+    try:
+        iv = interval()
+    except ValueError as exc:  # DomainError, and float()'s own
+        return type(exc).__name__, str(exc)
+    return iv.lo, iv.hi, iv.coverage.hex(), iv.achieved.hex()
+
+
+def law_and_probe(constructor, params, coverage):
+    """The interval of the constructor's law and that of the probe."""
+    return (
+        interval_or_error(lambda: central_interval(constructor(*params), coverage)),
+        interval_or_error(lambda: central_interval(_streamed_law(ARGS[constructor](*params)), coverage)),
+    )
+
+
+@st.composite
+def probed_laws(draw):
+    """A binomial or beta-binomial constructor and its arguments: point
+    masses, subnormal risks and priors with alpha or beta below 1 (a side
+    that is not monotone) included."""
+    n = draw(st.integers(0, 200_000) | st.sampled_from([0, 1, 2, 7, 10]))
+    eps = draw(st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6]))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.0, 1.0, 5e-324, 1e-320, 2e-308, 0.5])
+                 | st.floats(-12.0, 0.0).map(lambda x: min(10.0**x, 1.0)))
+        return binomial_distribution, (n, p, eps)
+    p = 10.0 ** draw(st.floats(-9.0, -1e-9))
+    c = 10.0 ** draw(st.floats(-1.0, 7.0))
+    return beta_binomial_distribution, (n, BetaParams(p * c, (1.0 - p) * c), eps)
+
+
+@given(probed_laws(), st.sampled_from(COVERAGES) | st.floats(0.0, 1.0))
+@settings(max_examples=250, deadline=None)
+@example((binomial_distribution, (2, 5e-324, 1e-12)), 0.9999)  # the underflow cut
+@example((binomial_distribution, (7, 5e-324, 1e-12)), 1.0 - 1e-8)
+@example((binomial_distribution, (0, 0.3, 1e-12)), 0.9)  # point masses
+@example((binomial_distribution, (10, 1.0, 1e-12)), 0.9)
+@example((beta_binomial_distribution, (0, BetaParams(1.0, 2.0), 1e-12)), 0.5)
+@example((beta_binomial_distribution, (1000, BetaParams(1.0, 31.0), 1e-6)), 1.0 - 1e-8)  # shortfall
+@example((beta_binomial_distribution, (1000, BetaParams(0.3, 0.4), 1e-6)), 1.0 - 1e-8)
+@example((beta_binomial_distribution, (2 * 10**5, BetaParams(2e-6, 10.0), 1e-12)), 0.9999)
+@example((binomial_distribution, (-1, 0.3, 1e-12)), 0.9)  # argument errors
+@example((binomial_distribution, (10, 1.5, 1e-12)), math.nan)
+@example((beta_binomial_distribution, (10, BetaParams(1e20, 1e20), 1e-12)), 0.9)
+@example((binomial_distribution, (10, 0.3, 0.0)), 0.9)
+def test_the_streamed_interval_is_the_laws(law, coverage):
+    """Bit for bit, or the same error after the same checks; and equal to
+    the interval of the oracle builder's law."""
+    constructor, params = law
+    want, got = law_and_probe(constructor, params, coverage)
+    assert got == want
+    try:
+        args = ARGS[constructor](*params)
+    except DomainError:
+        return
+    if isinstance(args, dict):
+        oracle, _ = oracle_build_windowed(kind=constructor(*params).kind, **args)
+        assert interval_or_error(lambda: central_interval(oracle, coverage)) == want
+
+
+def test_the_probed_cases_reach_every_outcome():
+    """The cases above give intervals, clamps, the shortfall and each
+    coverage error; each probe equals its law's interval."""
+    cases = [
+        (beta_binomial_distribution, (1000, BetaParams(1.0, 31.0), 1e-6), 1.0 - 1e-8, "falls short"),
+        (binomial_distribution, (10**5, 0.3, 1e-12), 1.0 - 2.0**-53, "q must lie in (0, 1), got 1.0"),
+        (binomial_distribution, (10**5, 0.3, 1e-12), math.nan, "coverage must lie in (0, 1), got nan"),
+        (beta_binomial_distribution, (2 * 10**5, BetaParams(2e-6, 10.0), 1e-12), 0.9999, None),
+    ]
+    for constructor, params, coverage, error in cases:
+        want, got = law_and_probe(constructor, params, coverage)
+        assert got == want
+        if error is None:
+            assert got[0] == got[1] == 0  # all but 1e-4 of the mass at 0
+        else:
+            assert got[0] == "DomainError" and error in got[1]
+    # a clamp: the stored mass falls short of 1 - tail, so the upper
+    # quantile reaches past the window and clamps to its top
+    params = (1000, BetaParams(1.0, 31.0), 1e-6)
+    law = beta_binomial_distribution(*params)
+    tail = 0.6 * (1.0 - law.cdf(law.support_hi))
+    assert law.cdf(law.support_hi) < 1.0 - tail
+    want, got = law_and_probe(beta_binomial_distribution, params, 1.0 - 2.0 * tail)
+    assert got == want and got[1] == law.support_hi
+
+
+def faulty_window(fault):
+    """Binomial(1000, 0.3)'s window arguments with one fault: a NaN step
+    log (so non-finite cells), an anchor 0.5 too high (so the mass identity
+    fails), or none."""
+    args = distributions._binomial_args(1000, 0.3, 1e-12)
+    log_ratio, anchor_fn = args["log_ratio"], args["anchor_fn"]
+    if fault == "nan":
+        args["log_ratio"] = lambda ks: np.where(ks == 310.0, np.nan, log_ratio(ks))
+    elif fault == "identity":
+        args["anchor_fn"] = lambda k: anchor_fn(k) + 0.5
+    return args
+
+
+@pytest.mark.parametrize("coverage", COVERAGES)
+@pytest.mark.parametrize("fault, truncated, error", [
+    ("nan", None, "every stored log_mass must be finite"),
+    ("nan", 1.5, "every stored log_mass must be finite"),
+    ("none", 1.5, "truncated_mass must lie in [0, 1], got 1.5"),
+    ("identity", 1.5, "truncated_mass must lie in [0, 1], got 1.5"),
+    ("identity", None, "mass identity violated"),
+    ("none", None, None),
+])
+def test_the_probe_raises_the_laws_errors_first(monkeypatch, coverage, fault, truncated, error):
+    """The law's checks, in the law's order, before any coverage error:
+    finiteness, the truncated-mass range (reached only with
+    ``_truncated`` patched), then the mass identity."""
+    if truncated is not None:
+        monkeypatch.setattr(distributions, "_truncated", lambda stored, dropped, eps: truncated)
+    args = faulty_window(fault)
+    want = interval_or_error(
+        lambda: central_interval(distributions._build_windowed(kind="binomial", **args), coverage)
+    )
+    got = interval_or_error(lambda: central_interval(_streamed_law(args), coverage))
+    assert got == want
+    if error is not None:
+        assert got[0] == "DomainError" and error in got[1]
+
+
+@given(builds_near_the_cap(kinds=("binomial", "beta-binomial")), st.sampled_from([1, 64, 1_000, 3_000]),
+       st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]), st.sampled_from(COVERAGES))
+@settings(max_examples=100, deadline=None)
+def test_the_streamed_interval_keeps_every_refusal_near_the_cap(build, walk_min_cells, cap, coverage):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_MAX_SUPPORT_POINTS", cap)
+        mp.setattr(distributions, "_WALK_MIN_CELLS", walk_min_cells)
+        want, got = law_and_probe(build.func, build.args, coverage)
+    assert got == want
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_exp_and_carried_cumsum_equal_one_call(size, seed):
+    """``np.exp`` block by block equals one call over the window, and a
+    cdf summed block by block, each block continuing from the last value of
+    the one before (``_StreamedCdf._carried_cumsum``), equals one
+    ``np.cumsum``, over block splits at random and at ``_SUM_BLOCK``."""
+    rng = np.random.default_rng(seed)
+    log_mass = rng.uniform(-760.0, 0.0, size)  # subnormal and zero masses included
+    masses = np.exp(log_mass)
+    cdf = np.cumsum(masses)
+    for cuts in (rng.integers(0, size + 1, 6), np.arange(0, size, BLOCK)):
+        bounds = sorted({0, size, *cuts.tolist()})
+        exps, sums, carry = [], [], 0.0
+        for a, b in zip(bounds, bounds[1:]):
+            block = np.exp(log_mass[a:b])
+            exps.append(block.copy())
+            sums.append(distributions._StreamedCdf._carried_cumsum(block, carry))
+            carry = sums[-1][-1]
+        assert np.concatenate(exps).tobytes() == masses.tobytes()
+        assert np.concatenate(sums).tobytes() == cdf.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -718,3 +943,28 @@ def test_a_refused_window_is_refused_without_its_temporaries():
     refusal, peak = traced_peak(lambda: beta_binomial_distribution(*US_RR2_C10))
     assert str(refusal) == US_RR2_REFUSAL
     assert peak < 16 << 20, f"the refused build peaked at {peak} bytes"
+
+
+#: The ny_rr2 exposed arm at calibration's first concentration, c = 10: a
+#: window over the whole domain, 4,000,001 cells.
+NY_RR2_C10 = (4_000_000, BetaParams(10 * 2e-7, 10 * (1 - 2e-7)))
+
+
+def test_a_streamed_interval_holds_only_its_running_sums():
+    """The probe of ny_rr2's c = 10 window holds its runs of step sums, 8 B
+    a cell, and block-sized temporaries.  The law and the cdf
+    ``central_interval`` caches on it peaked at 91.6 MiB."""
+    cells = 4_000_001
+    bound = 8 * cells + (2 << 20)
+
+    def probe():
+        law = _streamed_law(distributions._beta_binomial_args(*NY_RR2_C10, 1e-12))
+        return law, central_interval(law, 0.9999)
+
+    (law, iv), peak = traced_peak(probe)
+    assert law.support_hi - law.support_lo + 1 == cells
+    assert iv == central_interval(beta_binomial_distribution(*NY_RR2_C10), 0.9999)
+    assert peak < bound, f"the probe peaked at {peak} bytes, bound {bound}"
+    report, peak = traced_peak(lambda: spread_report(*NY_RR2_C10))
+    assert (report.width_predictive, report.width_plugin) == (0, 6)
+    assert peak < bound, f"spread_report peaked at {peak} bytes, bound {bound}"

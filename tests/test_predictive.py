@@ -149,6 +149,25 @@ def test_target_one_warns_and_returns_concentration_cap():
     assert prior.concentration == pytest.approx(1e12, rel=1e-12)
 
 
+#: Spread reports on la_rr2's exposed arm (2,000,000 people at risk 2e-7)
+#: by concentration: (width_predictive, width_plugin).  The ratio is 0 at
+#: calibration's lower bound c = 10 and rises before it falls, so the
+#: search, which assumes it falls from c = 10, refuses targets it could
+#: reach (1.8 at 3e6).
+LA_RR2_SWEEP = {10.0: (0, 5), 1e3: (1847, 5), 1e5: (90, 5), 1e6: (17, 5), 3e6: (9, 5), 1e7: (6, 5)}
+
+
+def test_the_spread_ratio_is_not_monotone_from_the_lower_concentration_bound():
+    reports = {
+        c: spread_report(2_000_000, BetaParams(c * 2e-7, c * (1 - 2e-7))) for c in LA_RR2_SWEEP
+    }
+    assert {c: (r.width_predictive, r.width_plugin) for c, r in reports.items()} == LA_RR2_SWEEP
+    ratios = [reports[c].ratio for c in LA_RR2_SWEEP]
+    assert ratios == pytest.approx([0.0, 369.4, 18.0, 3.4, 1.8, 1.2])
+    with pytest.raises(CalibrationError, match="exceeds the maximum 0 reachable at concentration 10.0"):
+        calibrate_prior(2_000_000, 2e-7, target_ratio=1.8)
+
+
 def test_unreachable_target_raises():
     with pytest.raises(CalibrationError):
         calibrate_prior(1_000, 0.05, target_ratio=500.0)
