@@ -21,11 +21,15 @@ log is taken.  Each step then contributes ~1 ulp of absolute log error and
 the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
 
-One widening loop (``_window``) finds each window.  ``_build_windowed``
-stores it as a law; callers that need only an interval (calibration and
-spread reports) read it block by block instead (``_StreamedCdf``), through
-the same checks and to the same bits, holding 8 bytes per cell where a law
-holds 16 and its cdf 8 more.
+One widening loop (``_window``) finds each window.  Each round tests each
+edge once: against the filled cell, or, in a round that would fill a
+million cells or more toward the cap, against the anchor function at the
+edge within a certified slack, so that a window the cap refuses is refused
+before it is filled.  ``_build_windowed`` stores the window as a law;
+callers that need only an interval (calibration and spread reports) read it
+block by block instead (``_StreamedCdf``), through the same checks and to
+the same bits, holding 8 bytes per cell where a law holds 16 and its cdf 8
+more.
 
 Convolution is a direct ``np.correlate`` that computes only the cells its
 trim keeps.  Each tail is dropped while its running sum stays at most eps/4;
@@ -97,20 +101,21 @@ _BRACKET_SIGMAS = 12.0
 #: Hard cap on stored support points (desk-scale memory).
 _MAX_SUPPORT_POINTS = 20_000_000
 
-#: A widening round that would fill this many cells or more first walks the
-#: rounds after it without filling (``_walk_to_cap``), so that a window the
-#: cap will refuse is refused before it is filled.
+#: From the first widening round that would fill this many cells or more,
+#: ``_window``'s loop walks without filling, deciding each edge from the
+#: anchor function, so that a window the cap will refuse is refused before
+#: it is filled.
 _WALK_MIN_CELLS = 1 << 20
 
 #: Unit roundoff of a double.
 _U = 2.0**-53
 
 #: Bound on the absolute error of an anchor's 40-digit evaluation before its
-#: rounding to a double, where ``_walk_to_cap`` runs (cell indices below
-#: 2^53).  Its dozen log-gamma and log terms stay below 1e27 in magnitude
-#: (c ln c at ``MAX_CONCENTRATION``; n ln n and lambda ln lambda are far
-#: smaller there), and each operation at ``_ANCHOR_DPS`` digits (136 bits)
-#: errs by under 2^-135 of its result: 12 * 1e27 * 2^-135 < 3e-13.
+#: rounding to a double, wherever ``_window``'s loop walks (cell indices
+#: below 2^53).  Its dozen log-gamma and log terms stay below 1e27 in
+#: magnitude (c ln c at ``MAX_CONCENTRATION``; n ln n and lambda ln lambda
+#: are far smaller there), and each operation at ``_ANCHOR_DPS`` digits (136
+#: bits) errs by under 2^-135 of its result: 12 * 1e27 * 2^-135 < 3e-13.
 _ANCHOR_ERROR = 1e-12
 
 #: Bound on the mass a log-concave window drops past a step ratio that
@@ -518,54 +523,6 @@ def _edge_decision(
     return None
 
 
-def _walk_to_cap(
-    lo: int,
-    hi: int,
-    step: int,
-    rounds: int,
-    n_max: int | None,
-    log_ratio,
-    anchor_fn,
-    anchor_k: int,
-    anchor_log: float,
-    per_side: float,
-) -> None:
-    """Raise ``_window``'s cap error if its widening loop, about to
-    fill the window ``[lo, hi]`` with ``rounds`` rounds left, would reach a
-    window over the cap; return as soon as that is not certain.
-
-    The rounds are walked with the loop's own ``lo``/``hi``/``step`` rule
-    and tail test, but each edge is read from ``anchor_fn`` instead of the
-    filled window (``_edge_decision``).  The walk stops, leaving the loop to
-    fill as it would have, at the first undecided edge or at a window whose
-    two sides both pass.
-    """
-    for _ in range(rounds):
-        if hi - lo + 1 > _MAX_SUPPORT_POINTS:
-            raise _cap_error(hi - lo + 1)
-        ok_lo = lo == 0 or _edge_decision(
-            anchor_log,
-            anchor_fn(lo),
-            anchor_k - lo,
-            -float(log_ratio(np.array([lo - 1.0]))[0]),
-            per_side,
-        )
-        ok_hi = (n_max is not None and hi == n_max) or _edge_decision(
-            anchor_log,
-            anchor_fn(hi),
-            hi - anchor_k,
-            float(log_ratio(np.array([float(hi)]))[0]),
-            per_side,
-        )
-        if ok_lo is None or ok_hi is None or (ok_lo and ok_hi):
-            return
-        if not ok_lo:
-            lo = max(0, lo - step)
-        if not ok_hi:
-            hi = hi + step if n_max is None else min(n_max, hi + step)
-        step *= 2
-
-
 class _Window(NamedTuple):
     """A window the widening loop of ``_window`` settled on, as the running
     sums of step logs it filled, not yet as log masses.
@@ -627,9 +584,14 @@ def _window(
     index order, so a block whose first step has the run's last value added
     continues the very same sequence of roundings.
 
-    Before the first round that would fill ``_WALK_MIN_CELLS`` cells,
-    ``_walk_to_cap`` raises the cap error without filling where the loop
-    would certainly reach a window over the cap.
+    Each round decides each edge once.  From the first round that would
+    fill ``_WALK_MIN_CELLS`` cells, the loop walks: it decides each edge
+    from ``anchor_fn`` at the edge instead of the filled cell
+    (``_edge_decision``) and widens without filling, so that a window the
+    cap refuses is refused before it is filled.  Each walked decision is
+    the one the filled cell would give.  The walk ends for good at its
+    first undecided edge or at a window whose two sides both pass; the next
+    round fills up to that window and tests the filled edges.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -654,34 +616,37 @@ def _window(
     above: list[np.ndarray] = []
     below: list[np.ndarray] = []
     filled_lo = filled_hi = anchor_k
+
+    def passes(k: int, sign: int, run: list[np.ndarray], walking: bool) -> bool | None:
+        """The tail test past the window edge ``k`` on the side ``sign``
+        (-1 below, 1 above): decided from ``anchor_fn(k)`` while walking,
+        else from the filled cell, the last of ``run``."""
+        log_r = sign * float(log_ratio(np.array([k - 1.0 if sign < 0 else float(k)]))[0])
+        if walking:
+            return _edge_decision(anchor_log, anchor_fn(k), sign * (k - anchor_k), log_r, per_side)
+        edge = anchor_log + sign * run[-1][-1] if run else anchor_log
+        return _geometric_tail_bound(float(edge), log_r) <= per_side
+
     # a window can outgrow the cap only if the domain is wider than it, and
     # the walk's error bound needs cell indices that are exact doubles
     walk = n_max is None or _MAX_SUPPORT_POINTS < n_max + 1 < 2**53
-    for rounds in range(128, 0, -1):
+    for _ in range(128):
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
             raise _cap_error(hi - lo + 1)
-        if walk and (filled_lo - lo) + (hi - filled_hi) >= _WALK_MIN_CELLS:
-            walk = False
-            _walk_to_cap(
-                lo, hi, step, rounds, n_max, log_ratio, anchor_fn, anchor_k, anchor_log, per_side
-            )
-        if lo < filled_lo:
-            _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
-            filled_lo = lo
-        if hi > filled_hi:
-            _extend_run(above, log_ratio, filled_hi, hi, 1)
-            filled_hi = hi
+        walking = walk and (filled_lo - lo) + (hi - filled_hi) >= _WALK_MIN_CELLS
+        if not walking:
+            if lo < filled_lo:
+                _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
+                filled_lo = lo
+            if hi > filled_hi:
+                _extend_run(above, log_ratio, filled_hi, hi, 1)
+                filled_hi = hi
 
-        ok_lo = lo == 0
-        if not ok_lo:
-            down = -float(log_ratio(np.array([lo - 1.0]))[0])
-            edge = anchor_log - below[-1][-1] if below else anchor_log
-            ok_lo = _geometric_tail_bound(float(edge), down) <= per_side
-        ok_hi = n_max is not None and hi == n_max
-        if not ok_hi:
-            up = float(log_ratio(np.array([float(hi)]))[0])
-            edge = anchor_log + above[-1][-1] if above else anchor_log
-            ok_hi = _geometric_tail_bound(float(edge), up) <= per_side
+        ok_lo = lo == 0 or passes(lo, -1, below, walking)
+        ok_hi = (n_max is not None and hi == n_max) or passes(hi, 1, above, walking)
+        if walking and (ok_lo is None or ok_hi is None or (ok_lo and ok_hi)):
+            walk = False  # the next round fills this window and tests it
+            continue
         if ok_lo and ok_hi:
             break
         if not ok_lo:

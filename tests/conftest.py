@@ -1,7 +1,15 @@
 """Shared test helpers: forcing the worker split, and the host facts that
 the worker count and some pinned bytes depend on."""
 
-import numpy as np
+import os
+
+# Idle OpenBLAS threads sleep after spinning 2^4 cycles, not the default
+# 2^28 (about 0.1 s).  Spinning threads starve the forced two-worker splits
+# where BLAS and worker threads share two CPUs.  Set before numpy loads, and
+# inherited by every subprocess a test starts.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 
 from riskcounts import _parallel
 

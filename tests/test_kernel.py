@@ -664,6 +664,95 @@ def test_the_walk_refuses_us_rr2_before_filling_a_round_of_a_million_cells(monke
     assert max(filled) < distributions._WALK_MIN_CELLS, filled
 
 
+ANCHOR_FACTORIES = ("_binomial_anchor", "_poisson_anchor", "_beta_binomial_anchor")
+
+
+def fills_and_anchors(build, cap, walk_min_cells):
+    """``law_or_refusal(build, cap, walk_min_cells)``, the ``log_ratio``
+    index ranges handed to ``_extend_run`` as half-open ``(a, b)`` pairs,
+    and the cells the anchor function was evaluated at."""
+    ranges, anchors = [], []
+    extend_run = distributions._extend_run
+
+    def recorded(run, log_ratio, start, stop, step):
+        ranges.append((start, stop) if step > 0 else (stop + 1, start + 1))
+        extend_run(run, log_ratio, start, stop, step)
+
+    def counted(factory):
+        def counted_factory(*args):
+            anchor_fn = factory(*args)
+
+            def anchor(k):
+                anchors.append(k)
+                return anchor_fn(k)
+
+            return anchor
+
+        return counted_factory
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_extend_run", recorded)
+        for name in ANCHOR_FACTORIES:
+            mp.setattr(distributions, name, counted(getattr(distributions, name)))
+        result = law_or_refusal(build, cap, walk_min_cells)
+    return result, ranges, anchors
+
+
+@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000]),
+       st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
+@settings(max_examples=100, deadline=None)
+def test_the_loop_fills_each_cell_once_and_evaluates_one_anchor_below_the_walk(
+    build, walk_min_cells, cap
+):
+    """Walking or not, the step logs filled are those of the window the loop
+    reaches, each once: the ``log_ratio`` index ranges, below the anchor and
+    above it, sum to their span, which is the law's support.  Where no round
+    reaches the default ``_WALK_MIN_CELLS``, the anchor is evaluated once."""
+    result, ranges, _ = fills_and_anchors(build, cap, walk_min_cells)
+    if ranges:
+        lo, hi = min(a for a, _ in ranges), max(b for _, b in ranges)
+        assert sum(b - a for a, b in ranges) == hi - lo
+        if not isinstance(result, str):
+            assert result[:2] == (lo, hi)
+    _, _, anchors = fills_and_anchors(build, cap, distributions._WALK_MIN_CELLS)
+    assert len(anchors) == 1
+
+
+def recorded_decisions(monkeypatch):
+    """The list that gets each ``_edge_decision`` result from now on."""
+    decisions = []
+    decide = distributions._edge_decision
+
+    def recorded(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(distributions, "_edge_decision", recorded)
+    return decisions
+
+
+def test_a_walk_that_fails_six_edges_then_passes_two_keeps_the_law(monkeypatch):
+    """Binomial(1e8, 1/2) at eps 5e-324 widens each side three rounds past
+    its bracket.  Walked from the first round, each of those six edges fails
+    and both final edges pass; the loop then fills that window once."""
+    decisions = recorded_decisions(monkeypatch)
+    build = functools.partial(binomial_distribution, 10**8, 0.5, eps=5e-324)
+    cap = distributions._MAX_SUPPORT_POINTS
+    unwalked = law_or_refusal(build, cap, NO_WALK)
+    assert decisions == []
+    assert law_or_refusal(build, cap, 1) == unwalked
+    assert decisions == [False] * 6 + [True] * 2
+    assert unwalked[:2] == (49_799_998, 50_200_002)
+
+
+def test_no_walk_runs_where_a_cell_index_is_not_an_exact_double(monkeypatch):
+    decisions = recorded_decisions(monkeypatch)
+    monkeypatch.setattr(distributions, "_WALK_MIN_CELLS", 1)
+    law = binomial_distribution(2**60, 1e-15)
+    assert decisions == []
+    assert (law.support_lo, law.support_hi) == (743, 1563)
+
+
 def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
     """Binomial(n, p) step ratios and anchor through ``_build_windowed``,
     anchored at ``anchor``.  ``whole`` fills 0..n_max in one round, so the
