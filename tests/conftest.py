@@ -10,8 +10,12 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from riskcounts import _parallel
+
+# the support module's checks report their operands as a test's own do
+pytest.register_assert_rewrite("pinned")
 
 #: The cost thresholds below which work stays in the calling process.
 CONVOLVE_THRESHOLD = "riskcounts.distributions._PARALLEL_MIN_MACS"

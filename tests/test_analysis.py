@@ -1,62 +1,25 @@
 """One analysis path for fixed and beta-uncertain scenarios.
 
-Golden reports pin ``summarize`` stdout byte for byte; build counts pin that
-each command builds every distinct law once, and that calibration streams
-one window per probe (``_streamed_law``) and builds none; the effective relative risk of
-near-certain-zero arms is checked against a high-precision reference.
-
-Every convolution here is split over two processes (``forced_split``), so
-the golden reports also show that the bytes do not depend on the worker
-count.
+Build counts pin that each command builds every distinct law once, and that
+calibration streams one window per probe (``_streamed_law``) and builds
+none; the effective relative risk of near-certain-zero arms is checked
+against a high-precision reference.  ``summarize`` stdout is pinned in
+``test_pinned.py``.
 """
 
 import collections
 import json
+import math
 import sys
-from pathlib import Path
 
-import mpmath
 import pytest
 
-from conftest import CONVOLVE_THRESHOLD, force_workers
+from oracles import beta_binomial_log_pmf
+from pinned import SMALL_UNCERTAIN, scenario_path
 from riskcounts import BetaParams, UncertainScenario, distributions, summarize
 from riskcounts.cli import main
-from riskcounts.scenarios import bundled_text
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
-
-
-@pytest.fixture(autouse=True)
-def forced_split(monkeypatch, request):
-    """Split every convolution over two processes and record its ranges;
-    each golden ``summarize`` must have been split."""
-    forked = force_workers(monkeypatch, 2, blas=1, threshold=CONVOLVE_THRESHOLD)
-    yield forked
-    if request.node.originalname == "test_summarize_stdout_matches_golden":
-        assert forked and all(len(ranges) == 2 for ranges in forked)
-
-
-def _scenario_path(tmp_path, name):
-    """A bundled scenario, or one stored beside the golden reports."""
-    stored = GOLDEN / f"{name}.json"
-    if stored.exists():
-        return str(stored)
-    path = tmp_path / f"{name}.json"
-    path.write_text(bundled_text(name), encoding="utf-8")
-    return str(path)
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["la_rr106", "la_rr2", "ny_rr2", "us_rr2", "la_rr106_c1e3", "la_rr106_c1e7"],
-)
-def test_summarize_stdout_matches_golden(name, tmp_path, capsys):
-    code = main(["summarize", _scenario_path(tmp_path, name)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out == (GOLDEN / f"{name}.summarize.txt").read_text(encoding="utf-8")
 
 
 @pytest.fixture
@@ -76,19 +39,6 @@ def builds(monkeypatch):
     return counts
 
 
-def _uncertain_path(tmp_path):
-    path = tmp_path / "u.json"
-    path.write_text(json.dumps({
-        "schema_version": 1,
-        "uncertain_scenario": {
-            "n_exposed": 1000, "n_unexposed": 1500,
-            "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
-            "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
-        },
-    }), encoding="utf-8")
-    return str(path)
-
-
 @pytest.mark.parametrize("argv, expected", [
     (["summarize", "la_rr106"], {"binomial_distribution": 5, "convolve": 1}),
     (["summarize", "uncertain"], {"beta_binomial_distribution": 5, "convolve": 1}),
@@ -97,9 +47,7 @@ def _uncertain_path(tmp_path):
     (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 24}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
-    scenario = _uncertain_path(tmp_path) if argv[1] == "uncertain" else _scenario_path(
-        tmp_path, argv[1]
-    )
+    scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])
     argv = [argv[0], scenario, *argv[2:]]
     if argv[0] == "figure":
         argv += ["--out", str(tmp_path / "fig.csv")]
@@ -109,15 +57,9 @@ def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, cap
 
 
 def _effective_rr_reference(n, prior_e, prior_u):
-    """(1 - P0_e) / (1 - P0_u) for beta-binomial arms, at 50 digits."""
-    with mpmath.workdps(50):
-        def at_least_one(prior):
-            a, b = mpmath.mpf(prior.alpha), mpmath.mpf(prior.beta)
-            log_p0 = (mpmath.loggamma(b + n) + mpmath.loggamma(a + b)
-                      - mpmath.loggamma(b) - mpmath.loggamma(a + b + n))
-            return -mpmath.expm1(log_p0)
-
-        return float(at_least_one(prior_e) / at_least_one(prior_u))
+    """(1 - P0_e) / (1 - P0_u) for beta-binomial arms."""
+    log_p0 = [beta_binomial_log_pmf(n, prior, 0) for prior in (prior_e, prior_u)]
+    return math.expm1(log_p0[0]) / math.expm1(log_p0[1])
 
 
 def test_uncertain_effective_rr_matches_high_precision_reference(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinned import DELETE, all_paths, mutated
 from riskcounts.cli import main
 from riskcounts.comparison import MAX_POPULATION, ExposureScenario, UncertainScenario, summarize
 from riskcounts.distributions import BetaParams, DomainError, beta_binomial_distribution
@@ -90,28 +91,7 @@ def _assert_clean_exit(argv):
     return err.rstrip("\n")
 
 
-def _paths(node, prefix=()):
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, child in items:
-        yield prefix + (key,)
-        if isinstance(child, (dict, list)):
-            yield from _paths(child, prefix + (key,))
-
-
-ALL_PATHS = [(i, path) for i, doc in enumerate(DOCUMENTS) for path in _paths(doc)]
-_DELETE = object()
-
-
-def _mutated(doc, path, value):
-    doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is _DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
-    return doc
+ALL_PATHS = all_paths(DOCUMENTS)
 
 
 _json_values = st.recursive(
@@ -125,7 +105,7 @@ _json_values = st.recursive(
     max_leaves=4,
 )
 _replacements = st.one_of(
-    st.just(_DELETE),
+    st.just(DELETE),
     st.none(),
     st.booleans(),
     st.integers(-2, 10_000),
@@ -143,7 +123,7 @@ def test_mutated_scenario_files_end_in_exit_0_or_2(tmp_path_factory, target, val
     i, path = target
     folder = tmp_path_factory.mktemp("mutated")
     scenario = folder / "scenario.json"
-    scenario.write_text(json.dumps(_mutated(DOCUMENTS[i], path, value)), encoding="utf-8")
+    scenario.write_text(json.dumps(mutated(DOCUMENTS[i], path, value)), encoding="utf-8")
     for argv in _commands(str(scenario), str(folder / "out.csv")):
         _assert_clean_exit(argv)
 

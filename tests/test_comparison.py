@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import exact_binomial_pmf
 from riskcounts import (
     BetaParams,
     ExposureScenario,
@@ -36,8 +37,7 @@ LA_RR106 = ExposureScenario(2_000_000, 2_000_000, 0.00020034, 0.000189)
 
 def enumerate_triple(n_x, p_x, n_y, p_y):
     """P(X>Y), P(X=Y), P(X<Y) in exact rational arithmetic."""
-    px = [math.comb(n_x, k) * p_x**k * (1 - p_x) ** (n_x - k) for k in range(n_x + 1)]
-    py = [math.comb(n_y, k) * p_y**k * (1 - p_y) ** (n_y - k) for k in range(n_y + 1)]
+    px, py = exact_binomial_pmf(n_x, p_x), exact_binomial_pmf(n_y, p_y)
     gt = sum(px[i] * py[j] for i in range(n_x + 1) for j in range(n_y + 1) if i > j)
     eq = sum(px[i] * py[j] for i in range(n_x + 1) for j in range(n_y + 1) if i == j)
     lt = sum(px[i] * py[j] for i in range(n_x + 1) for j in range(n_y + 1) if i < j)

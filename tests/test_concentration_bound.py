@@ -11,9 +11,9 @@ build is refused instead of failing the mass identity (``alpha = beta =
 import json
 import math
 
-import mpmath
 import pytest
 
+from oracles import beta_binomial_log_pmf
 from riskcounts.cli import main
 from riskcounts.distributions import (
     MAX_CONCENTRATION,
@@ -23,20 +23,6 @@ from riskcounts.distributions import (
     mode,
 )
 from riskcounts.predictive import CONCENTRATION_BOUNDS
-
-
-def _reference_log_pmf(n, prior, k):
-    digits = 40 + int(math.log10(prior.concentration)) + 30
-    with mpmath.workdps(digits):
-        a, b = mpmath.mpf(prior.alpha), mpmath.mpf(prior.beta)
-
-        def log_beta(x, y):
-            return mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
-
-        return float(
-            mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
-            + log_beta(k + a, n - k + b) - log_beta(a, b)
-        )
 
 
 def test_the_bound_lies_above_the_calibration_cap():
@@ -49,7 +35,7 @@ def test_laws_up_to_the_bound_match_a_higher_precision_anchor(c, n, mean):
     prior = BetaParams(c * mean, c * (1.0 - mean))
     d = beta_binomial_distribution(n, prior)
     for k in {d.support_lo, mode(d), d.support_hi}:
-        assert abs(d.log_pmf(k) - _reference_log_pmf(n, prior, k)) < 2e-13
+        assert abs(d.log_pmf(k) - beta_binomial_log_pmf(n, prior, k)) < 2e-13
 
 
 @pytest.mark.parametrize("alpha, beta", [

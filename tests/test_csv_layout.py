@@ -1,14 +1,12 @@
-"""One owner for the self-describing CSV: replication bytes, replay refusals,
-figure kind refusals and the scenario echo.
+"""One owner for the self-describing CSV: replication report quoting,
+replay refusals, figure kind refusals and the scenario echo.
 
-The digests and the stderr lines were taken from the command-line module as
-it stood while it still wrote replication headers and refused figure kinds
-itself; ``oracle_payload_document`` is the hand-written scenario echo of
-that time.
+The stderr lines were taken from the command-line module as it stood while
+it still wrote replication headers and refused figure kinds itself;
+``oracle_payload_document`` is the hand-written scenario echo of that time.
 """
 
 import csv
-import hashlib
 import io
 import json
 
@@ -16,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pinned import QUOTED_NAME, SMALL_UNCERTAIN, produce, scenario_path, set_line
+from pinned import figure_text, report_text  # noqa: F401  shared fixtures
 from riskcounts import cli, figures
 from riskcounts.cli import main
 from riskcounts.cohort import MAX_REPLICATIONS, CausalSpec, CovariateRule, ProxyRule
@@ -30,61 +30,13 @@ from riskcounts.scenarios import (
     payload_document,
 )
 
-SMALL = ExposureScenario(1_000, 1_500, 0.01, 0.004)
-SMALL_UNCERTAIN = UncertainScenario(
-    1_000, 1_500, BetaParams(40.0, 3_960.0), BetaParams(16.0, 3_984.0)
-)
-
-#: A covariate name that needs RFC-4180 quoting: comma, quotes, newline.
-QUOTED_NAME = 'a,"b"\nc'
-QUOTED_SPEC = {"schema_version": 1, "causal_spec": {
-    "n_per_group": 200, "true_cause": "latent-factor",
-    "baseline_p": 0.05, "effect_p": 0.15, "latent_group_correlation": 0.5,
-    "covariate_rules": [
-        {"name": QUOTED_NAME, "intercept": 0.5, "slope": 1.0, "noise_sd": 0.25},
-    ],
-}}
-
-#: SHA-256 of ``simulate SPEC --replications 50 --seed 7 --out FILE``.
-REPLICATION_SHA256 = {
-    "null_spec": "3ab8fe5fadbf9cf13f2e45949f38189cb343d26c898c2316733bf7b44c581d0a",
-    "banana_spec": "8a9bcc0a623784549c5c0d16151516354ae9740791c39a4c0a3a4448f6486565",
-    "proxy_spec": "1f16934e78dbf1794a647b148d65a2cb0226a6de15da79ec85c420ee713daba0",
-    "quoted": "5ee344d5dc0b08198ca0e4eb4eaa4a530e11fc2544b4f378ecdd9708cf83ef4b",
-}
-
-
-def _scenario_path(tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    text = json.dumps(QUOTED_SPEC) if name == "quoted" else bundled_text(name)
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def _simulate(tmp_path, name, capsys):
-    out = tmp_path / f"{name}.csv"
-    argv = ["simulate", str(_scenario_path(tmp_path, name)),
-            "--replications", "50", "--seed", "7", "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    return out.read_bytes()
-
-
 # ---------------------------------------------------------------------------
-# replication-report bytes
+# replication reports
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(REPLICATION_SHA256))
-def test_replication_bytes_match_golden_digest(name, tmp_path, capsys):
-    data = _simulate(tmp_path, name, capsys)
-    assert hashlib.sha256(data).hexdigest() == REPLICATION_SHA256[name]
-    text = data.decode("utf-8")
-    assert replay_text(text) == text
-
-
-def test_replication_body_quotes_covariate_names(tmp_path, capsys):
-    text = _simulate(tmp_path, "quoted", capsys).decode("utf-8")
+def test_replication_body_quotes_covariate_names(tmp_path):
+    text = produce("simulate-quoted", tmp_path).decode("utf-8")
     assert '\n"covariate_a,""b""\nc",' in text
     body = [row for row in csv.reader(io.StringIO(text)) if not row[0].startswith("#")]
     assert [row[0] for row in body] == [
@@ -103,33 +55,11 @@ def test_cli_names_are_the_figures_functions():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def figure_text():
-    return render_figure_csv(build_figure(1, SMALL))
-
-
-@pytest.fixture(scope="module")
-def report_text(tmp_path_factory):
-    path = tmp_path_factory.mktemp("report") / "null_spec.json"
-    path.write_text(bundled_text("null_spec"), encoding="utf-8")
-    out = path.with_suffix(".csv")
-    assert main(["simulate", str(path), "--replications", "5", "--out", str(out)]) == 0
-    return out.read_text(encoding="utf-8")
-
-
 def _drop(text, key):
     return "".join(
         line for line in text.splitlines(keepends=True)
         if not line.startswith(f"# {key}:")
     )
-
-
-def _set(text, key, value):
-    lines = text.splitlines(keepends=True)
-    hits = [i for i, line in enumerate(lines) if line.startswith(f"# {key}:")]
-    assert len(hits) == 1
-    lines[hits[0]] = f"# {key}: {value}\n"
-    return "".join(lines)
 
 
 @pytest.mark.parametrize("key", ["figure_id", "eps", "riskcounts_csv"])
@@ -153,7 +83,7 @@ def test_replay_names_a_missing_report_line(key, report_text):
 ])
 def test_replay_names_a_malformed_figure_line(key, value, figure_text):
     with pytest.raises(ScenarioError, match=f"line '{key}' is malformed"):
-        replay_text(_set(figure_text, key, value))
+        replay_text(set_line(figure_text, key, value))
 
 
 @pytest.mark.parametrize("key,value", [
@@ -165,22 +95,22 @@ def test_replay_names_a_malformed_figure_line(key, value, figure_text):
 ])
 def test_replay_names_a_malformed_report_line(key, value, report_text):
     with pytest.raises(ScenarioError, match=f"line '{key}' is malformed"):
-        replay_text(_set(report_text, key, value))
+        replay_text(set_line(report_text, key, value))
 
 
 @pytest.mark.parametrize("fixture", ["figure_text", "report_text"])
 def test_replay_refuses_an_unknown_layout(fixture, request):
     text = request.getfixturevalue(fixture)
     with pytest.raises(ScenarioError, match="'riskcounts_csv' names layout '2'"):
-        replay_text(_set(text, "riskcounts_csv", "2"))
+        replay_text(set_line(text, "riskcounts_csv", "2"))
 
 
 def test_replay_refuses_out_of_domain_values(figure_text, report_text):
     for text in (
-        _set(figure_text, "figure_id", "7"),
-        _set(figure_text, "eps", "-1.0"),
-        _set(report_text, "alpha", "2.0"),
-        _set(report_text, "replications", "0"),
+        set_line(figure_text, "figure_id", "7"),
+        set_line(figure_text, "eps", "-1.0"),
+        set_line(report_text, "alpha", "2.0"),
+        set_line(report_text, "replications", "0"),
     ):
         with pytest.raises(ScenarioError, match="metadata does not replay"):
             replay_text(text)
@@ -188,7 +118,7 @@ def test_replay_refuses_out_of_domain_values(figure_text, report_text):
 
 @pytest.mark.parametrize("fixture", ["figure_text", "report_text"])
 def test_replay_refuses_a_scenario_line_nested_too_deeply(fixture, request):
-    text = _set(request.getfixturevalue(fixture), "scenario", "[" * 100_000)
+    text = set_line(request.getfixturevalue(fixture), "scenario", "[" * 100_000)
     with pytest.raises(ScenarioError, match="line 'scenario' is malformed: JSON nests too deeply"):
         replay_text(text)
 
@@ -203,7 +133,7 @@ def test_replay_file_refuses_a_file_that_is_not_utf8(report_text, tmp_path):
 
 
 def test_replay_refuses_replications_past_the_cap(report_text):
-    text = _set(report_text, "replications", str(MAX_REPLICATIONS + 1))
+    text = set_line(report_text, "replications", str(MAX_REPLICATIONS + 1))
     with pytest.raises(ScenarioError, match=f"does not replay: replications must be <= {MAX_REPLICATIONS}"):
         replay_text(text)
 
@@ -211,10 +141,10 @@ def test_replay_refuses_replications_past_the_cap(report_text):
 def test_replay_refuses_a_scenario_of_the_wrong_kind(figure_text, report_text):
     causal = report_text.split("# scenario: ")[1].split("\n")[0]
     with pytest.raises(ScenarioError, match="causal_spec"):
-        replay_text(_set(figure_text, "scenario", causal))
+        replay_text(set_line(figure_text, "scenario", causal))
     fixed = figure_text.split("# scenario: ")[1].split("\n")[0]
     with pytest.raises(ScenarioError, match="must carry a causal_spec"):
-        replay_text(_set(report_text, "scenario", fixed))
+        replay_text(set_line(report_text, "scenario", fixed))
 
 
 _json_values = st.recursive(
@@ -277,7 +207,7 @@ def test_an_edited_header_replays_or_is_refused(fixture, request, edits):
 @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
 def test_figure_refuses_a_causal_spec(figure_id, tmp_path, capsys):
     out = tmp_path / "f.csv"
-    argv = ["figure", str(_scenario_path(tmp_path, "null_spec")),
+    argv = ["figure", scenario_path(tmp_path, "null_spec"),
             "--id", str(figure_id), "--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -288,14 +218,9 @@ def test_figure_refuses_a_causal_spec(figure_id, tmp_path, capsys):
 
 @pytest.mark.parametrize("figure_id", [1, 3])
 def test_fixed_figure_refuses_an_uncertain_scenario(figure_id, tmp_path, capsys):
-    path = tmp_path / "u.json"
-    path.write_text(json.dumps({"schema_version": 1, "uncertain_scenario": {
-        "n_exposed": 1000, "n_unexposed": 1500,
-        "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
-        "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
-    }}), encoding="utf-8")
     out = tmp_path / "f.csv"
-    assert main(["figure", str(path), "--id", str(figure_id), "--out", str(out)]) == 2
+    argv = ["figure", scenario_path(tmp_path, SMALL_UNCERTAIN), "--id", str(figure_id)]
+    assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

@@ -9,29 +9,10 @@ import warnings
 
 import pytest
 
-from riskcounts import (
-    DomainError,
-    ExposureScenario,
-    UncertainScenario,
-    build_figure,
-    render_figure_csv,
-    write_text_atomic,
-)
+from pinned import SMALL, SMALL_UNCERTAIN, scenario_path
+from riskcounts import DomainError, build_figure, render_figure_csv, write_text_atomic
 from riskcounts.cli import main, replay_file, replay_text
-from riskcounts.distributions import BetaParams
 from riskcounts.figures import read_metadata
-from riskcounts.scenarios import bundled_text
-
-SMALL = ExposureScenario(1_000, 1_500, 0.01, 0.004)
-SMALL_UNCERTAIN = UncertainScenario(
-    1_000, 1_500, BetaParams(40.0, 3_960.0), BetaParams(16.0, 3_984.0)
-)
-
-
-def bundled_path(tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    path.write_text(bundled_text(name), encoding="utf-8")
-    return str(path)
 
 
 def parse_csv(text):
@@ -166,7 +147,7 @@ def test_failed_write_leaves_no_partial_target(tmp_path, monkeypatch):
 
 
 def test_summarize_la_rr2_prints_the_headline_numbers(tmp_path, capsys):
-    code = main(["summarize", bundled_path(tmp_path, "la_rr2")])
+    code = main(["summarize", scenario_path(tmp_path, "la_rr2")])
     out = capsys.readouterr().out
     assert code == 0
     for token in ("0.67", "0.82", "1.8", "0.28", "0.59", "0.13"):
@@ -174,7 +155,7 @@ def test_summarize_la_rr2_prints_the_headline_numbers(tmp_path, capsys):
 
 
 def test_summarize_la_rr106_prints_modes_and_comparison(tmp_path, capsys):
-    code = main(["summarize", bundled_path(tmp_path, "la_rr106")])
+    code = main(["summarize", scenario_path(tmp_path, "la_rr106")])
     out = capsys.readouterr().out
     assert code == 0
     assert "0.78" in out
@@ -198,7 +179,7 @@ def test_summarize_degenerate_risks_put_all_mass_on_equal(tmp_path, capsys):
 
 
 def test_summarize_rejects_causal_specs(tmp_path, capsys):
-    code = main(["summarize", bundled_path(tmp_path, "null_spec")])
+    code = main(["summarize", scenario_path(tmp_path, "null_spec")])
     err = capsys.readouterr().err
     assert code == 2
     assert "causal_spec" in err
@@ -246,7 +227,7 @@ def test_pvalue_no_continuity_flag(capsys):
 
 
 def test_figure_command_writes_deterministic_files(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "la_rr106")
+    scenario = scenario_path(tmp_path, "la_rr106")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["figure", scenario, "--id", "1", "--out", str(out_a)]) == 0
@@ -257,7 +238,7 @@ def test_figure_command_writes_deterministic_files(tmp_path, capsys):
 
 
 def test_figure_argmax_rows_match_the_reported_modes(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "la_rr106")
+    scenario = scenario_path(tmp_path, "la_rr106")
     out = tmp_path / "fig1.csv"
     main(["figure", scenario, "--id", "1", "--out", str(out)])
     capsys.readouterr()
@@ -271,7 +252,7 @@ def test_figure_argmax_rows_match_the_reported_modes(tmp_path, capsys):
 
 
 def test_figure_two_requires_priors_or_calibration(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "la_rr106")
+    scenario = scenario_path(tmp_path, "la_rr106")
     code = main(["figure", scenario, "--id", "2", "--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
@@ -280,7 +261,7 @@ def test_figure_two_requires_priors_or_calibration(tmp_path, capsys):
 
 
 def test_figure_two_with_calibration_replays(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "la_rr106")
+    scenario = scenario_path(tmp_path, "la_rr106")
     out = tmp_path / "fig2.csv"
     code = main([
         "figure", scenario, "--id", "2", "--out", str(out),
@@ -296,7 +277,7 @@ def test_figure_two_with_calibration_replays(tmp_path, capsys):
 
 
 def test_simulate_writes_report_and_replays(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "proxy_spec")
+    scenario = scenario_path(tmp_path, "proxy_spec")
     out = tmp_path / "sim.csv"
     code = main([
         "simulate", scenario, "--replications", "25", "--out", str(out),
@@ -312,7 +293,7 @@ def test_simulate_writes_report_and_replays(tmp_path, capsys):
 
 
 def test_simulate_stdout_matches_file_output(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "null_spec")
+    scenario = scenario_path(tmp_path, "null_spec")
     code = main(["simulate", scenario, "--replications", "10"])
     streamed = capsys.readouterr().out
     out = tmp_path / "sim.csv"
@@ -323,14 +304,14 @@ def test_simulate_stdout_matches_file_output(tmp_path, capsys):
 
 
 def test_simulate_rejects_zero_replications(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "null_spec")
+    scenario = scenario_path(tmp_path, "null_spec")
     code = main(["simulate", scenario, "--replications", "0"])
     assert code == 2
     assert "replications" in capsys.readouterr().err
 
 
 def test_simulate_seed_changes_output(tmp_path, capsys):
-    scenario = bundled_path(tmp_path, "banana_spec")
+    scenario = scenario_path(tmp_path, "banana_spec")
     main(["simulate", scenario, "--replications", "20", "--seed", "1"])
     first = capsys.readouterr().out
     main(["simulate", scenario, "--replications", "20", "--seed", "2"])
@@ -339,7 +320,7 @@ def test_simulate_seed_changes_output(tmp_path, capsys):
 
 
 def test_calibrate_command_prints_exact_parameters(tmp_path, capsys):
-    code = main(["calibrate", bundled_path(tmp_path, "la_rr106"), "2.0"])
+    code = main(["calibrate", scenario_path(tmp_path, "la_rr106"), "2.0"])
     out = capsys.readouterr().out
     assert code == 0
     alphas = re.findall(r"alpha: ([0-9.]+)", out)
@@ -406,21 +387,10 @@ def test_eps_control_in_file_is_used_and_flag_overrides(tmp_path, capsys):
 def test_loose_eps_is_refused_for_uncertain_summaries_as_for_fixed(
     command, tmp_path, capsys
 ):
-    fixed = tmp_path / "fixed.json"
-    fixed.write_text(json.dumps({"schema_version": 1, "exposure_scenario": {
-        "n_exposed": 1000, "n_unexposed": 1500,
-        "p_exposed": 0.01, "p_unexposed": 0.004,
-    }}), encoding="utf-8")
-    uncertain = tmp_path / "uncertain.json"
-    uncertain.write_text(json.dumps({"schema_version": 1, "uncertain_scenario": {
-        "n_exposed": 1000, "n_unexposed": 1500,
-        "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
-        "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
-    }}), encoding="utf-8")
     out = tmp_path / "fig.csv"
     errors = []
-    for path, figure_id in ((fixed, "3"), (uncertain, "4")):
-        argv = [command, str(path), "--eps", "1e-6"]
+    for payload, figure_id in ((SMALL, "3"), (SMALL_UNCERTAIN, "4")):
+        argv = [command, scenario_path(tmp_path, payload), "--eps", "1e-6"]
         if command == "figure":
             argv += ["--id", figure_id, "--out", str(out)]
         assert main(argv) == 2
@@ -433,15 +403,9 @@ def test_loose_eps_is_refused_for_uncertain_summaries_as_for_fixed(
 
 
 def test_arm_figures_keep_accepting_loose_eps(tmp_path, capsys):
-    path = tmp_path / "uncertain.json"
-    path.write_text(json.dumps({"schema_version": 1, "uncertain_scenario": {
-        "n_exposed": 1000, "n_unexposed": 1500,
-        "prior_exposed": {"alpha": 40.0, "beta": 3960.0},
-        "prior_unexposed": {"alpha": 16.0, "beta": 3984.0},
-    }}), encoding="utf-8")
-    assert main(["figure", str(path), "--id", "2", "--eps", "1e-6",
+    assert main(["figure", scenario_path(tmp_path, SMALL_UNCERTAIN), "--id", "2", "--eps", "1e-6",
                  "--out", str(tmp_path / "f2.csv")]) == 0
-    assert main(["figure", bundled_path(tmp_path, "la_rr106"), "--id", "1",
+    assert main(["figure", scenario_path(tmp_path, "la_rr106"), "--id", "1",
                  "--eps", "1e-6", "--out", str(tmp_path / "f1.csv")]) == 0
 
 

@@ -2,24 +2,12 @@
 
 ``oracle_render`` and ``oracle_read_metadata`` are the renderer and the
 metadata reader as they stood before rendering became block-wise; the new
-code must reproduce them byte for byte.  The golden digests were taken from
-``figure`` output of that older renderer.
-
-Every convolution here is split over two processes (``forced_split``), so
-the pins also show that figure bytes do not depend on the worker count.
-A figure whose bytes depend on the BLAS thread count is written in a
-subprocess under a fixed thread count, with the same split.
+code must reproduce them byte for byte.
 """
 
 import csv
-import hashlib
 import io
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,28 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONVOLVE_THRESHOLD, force_workers
-from riskcounts import _parallel, figures
-from riskcounts.cli import main
+from riskcounts import figures
 from riskcounts.distributions import CountDistribution
 from riskcounts.figures import FigureTable, read_metadata, render_figure_csv
-from riskcounts.scenarios import bundled_text
 
-TESTS = Path(__file__).resolve().parent
-GOLDEN = TESTS / "golden"
-SRC = TESTS.parent / "src"
 BLOCK = figures._BLOCK_ROWS
-
-
-@pytest.fixture(autouse=True)
-def forced_split(monkeypatch, request):
-    """Split every convolution over two processes and record its ranges;
-    a pinned figure that convolves (3 and 4) must have been split."""
-    forked = force_workers(monkeypatch, 2, blas=1, threshold=CONVOLVE_THRESHOLD)
-    yield forked
-    if request.node.originalname == "test_figure_bytes_match_golden_digest":
-        assert bool(forked) == (request.node.callspec.params["figure_id"] in (3, 4))
-        assert all(len(ranges) == 2 for ranges in forked)
 
 
 def oracle_render(table: FigureTable) -> str:
@@ -163,77 +134,6 @@ def test_render_matches_oracle_at_any_block_size(block, lo_a, mass_a, lo_b, mass
 def test_render_matches_oracle_across_real_block_boundaries(supports):
     t = table(*(spaced(lo, width) for lo, width in supports))
     assert_same_text(render_figure_csv(t), oracle_render(t))
-
-
-# ---------------------------------------------------------------------------
-# golden figure bytes
-# ---------------------------------------------------------------------------
-
-FIGURE_SHA256 = {
-    ("la_rr106", 1): "2dd6dccaca9b7e53560942fa75314542aca9c68bc29f05339538a567cd4b8886",
-    ("la_rr106", 3): "82f1b906113bf7ee39f6420a7692722931fbfdc6f21f530b14671395a027c12a",
-    ("la_rr2", 1): "45e3aef1fdeab6432af298fc5921b8e9f44e59ee43f3a64f03209251c29827d6",
-    ("la_rr2", 3): "3ada48455ccb673bcaf66f11e4fa0077bb49add2050c597d96206376889f0cde",
-    ("ny_rr2", 1): "861090b33f30c41b4a1e68fbfed3408eec490bc3d46c5f8f2e9e74c53275e25a",
-    ("ny_rr2", 3): "d42a00ccf4b16d2f6dacbb3fc049b773a485f93da7ac426ab636455102b9cff1",
-    ("us_rr2", 1): "9cf3c9f63da9468079c1535b9188b318c00ea44cf868ea75ca1e7c900538bc27",
-    ("us_rr2", 3): "deae4780faffb7aef8d2acbc246a24836aebe11d0ba9c9e48adcd4f5676e383f",
-}
-
-#: Figures whose convolutions take dot products long enough for OpenBLAS to
-#: split over its threads, which rounds differently: one digest per thread
-#: count.  The two files of figure 4 differ in 1,935 of 54,464 cells of
-#: ``mass_total_split``, by 1.4e-19 in all and at most 7.3e-15 relatively.
-THREADED_FIGURE_SHA256 = {
-    ("la_rr106_c1e3", 4): {
-        1: "6417255f6ca8705f70f4be32fe7f1c2944923df0e6ea84274d3cd109d4869d32",
-        2: "e90b4b29a7d247368113f7ea197924eda3910cde9f688a796c962b73a4a6736f",
-    },
-}
-
-#: OpenBLAS runs at most one thread per usable CPU, whatever is asked for.
-BLAS_THREADS = min(2, _parallel.usable_cpus())
-
-#: Writes a figure with every convolution split as ``forced_split`` splits
-#: it, then prints the ranges as JSON on the last line.
-THREADED_FIGURE = """\
-import json, sys
-import pytest
-from conftest import CONVOLVE_THRESHOLD, force_workers
-from riskcounts.cli import main
-forked = force_workers(pytest.MonkeyPatch(), 2, blas=1, threshold=CONVOLVE_THRESHOLD)
-code = main(sys.argv[1:])
-print(json.dumps(forked))
-sys.exit(code)
-"""
-
-
-@pytest.mark.parametrize("name, figure_id", sorted(FIGURE_SHA256.keys() | THREADED_FIGURE_SHA256.keys()))
-def test_figure_bytes_match_golden_digest(name, figure_id, tmp_path, capsys, forced_split):
-    stored = GOLDEN / f"{name}.json"
-    if stored.exists():
-        scenario = str(stored)
-    else:
-        scenario = str(tmp_path / f"{name}.json")
-        Path(scenario).write_text(bundled_text(name), encoding="utf-8")
-    out = tmp_path / "figure.csv"
-    argv = ["figure", scenario, "--id", str(figure_id), "--out", str(out)]
-    if (name, figure_id) in THREADED_FIGURE_SHA256:
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]),
-               "OPENBLAS_NUM_THREADS": str(BLAS_THREADS)}
-        run = subprocess.run([sys.executable, "-c", THREADED_FIGURE, *argv], env=env,
-                             capture_output=True, text=True, check=True, timeout=600)
-        printed, ranges = run.stdout.rsplit("\n", 2)[:2]
-        forced_split.extend(json.loads(ranges))
-        want = THREADED_FIGURE_SHA256[name, figure_id][BLAS_THREADS]
-    else:
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        want = FIGURE_SHA256[name, figure_id]
-    data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == want
-    lines = len(data.decode("utf-8").splitlines())
-    assert f"({lines} lines)" in printed
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ departures allowed, each listed in CHANGES.md:
     reported.
 """
 
-import copy
 import json
 import math
 import re
@@ -27,6 +26,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinned import DELETE, all_paths, mutated
 from riskcounts.cohort import CausalSpec, CovariateRule, ProxyRule, check_seed
 from riskcounts.comparison import ExposureScenario, UncertainScenario
 from riskcounts.distributions import BetaParams, DomainError
@@ -273,29 +273,7 @@ _KEY_NAMES = sorted(
 _LIST_MESSAGE = "field 'covariate_rules' in causal_spec must be a list"
 
 
-def _paths(node, prefix=()):
-    """Every dict key and list index below ``node``, outermost first."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, child in items:
-        yield prefix + (key,)
-        if isinstance(child, (dict, list)):
-            yield from _paths(child, prefix + (key,))
-
-
-ALL_PATHS = [(i, path) for i, doc in enumerate(DOCUMENTS) for path in _paths(doc)]
-_DELETE = object()
-
-
-def _mutated(doc, path, value):
-    doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is _DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
-    return doc
+ALL_PATHS = all_paths(DOCUMENTS)
 
 
 def _outcome(parse, doc):
@@ -376,7 +354,7 @@ def _check(doc):
 
 #: One or more values of each JSON type, chosen to reach every branch.
 SWEEP_VALUES = [
-    _DELETE, None, True, False, 0, -1, 7, 10**400, 0.0, 2.5, 1e300, math.nan,
+    DELETE, None, True, False, 0, -1, 7, 10**400, 0.0, 2.5, 1e300, math.nan,
     "", "x", "none", [], [{}], [1], [{"name": "a", "intercept": 0, "slope": 1}],
     {}, {"x": 1}, {"alpha": 1.0, "beta": 2.0}, {"accuracy": 0.5}, {"name": "b"},
 ]
@@ -386,7 +364,7 @@ def test_every_field_of_every_document_against_the_oracle():
     changes = {}
     for i, path in ALL_PATHS:
         for value in SWEEP_VALUES:
-            change = _check(_mutated(DOCUMENTS[i], path, value))
+            change = _check(mutated(DOCUMENTS[i], path, value))
             changes[change] = changes.get(change, 0) + 1
     # Each listed change occurs, and most mutations are not changed at all.
     assert set(changes) == {None, "a", "b", "c", "d"}
@@ -408,7 +386,7 @@ _json_values = st.recursive(
     max_leaves=5,
 )
 _replacements = st.one_of(
-    st.just(_DELETE),
+    st.just(DELETE),
     st.none(),
     st.booleans(),
     st.integers() | st.just(10**400),
@@ -423,4 +401,4 @@ _replacements = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_random_mutations_against_the_oracle(target, value):
     i, path = target
-    _check(_mutated(DOCUMENTS[i], path, value))
+    _check(mutated(DOCUMENTS[i], path, value))

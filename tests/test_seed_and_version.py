@@ -12,12 +12,12 @@ import json
 import numpy as np
 import pytest
 
+from pinned import figure_text, report_text, set_line  # noqa: F401  shared fixtures
 from riskcounts import __version__
 from riskcounts.cli import main
 from riskcounts.cohort import check_seed, generate, replication_study
-from riskcounts.comparison import ExposureScenario
 from riskcounts.distributions import DomainError
-from riskcounts.figures import build_figure, render_figure_csv, replay_text
+from riskcounts.figures import replay_text
 from riskcounts.scenarios import ScenarioError, bundled_text, load_bundled
 
 SPEC = load_bundled("null_spec").payload
@@ -82,31 +82,9 @@ def test_cli_and_scenario_seed_lines_are_unchanged(tmp_path, capsys):
     assert err == f"error: field 'seed' in {spec} must be >= 0, got -3\n"
 
 
-def _set(text, key, value):
-    lines = text.splitlines(keepends=True)
-    hits = [i for i, line in enumerate(lines) if line.startswith(f"# {key}:")]
-    assert len(hits) == 1
-    lines[hits[0]] = f"# {key}: {value}\n"
-    return "".join(lines)
-
-
-@pytest.fixture(scope="module")
-def report_text(tmp_path_factory):
-    path = tmp_path_factory.mktemp("report") / "null_spec.json"
-    path.write_text(bundled_text("null_spec"), encoding="utf-8")
-    out = path.with_suffix(".csv")
-    assert main(["simulate", str(path), "--replications", "5", "--out", str(out)]) == 0
-    return out.read_text(encoding="utf-8")
-
-
-@pytest.fixture(scope="module")
-def figure_text():
-    return render_figure_csv(build_figure(1, ExposureScenario(1_000, 1_500, 0.01, 0.004)))
-
-
 def test_replay_seed_line_is_unchanged(report_text):
     with pytest.raises(ScenarioError) as exc:
-        replay_text(_set(report_text, "seed", "-1"))
+        replay_text(set_line(report_text, "seed", "-1"))
     assert str(exc.value) == "metadata line 'seed' is malformed: must be >= 0, got -1"
 
 
@@ -114,7 +92,7 @@ def test_replay_seed_line_is_unchanged(report_text):
 def test_replay_refuses_another_tool_version(fixture, request):
     text = request.getfixturevalue(fixture)
     with pytest.raises(ScenarioError) as exc:
-        replay_text(_set(text, "tool_version", "0.0.9"))
+        replay_text(set_line(text, "tool_version", "0.0.9"))
     assert str(exc.value) == (
         f"metadata line 'tool_version' names '0.0.9'; this build is "
         f"{__version__!r} and replays only its own files"
