@@ -25,11 +25,12 @@ One widening loop (``_window``) finds each window.  Each round tests each
 edge once: against the filled cell, or, in a round that would fill a
 million cells or more toward the cap, against the anchor function at the
 edge within a certified slack, so that a window the cap refuses is refused
-before it is filled.  ``_build_windowed`` stores the window as a law;
-callers that need only an interval (calibration and spread reports) read it
-block by block instead (``_StreamedCdf``), through the same checks and to
-the same bits, holding 8 bytes per cell where a law holds 16 and its cdf 8
-more.
+before it is filled.  Its runs of step sums are read once, each block's
+log masses written over its run chunk (``_Window.log_blocks``).
+``_build_windowed`` stores them as a law; callers that need only an
+interval (calibration and spread reports) turn each block in place into
+its block of the cdf (``_StreamedCdf``), through the same checks and to the
+same bits, holding 8 bytes per cell where a law holds 16 and its cdf 8 more.
 
 Convolution is a direct ``np.correlate`` that computes only the cells its
 trim keeps.  Each tail is dropped while its running sum stays at most eps/4;
@@ -541,21 +542,19 @@ class _Window(NamedTuple):
     above: list[np.ndarray]
     dropped: float
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.below) + 1 + len(self.above)
-
-    def log_block(self, j: int) -> np.ndarray:
-        """Block ``j`` of the window's log masses, in index order: the
-        ``below`` chunks reversed, then the anchor, then the ``above``
-        chunks.  Each cell is the one subtraction or addition that also
-        makes it in a whole-window fill."""
-        nb = len(self.below)
-        if j < nb:
-            return self.anchor_log - self.below[nb - 1 - j][::-1]
-        if j == nb:
-            return np.array([self.anchor_log])
-        return self.anchor_log + self.above[j - nb - 1]
+    def log_blocks(self):
+        """The window's log masses, block by block in index order, each
+        written in place over the run chunk it comes from: the ``below``
+        chunks last first, each through its reversed view, then the anchor's
+        own cell, then the ``above`` chunks.  Each cell is the one
+        subtraction or addition that also makes it in a whole-window fill.
+        Single-use: once read, the runs hold log masses, not step sums."""
+        for chunk in reversed(self.below):
+            block = chunk[::-1]
+            yield np.subtract(self.anchor_log, block, out=block)
+        yield np.array([self.anchor_log])
+        for chunk in self.above:
+            yield np.add(self.anchor_log, chunk, out=chunk)
 
 
 def _window(
@@ -569,8 +568,10 @@ def _window(
     monotone_lo: bool = True,
     monotone_hi: bool = True,
 ) -> _Window:
-    """The bracket-fill-verify-widen loop shared by every window build
-    (``_build_windowed`` stores the window, ``_StreamedCdf`` streams it).
+    """The bracket-fill-verify-widen loop shared by every window build, and
+    the one declaration of its parameters.  The window it returns is read
+    once (``_Window.log_blocks``): ``_build_windowed`` stores its log
+    masses, ``_StreamedCdf`` keeps its cdf.
 
     ``monotone_lo`` / ``monotone_hi`` declare that the step ratios are
     nonincreasing past the respective edge (log-concave pmf), which is what
@@ -679,27 +680,12 @@ def _truncated(stored: float, dropped: float, eps: float) -> float:
     return min(max(1.0 - stored, 0.0) + dropped, eps)
 
 
-def _build_windowed(
-    kind: str,
-    mean: float,
-    sd: float,
-    n_max: int | None,
-    log_ratio,
-    anchor_fn,
-    anchor_at: int,
-    eps: float,
-    monotone_lo: bool = True,
-    monotone_hi: bool = True,
-) -> CountDistribution:
-    """The law of kind ``kind`` on the window ``_window`` settles on, with
-    its log masses written block by block (``_Window.log_block``)."""
-    w = _window(mean, sd, n_max, log_ratio, anchor_fn, anchor_at, eps, monotone_lo, monotone_hi)
-    log_mass = np.empty(w.hi - w.lo + 1, dtype=np.float64)
-    at = 0
-    for j in range(w.n_blocks):
-        block = w.log_block(j)
-        log_mass[at : at + len(block)] = block
-        at += len(block)
+def _build_windowed(kind: str, **args) -> CountDistribution:
+    """The law of kind ``kind`` on the window ``_window(**args)`` settles
+    on, its log masses joined from the window's one read
+    (``_Window.log_blocks``)."""
+    w = _window(**args)
+    log_mass = np.concatenate(list(w.log_blocks()))
     lo, hi, dropped = w.lo, w.hi, w.dropped
     del w  # frees the runs before the window is exponentiated
 
@@ -710,7 +696,7 @@ def _build_windowed(
         support_lo=lo,
         support_hi=hi,
         log_mass=log_mass,
-        truncated_mass=_truncated(stored, dropped, eps),
+        truncated_mass=_truncated(stored, dropped, args["eps"]),
         _exp_sum=(masses, stored),
     )
 
@@ -719,47 +705,32 @@ class _StreamedCdf:
     """What ``central_interval`` reads of the law ``_build_windowed`` makes
     of a window -- its support, ``cdf`` and ``_search`` -- without the law.
 
-    The window's log masses are read block by block (``_Window.log_block``),
-    in index order.  Each block passes the law's finiteness check, is
-    exponentiated, added to the exact sum, and summed by ``np.cumsum``
-    continuing from the last value of the block before: the same bits as
-    one ``np.cumsum`` over the window.  Only that last value is kept per
-    block.  The stored mass then passes the law's truncated-mass and
-    identity checks, in the law's order.  A quantile search or a cdf value
-    recomputes the one block that holds it from the window's runs, which
-    are all it holds: 8 bytes per cell.
+    The window is read once (``_Window.log_blocks``), block by block in
+    index order, and each block is turned in place into its block of the
+    cdf: it passes the law's finiteness check, is exponentiated, added to
+    the exact sum, and summed by ``np.cumsum`` continuing from the last
+    value of the block before, the same bits as one ``np.cumsum`` over the
+    window.  The stored mass then passes the law's truncated-mass and
+    identity checks, in the law's order.  The cdf blocks, written over the
+    window's runs, are all it holds: 8 bytes per cell, read by a quantile
+    search or a cdf value without recomputing a cell.
     """
 
     def __init__(self, w: _Window, eps: float) -> None:
         self.support_lo, self.support_hi = w.lo, w.hi
-        self._w = w
         total = _ExactSum()
-        starts, ends = [], []
-        at = 0
-        for j in range(w.n_blocks):
-            block = w.log_block(j)
+        self._blocks = []
+        carry = 0.0
+        for block in w.log_blocks():
             _check_finite(block)
-            masses = np.exp(block, out=block)
-            total.add(masses)
-            starts.append(at)
-            at += len(masses)
-            ends.append(self._carried_cumsum(masses, ends[-1] if ends else 0.0)[-1])
+            total.add(np.exp(block, out=block))
+            block[0] += carry  # 0.0 added to the first mass changes no bit
+            carry = np.cumsum(block, out=block)[-1]
+            self._blocks.append(block)
         stored = total.total()
         _check_identity(stored, _check_truncated(_truncated(stored, w.dropped, eps)))
-        self._starts = np.array(starts)
-        self._ends = np.array(ends)
-
-    @staticmethod
-    def _carried_cumsum(masses: np.ndarray, carry: float) -> np.ndarray:
-        """``np.cumsum`` of ``masses`` in place, continuing from ``carry``,
-        the cdf before them (adding 0.0 to the first block's non-negative
-        first mass changes no bit)."""
-        masses[0] += carry
-        return np.cumsum(masses, out=masses)
-
-    def _block_cdf(self, j: int) -> np.ndarray:
-        masses = np.exp(self._w.log_block(j))
-        return self._carried_cumsum(masses, self._ends[j - 1] if j else 0.0)
+        self._starts = np.cumsum([0] + [len(block) for block in self._blocks[:-1]])
+        self._ends = np.array([block[-1] for block in self._blocks])
 
     def _search(self, q: float) -> int:
         """``np.searchsorted(cdf, q, side="left")`` on the window's cdf:
@@ -767,7 +738,7 @@ class _StreamedCdf:
         j = int(np.searchsorted(self._ends, q, side="left"))
         if j == len(self._ends):
             return self.support_hi - self.support_lo + 1
-        return int(self._starts[j]) + int(np.searchsorted(self._block_cdf(j), q, side="left"))
+        return int(self._starts[j]) + int(np.searchsorted(self._blocks[j], q, side="left"))
 
     def cdf(self, k: int) -> float:
         """``CountDistribution.cdf``: the stored mass at counts <= k."""
@@ -775,7 +746,7 @@ class _StreamedCdf:
         if i < 0:
             return 0.0
         j = int(np.searchsorted(self._starts, i, side="right")) - 1
-        return float(self._block_cdf(j)[i - self._starts[j]])
+        return float(self._blocks[j][i - self._starts[j]])
 
 
 def _streamed_law(args: CountDistribution | dict) -> CountDistribution | _StreamedCdf:

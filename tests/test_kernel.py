@@ -974,22 +974,66 @@ def test_the_streamed_interval_keeps_every_refusal_near_the_cap(build, walk_min_
 def test_blocked_exp_and_carried_cumsum_equal_one_call(size, seed):
     """``np.exp`` block by block equals one call over the window, and a
     cdf summed block by block, each block continuing from the last value of
-    the one before (``_StreamedCdf._carried_cumsum``), equals one
-    ``np.cumsum``, over block splits at random and at ``_SUM_BLOCK``."""
+    the one before (``block[0] += carry``, then ``np.cumsum`` in place, as
+    ``_StreamedCdf`` runs them), equals one ``np.cumsum``, over block splits
+    at random and at ``_SUM_BLOCK``; also where each block is the reversed
+    view of a chunk stored last cell first, written in place, as a ``below``
+    chunk is."""
     rng = np.random.default_rng(seed)
     log_mass = rng.uniform(-760.0, 0.0, size)  # subnormal and zero masses included
     masses = np.exp(log_mass)
     cdf = np.cumsum(masses)
     for cuts in (rng.integers(0, size + 1, 6), np.arange(0, size, BLOCK)):
         bounds = sorted({0, size, *cuts.tolist()})
-        exps, sums, carry = [], [], 0.0
-        for a, b in zip(bounds, bounds[1:]):
-            block = np.exp(log_mass[a:b])
-            exps.append(block.copy())
-            sums.append(distributions._StreamedCdf._carried_cumsum(block, carry))
-            carry = sums[-1][-1]
-        assert np.concatenate(exps).tobytes() == masses.tobytes()
-        assert np.concatenate(sums).tobytes() == cdf.tobytes()
+        for reversed_view in (False, True):
+            exps, sums, carry = [], [], 0.0
+            for a, b in zip(bounds, bounds[1:]):
+                if reversed_view:
+                    chunk = log_mass[a:b][::-1].copy()
+                    block = np.exp(chunk[::-1], out=chunk[::-1])
+                    assert np.shares_memory(block, chunk)
+                else:
+                    block = np.exp(log_mass[a:b])
+                exps.append(block.copy())
+                block[0] += carry
+                sums.append(np.cumsum(block, out=block))
+                carry = sums[-1][-1]
+            assert np.concatenate(exps).tobytes() == masses.tobytes()
+            assert np.concatenate(sums).tobytes() == cdf.tobytes()
+
+
+def test_the_probe_reads_its_window_once_in_place():
+    """Each block of the probe's cdf is written over a run chunk of its
+    window, the anchor's one cell aside: 8 bytes a cell in all.  Intervals
+    then read those blocks and nothing else: no further step log, no
+    recomputed block, and the law's interval bit for bit."""
+    params = (10**6, BetaParams(0.5, 9.5))  # alpha < 1: a below run down to 0
+    args = distributions._beta_binomial_args(*params, 1e-12)
+    calls = []
+    log_ratio = args["log_ratio"]
+
+    def counted(ks):
+        calls.append(len(ks))
+        return log_ratio(ks)
+
+    args["log_ratio"] = counted
+    w = distributions._window(**args)
+    chunks = w.below + w.above
+    probe = distributions._StreamedCdf(w, args["eps"])
+    blocks = probe._blocks
+    assert len(w.below) >= 3 and w.above and len(blocks) == len(chunks) + 1
+    own = [block for block in blocks if not any(np.shares_memory(block, c) for c in chunks)]
+    assert len(own) == 1 and len(own[0]) == 1
+    cells = probe.support_hi - probe.support_lo + 1
+    assert sum(block.nbytes for block in blocks) == 8 * cells
+    read = len(calls)
+    law = beta_binomial_distribution(*params)
+    for coverage in COVERAGES:
+        got, peak = traced_peak(lambda: interval_or_error(lambda: central_interval(probe, coverage)))
+        assert got == interval_or_error(lambda: central_interval(law, coverage))
+        # under half a block: recomputing a block took two block-sized arrays
+        assert peak < 4 * BLOCK, f"an interval peaked at {peak} bytes"
+    assert len(calls) == read
 
 
 # ---------------------------------------------------------------------------
