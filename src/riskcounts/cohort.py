@@ -12,7 +12,10 @@ tuple ``(master_seed, i)``, so replications are independent and order-free.
 Each range of replications holds one Philox, re-keyed before replication
 ``i`` to exactly the state ``Philox(SeedSequence((master_seed, i)))`` starts
 in (its key, counter 0, an empty buffer), so its stream is that of a fresh
-generator without building one per replication.  A study hands its
+generator without building one per replication.  The range derives those
+keys in bulk (``_replication_keys``), bit-identical to
+``SeedSequence((master_seed, i))``'s, so it builds no ``SeedSequence``
+either; tier-1 checks the keys against numpy's own.  A study hands its
 replications to ``_parallel.split``, which decides whether they run
 in-process or in contiguous ranges across forked workers, and reduces every
 replication's p-values in index order in the calling process, so the
@@ -32,6 +35,7 @@ the values of one call and leaves the stream where one call leaves it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,17 +81,30 @@ _BLOCK = 1 << 16
 #: and the block of uniforms together stay under 1 MiB.
 _NOISE_BLOCK = _BLOCK // 4
 
-#: A replication's fixed cost (seeding and re-keying its Philox, scoring,
-#: the range's Python calls), about 25 us, in individuals drawn (7-11 ns
-#: each on a 2-vCPU x86-64 host, so 2,500-4,000).
-_REPLICATION_SETUP = 4_000
+#: A replication's fixed cost (re-keying its Philox, scoring, the range's
+#: Python calls), in individuals drawn.  On a 2-vCPU x86-64 host it is
+#: about 8-10 us at 6 ns an individual with the exposure label alone, 16 us
+#: at 15 ns with a proxy and 20 us at 20 ns with the latent factor, so
+#: 1,000-1,750.
+_REPLICATION_SETUP = 1_750
 
 #: Studies smaller than this, counted as replications x (2 n_per_group +
 #: ``_REPLICATION_SETUP``), run in-process.  Forking and starting the pool
 #: costs 10-20 ms and two busy processes run 5-30% slower each, so on the
-#: host above two processes break even near this size (about 40 ms on one
-#: CPU: 1,000 replications at 1,000 per group, or 1,500 at 1 per group).
+#: host above two processes break even near this size (about 35 ms on one
+#: CPU: 1,600 replications at 1,000 per group, or 3,400 at 1 per group).
 _PARALLEL_MIN_INDIVIDUALS = 6_000_000
+
+#: Replications whose Philox keys a range derives in one pass: their
+#: arrays stay a few hundred KiB whatever the range's length.
+_KEY_BLOCK = 1 << 12
+
+#: numpy's ``SeedSequence`` constants, which ``_replication_keys`` transcribes.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -205,6 +222,70 @@ def check_seed(seed: int, name: str = "seed") -> int:
 
 def _rng(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _hash_constants(const: int, mult: int):
+    """The constant pairs of successive ``SeedSequence`` hash steps: each
+    step xors by one constant and multiplies by the next, ``mult`` times it."""
+    while True:
+        after = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(after)
+        const = after
+
+
+def _hash(value: np.ndarray, constants) -> np.ndarray:
+    """One ``SeedSequence`` hash step of the words ``value``, under the next
+    pair of ``constants``."""
+    xor, mult = next(constants)
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of the words ``y`` into the words ``x``."""
+    result = x * np.uint32(_MIX_MULT_L)
+    result -= y * np.uint32(_MIX_MULT_R)
+    result ^= result >> 16
+    return result
+
+
+def _replication_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The Philox keys of replications ``start`` to ``stop - 1`` of a study
+    seeded with ``seed``, one row each: row ``i - start`` is
+    ``SeedSequence((seed, i)).generate_state(2, np.uint64)``.
+
+    A transcription of numpy's ``SeedSequence`` (O'Neill's seed_seq hash,
+    PCG report HMC-CS-2014-0905) in uint32 arrays, whose products wrap as
+    its C arithmetic does, over every ``i`` at once.  The entropy is the
+    seed's little-endian 32-bit words (one word for 0), then ``i``'s one
+    word; it is mixed into a pool of four words, and the pool hashed into
+    the key's four words.  ``seed`` is ``check_seed``-valid.
+    """
+    assert 0 <= start <= stop <= 2**32, "a replication index is one 32-bit word"
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(words) + 1, stop - start), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, stop, dtype=np.uint32)
+
+    # mix_entropy: short entropy is padded with zero words
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0]), constants)
+            for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
+
+    # generate_state(2, np.uint64): the pool's words in turn, paired low
+    # word first
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    low0, high0, low1, high1 = (_hash(word, constants).astype(np.uint64) for word in pool)
+    return np.stack((low0 | high0 << 32, low1 | high1 << 32), axis=1)
 
 
 def _arrays(spec: CausalSpec):
@@ -600,11 +681,16 @@ def _replicate_range(
 
     ``seed`` is ``check_seed``-valid.  Each replication is ``generate(spec,
     (seed, i))`` scored as ``_variant_score`` scores it, drawn from one
-    Philox that is re-keyed, not rebuilt.  Each block ``_draw`` yields is
-    reduced at once to the counts the variants' scorers read: the cases in
-    each group and the ``_cells`` of each split.  Outcomes are kept one per
-    individual only when a split is scored, for its blocks to read; no
-    proxy flag or covariate value outlives its block.
+    Philox that is re-keyed, not rebuilt.  The keys are derived in bulk,
+    ``_KEY_BLOCK`` replications at a time, by ``_replication_keys``, whose
+    rows are bit-identical to ``SeedSequence((seed, i))``'s keys (tier-1
+    checks them against numpy's own); no ``SeedSequence`` is built.
+
+    Each block ``_draw`` yields is reduced at once to the counts the
+    variants' scorers read: the cases in each group and the ``_cells`` of
+    each split.  Outcomes are kept one per individual only when a split is
+    scored, for its blocks to read; no proxy flag or covariate value
+    outlives its block.
     """
     n = spec.n_per_group
     scorers = [_scorer(spec, v, continuity_correction) for v in variants]
@@ -616,8 +702,12 @@ def _replicate_range(
     # the state a fresh Philox starts in (counter 0, an empty buffer, no
     # spare 32-bit word); each replication sets the key it would be seeded with
     state = bits.state
-    for row, i in enumerate(range(start, stop)):
-        state["state"]["key"] = np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+    keys = itertools.chain.from_iterable(
+        _replication_keys(seed, at, min(at + _KEY_BLOCK, stop))
+        for at in range(start, stop, _KEY_BLOCK)
+    )
+    for row, key in enumerate(keys):
+        state["state"]["key"] = key
         bits.state = state
         c0 = c1 = 0
         cells = dict.fromkeys(splits, (0, 0))

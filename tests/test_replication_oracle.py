@@ -13,18 +13,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import force_workers
 from oracles import oracle_covariate_mask, oracle_generate, oracle_replication_rows
 from oracles import oracle_test_mask, oracle_two_proportion_test
+from riskcounts import cohort
 from riskcounts.classical import TwoByTwo, _score_test, two_proportion_test
 from riskcounts.cohort import (
     _BLOCK,
+    _KEY_BLOCK,
     _NOISE_BLOCK,
     MAX_COHORT_SIZE,
+    MAX_REPLICATIONS,
     TRUE_CAUSES,
     CausalSpec,
     CovariateRule,
     ProxyRule,
     _replicate_range,
+    _replication_keys,
     _variant_score,
     banana_swap,
     default_variants,
@@ -413,6 +418,100 @@ def test_a_range_raises_the_per_cohort_loop_error_at_its_replication(variants, s
 
 
 # ---------------------------------------------------------------------------
+# replication keys against numpy's own SeedSequence
+# ---------------------------------------------------------------------------
+
+
+def seedsequence_keys(seed, start, stop):
+    return np.array(
+        [np.random.SeedSequence((seed, i)).generate_state(2, np.uint64) for i in range(start, stop)],
+        dtype=np.uint64,
+    ).reshape(stop - start, 2)
+
+
+@st.composite
+def seeds_of_one_to_seven_words(draw):
+    words = draw(st.integers(1, 7))
+    return draw(st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1))
+
+
+@st.composite
+def key_ranges(draw):
+    """Ranges in [0, MAX_REPLICATIONS]: from 0, from anywhere (a worker's
+    range), and across a multiple of ``_KEY_BLOCK``."""
+    edge = draw(st.integers(1, MAX_REPLICATIONS // _KEY_BLOCK)) * _KEY_BLOCK
+    start = draw(st.just(0) | st.integers(0, MAX_REPLICATIONS) | st.integers(edge - 30, edge - 1))
+    return start, min(start + draw(st.integers(0, 60)), MAX_REPLICATIONS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 - 1, 2**224 - 1])
+       | seeds_of_one_to_seven_words(), key_ranges())
+def test_replication_keys_are_the_keys_of_numpy_seedsequence(seed, bounds):
+    got = _replication_keys(seed, *bounds)
+    want = seedsequence_keys(seed, *bounds)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_replication_keys_reach_the_top_of_a_word():
+    # a 190-digit seed is 20 words, as the CLI takes it
+    for seed in (0, 2**32, 10**189 + 7):
+        bounds = (2**32 - 5, 2**32)
+        assert _replication_keys(seed, *bounds).tobytes() == seedsequence_keys(seed, *bounds).tobytes()
+    with pytest.raises(AssertionError):
+        _replication_keys(0, 2**32 - 1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("key_block, start, stop", [
+    (_KEY_BLOCK, 123_457, 123_457 + _KEY_BLOCK + 2),
+    (3, 2, 11),
+    (1, 999_995, MAX_REPLICATIONS),
+])
+def test_a_range_keys_its_replications_across_key_blocks(monkeypatch, key_block, start, stop):
+    # without the continuity correction, p-values at 10 per group vary
+    # from one replication to the next
+    monkeypatch.setattr(cohort, "_KEY_BLOCK", key_block)
+    spec = CausalSpec(10, "latent-factor", 0.3, 0.7, proxy_rule=ProxyRule(0.8),
+                      latent_group_correlation=0.5)
+    assert assert_range_matches_the_per_cohort_loop(
+        spec, 2**40 + 7, default_variants(spec), False, start, stop
+    ) == stop - start
+
+
+def test_a_study_builds_no_seedsequence_in_its_ranges(monkeypatch):
+    spec = CausalSpec(
+        20, "latent-factor", 0.2, 0.4,
+        covariate_rules=(CovariateRule("x", 0.0, 1.0, 0.7),),
+        proxy_rule=ProxyRule(0.8), latent_group_correlation=0.6,
+    )
+    want = oracle_replication_rows(spec, 300, 0.05, 2**64 + 9, True)
+    built = []
+    seedsequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seedsequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    generate(spec, (2**64 + 9, 0))
+    assert built == [((2**64 + 9, 0),)]  # the counter sees cohort's calls
+    force_workers(monkeypatch, 1)
+    built.clear()
+    in_ranges = []
+    replicate_range = cohort._replicate_range
+
+    def counted_range(*args):
+        before = len(built)
+        replicate_range(*args)
+        in_ranges.append(len(built) - before)
+
+    monkeypatch.setattr(cohort, "_replicate_range", counted_range)
+    assert replication_study(spec, 300, seed=2**64 + 9).rows == want
+    assert in_ranges == [0]
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -481,3 +580,23 @@ def test_a_range_at_max_cohort_size_reuses_its_arrays(kind):
             tracemalloc.stop()
     assert max(peaks) < bound, f"ranges peaked at {peaks} bytes, bound {bound}"
     assert peaks[1] <= peaks[0] + _BLOCK * 8, f"two replications peaked at {peaks}"
+
+
+def test_a_long_range_derives_its_keys_a_block_at_a_time():
+    """One pass over 20,000 replications' keys peaks near 1.9 MB (about 96
+    bytes a key at a two-word seed); a range derives ``_KEY_BLOCK`` of them
+    at a time, so it stays under 1 MiB besides the caller's rows.  (Traced,
+    a replication takes about 100 us, so a longer range only slows the
+    test.)"""
+    spec = CausalSpec(1, "none", 0.5, 0.5)
+    rows = np.empty((20_000, 1))
+    tracemalloc.start()
+    try:
+        _replicate_range(spec, 2**40 + 7, ("true_exposure",), False, 0, len(rows), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"the range peaked at {peak} bytes"
+    for i in (0, _KEY_BLOCK - 1, _KEY_BLOCK, len(rows) - 1):
+        want = _variant_score(generate(spec, (2**40 + 7, i)), "true_exposure", False)[1]
+        assert rows[i, 0].hex() == want.hex()
