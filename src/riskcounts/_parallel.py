@@ -8,9 +8,8 @@ replications, ``cohort._PARALLEL_MIN_INDIVIDUALS``; 1e9 multiply-adds of kept
 cells with each edge cell charged its Python call,
 ``distributions._PARALLEL_MIN_MACS``), on one usable CPU (the affinity set,
 which ``taskset`` limits), where workers could not be made to die with the
-caller (no ``fork``, or not Linux), in a daemonic ``multiprocessing``
-process, which may not have children, and, for BLAS work, where the CPUs do
-not hold two whole BLAS thread teams or the thread count cannot be read.
+caller (no ``fork``, or not Linux), and in a daemonic ``multiprocessing``
+process, which may not have children.
 
 Otherwise each worker computes one contiguous range of about equal cost
 (``run``).  The caller forks one child per range but the first, then
@@ -24,10 +23,14 @@ that of the lowest failing range, as one serial pass would raise it.
 Workers die with their caller.  Each sets ``PR_SET_PDEATHSIG`` to
 ``SIGKILL`` and then checks that its parent is still the caller, so a
 killed caller leaves no worker behind holding its pipes open.
+
+``one_blas_thread`` runs a block on one OpenBLAS thread, which workers
+forked in it inherit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
@@ -49,30 +52,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def split(
-    fill, shape: tuple[int, ...], cost_before, min_cost: int, blas: bool = False
-) -> np.ndarray:
+def split(fill, shape: tuple[int, ...], cost_before, min_cost: float) -> np.ndarray:
     """A float64 array of ``shape`` whose rows ``fill(start, stop, rows)``
     has written into the view ``rows``, over contiguous ranges covering all
     ``shape[0]`` rows: one in-process call, or one range per worker.
 
-    ``cost_before(m)`` is the integer cost of rows ``0`` to ``m - 1``.  With
-    ``blas``, each worker keeps the caller's BLAS thread count, which the
-    bits of a long dot product depend on, so the CPUs are shared out among
-    whole thread teams.  Each bound is the last row whose cost before it fits
-    within its share, found by bisection, so no range is empty and the
-    caller's, which it starts after forking the others, costs at most an
-    equal share unless it is one row.
+    ``cost_before(m)`` is the integer cost of rows ``0`` to ``m - 1``.  Each
+    bound is the last row whose cost before it fits within its share, found
+    by bisection, so no range is empty and the caller's, which it starts
+    after forking the others, costs at most an equal share unless it is one
+    row.
     """
     units = shape[0]
     total = cost_before(units)
-    count = 0
-    if total >= min_cost:
-        cpus = usable_cpus()
-        if blas:
-            threads = blas_threads()
-            cpus = cpus // threads if threads else 1
-        count = min(cpus, units)
+    count = min(usable_cpus(), units) if total >= min_cost else 0
     if count < 2 or not _can_fork():
         out = np.empty(shape)
         fill(0, units, out)
@@ -92,32 +85,48 @@ def split(
     return run(fill, list(zip(bounds, bounds[1:])), shape)
 
 
-def blas_threads() -> int | None:
-    """The threads numpy's OpenBLAS splits a long dot product over, or None
-    where that cannot be read (another BLAS, or outside Linux)."""
-    get = _blas_thread_getter()
-    return None if get is None else max(get(), 1)
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and yield whether
+    it could be pinned.  The setting is process-wide while the block runs;
+    the caller's thread count comes back on exit, also after an exception.
+    As a decorator, it pins each call."""
+    get, put = _openblas() or (lambda: 1, None)
+    before = get()
+    if before != 1:
+        put(1)
+    try:
+        yield put is not None
+    finally:
+        if before != 1:
+            put(before)
 
 
 @functools.cache
-def _blas_thread_getter():
+def _openblas():
+    """numpy's OpenBLAS ``(get, set)`` of its thread count, or None where
+    they cannot be found (another BLAS, or outside Linux).  The ``64_``
+    names of numpy's ILP64 build are tried before those of scipy's LP64
+    OpenBLAS, which may be loaded beside it."""
     if not sys.platform.startswith("linux"):
         return None
     import ctypes
 
     with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
         paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
+    for suffix in ("64_", ""):
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for prefix in ("scipy_openblas", "openblas"):
                 get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                if get is not None:
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
                     get.argtypes, get.restype = [], ctypes.c_int
-                    return get
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
     return None
 
 

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _parallel
 from .distributions import (
     DEFAULT_EPS,
     BetaParams,
@@ -178,6 +179,7 @@ def _above_lookup(d: CountDistribution, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+@_parallel.one_blas_thread()
 def prob_greater(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
     """P(X > Y) for independent X, Y, with its truncation error bound.
 
@@ -196,6 +198,7 @@ def prob_greater(x: CountDistribution, y: CountDistribution) -> BoundedProbabili
     return BoundedProbability(value=value, error_bound=bound)
 
 
+@_parallel.one_blas_thread()
 def prob_equal(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
     bound = x.truncated_mass + y.truncated_mass
     lo = max(x.support_lo, y.support_lo)

@@ -1,10 +1,10 @@
 """Truncated discrete count distributions, stored in log-space.
 
-Binomial, Poisson, and beta-binomial laws over populations up to ~1e8 are
-represented on a finite support window.  Whatever probability falls outside
-the window is carried explicitly in ``truncated_mass`` instead of being
-renormalised away, so every downstream probability comes with an honest
-error bound.
+Binomial, Poisson, and beta-binomial laws over populations up to
+``comparison.MAX_POPULATION`` (2^32 - 1) are represented on a finite
+support window.  Whatever probability falls outside the window is carried
+explicitly in ``truncated_mass`` instead of being renormalised away, so
+every downstream probability comes with an honest error bound.
 
 Numerical approach
 ------------------
@@ -42,8 +42,9 @@ their running sums.  The computed cells go to ``_parallel.split``, which
 runs them in-process or in ranges across forked workers; each edge cell is
 charged for its own Python call, and a range that costs at least the whole
 correlate is sliced from one full call instead.  Each cell comes from the
-same dot product on the same operands as in one full call, so the bits
-depend neither on the trim's path nor on the worker count.
+same dot product on the same operands as in one full call, on one OpenBLAS
+thread (``_parallel.one_blas_thread``), so the bits depend on neither the
+trim's path, the worker count nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -308,10 +309,12 @@ class CountDistribution:
             return self.stored_mass
         return float(self._cdf[k - self.support_lo])
 
+    @_parallel.one_blas_thread()
     def mean(self) -> float:
         ks = np.arange(self.support_lo, self.support_hi + 1, dtype=np.float64)
         return float(np.dot(ks, self.masses))
 
+    @_parallel.one_blas_thread()
     def variance(self) -> float:
         ks = np.arange(self.support_lo, self.support_hi + 1, dtype=np.float64)
         mu = self.mean()
@@ -1049,6 +1052,7 @@ def _prefix_margin(n1: int, n2: int, budget: float):
     return (budget - tiny) / (1 + delta), (budget + tiny) / (1 - delta)
 
 
+@_parallel.one_blas_thread()
 def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
     """The number of leading cells of ``np.correlate(x, y, "full")`` whose
     running ``np.cumsum`` stays at most ``budget``, for ``len(x) >=
@@ -1085,11 +1089,11 @@ def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
 
 def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Cells ``start`` to ``stop - 1`` of ``np.correlate(x, y, "full")``,
-    for ``len(x) >= len(y)``, with the same bits, split by
-    ``_parallel.split`` at the cost of ``_cost_before``.  A range that
-    costs at least the full correlate's ``len(x) * len(y)`` multiply-adds
-    is sliced from one full ``np.correlate``; a cheaper one comes from
-    ``_cells``."""
+    for ``len(x) >= len(y)``, with the bits of that call on one OpenBLAS
+    thread, split by ``_parallel.split`` at the cost of ``_cost_before``.
+    A range that costs at least the full correlate's ``len(x) * len(y)``
+    multiply-adds is sliced from one full ``np.correlate``; a cheaper one
+    comes from ``_cells``."""
     n1, n2 = len(x), len(y)
     base = _cost_before(n1, n2, start)
 
@@ -1104,7 +1108,11 @@ def _correlate(x: np.ndarray, y: np.ndarray, start: int, stop: int) -> np.ndarra
         else:
             _cells(x, y, start + a, start + b, out)
 
-    return _parallel.split(fill, (stop - start,), cost_before, _PARALLEL_MIN_MACS, blas=True)
+    # workers forked here inherit the one thread; where none could be pinned,
+    # none is forked
+    with _parallel.one_blas_thread() as pinned:
+        threshold = _PARALLEL_MIN_MACS if pinned else math.inf
+        return _parallel.split(fill, (stop - start,), cost_before, threshold)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:

@@ -1,5 +1,5 @@
 """Shared test helpers: forcing the worker split, and the host facts that
-the worker count and some pinned bytes depend on."""
+the worker count depends on."""
 
 import os
 
@@ -23,20 +23,18 @@ STUDY_THRESHOLD = "riskcounts.cohort._PARALLEL_MIN_INDIVIDUALS"
 
 
 def pytest_report_header(config):
-    return (f"riskcounts: usable CPUs {_parallel.usable_cpus()}, "
-            f"BLAS threads {_parallel.blas_threads()}")
+    pin = "available" if _parallel._openblas() else "unavailable"
+    return f"riskcounts: usable CPUs {_parallel.usable_cpus()}, one-BLAS-thread pin {pin}"
 
 
-def force_workers(monkeypatch, cpus=None, *, blas=None, threshold=None, compute=True):
-    """Force ``cpus`` usable CPUs, ``blas`` BLAS threads and a zero cost
-    ``threshold`` (the caller's, as a dotted name), each where given, and
-    return the list that gets the ranges of each split ``_parallel.run``
-    is handed.  Without ``compute`` no range is computed and every row of
-    the split's array reads 0."""
+def force_workers(monkeypatch, cpus=None, *, threshold=None, compute=True):
+    """Force ``cpus`` usable CPUs and a zero cost ``threshold`` (the
+    caller's, as a dotted name), each where given, and return the list that
+    gets the ranges of each split ``_parallel.run`` is handed.  Without
+    ``compute`` no range is computed and every row of the split's array
+    reads 0."""
     if cpus is not None:
         monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
-    if blas is not None:
-        monkeypatch.setattr(_parallel, "blas_threads", lambda: blas)
     if threshold is not None:
         monkeypatch.setattr(threshold, 0)
     forked = []

@@ -5,9 +5,7 @@ An artifact is the bytes of one command-line run: a figure, a replication
 report or ``summarize`` stdout.  ``ARTIFACTS`` gives each its command, its
 scenario and the worker split forced on it (so the pins show the bytes do
 not depend on the worker count), and ``produce`` makes it; ``golden/pins.json``
-holds the digests and names the golden files.  One figure's bytes depend on
-the BLAS thread count: it has a digest per thread count and is made by
-``python tests/pinned.py KEY DIR`` under a fixed OpenBLAS thread count.
+holds the digests and names the golden files.
 """
 
 import contextlib
@@ -16,16 +14,12 @@ import functools
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from conftest import CONVOLVE_THRESHOLD, STUDY_THRESHOLD, force_workers
-from riskcounts import _parallel
 from riskcounts.cli import main
 from riskcounts.cohort import MAX_COHORT_SIZE, TRUE_CAUSES
 from riskcounts.comparison import ExposureScenario, UncertainScenario
@@ -36,9 +30,6 @@ from riskcounts.scenarios import bundled_text, scenario_document
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 PINS = GOLDEN / "pins.json"
-
-#: OpenBLAS runs at most one thread per usable CPU, whatever is asked for.
-BLAS_THREADS = min(2, _parallel.usable_cpus())
 
 SMALL = ExposureScenario(1_000, 1_500, 0.01, 0.004)
 SMALL_UNCERTAIN = UncertainScenario(
@@ -126,7 +117,6 @@ class Artifact:
     argv: tuple  # the command and its options; the scenario file goes second
     scenario: object  # a bundled or stored scenario's name, or a document
     workers: int = 0  # processes each split is forced onto; 0 leaves it alone
-    threaded: bool = False  # its bytes depend on the BLAS thread count
 
 
 def _spec(**causal):
@@ -151,9 +141,7 @@ def _simulate(replications, *options):
 ARTIFACTS = {
     **{f"figure-{name}-{fid}": Artifact(("figure", "--id", str(fid)), name, 2)
        for name in ("la_rr106", "la_rr2", "ny_rr2", "us_rr2") for fid in (1, 3)},
-    # OpenBLAS splits this convolution's long dot products over its threads:
-    # 1,935 of 54,464 split cells differ between 1 and 2, by <= 7.3e-15 relative
-    "figure-la_rr106_c1e3-4": Artifact(("figure", "--id", "4"), "la_rr106_c1e3", 2, True),
+    "figure-la_rr106_c1e3-4": Artifact(("figure", "--id", "4"), "la_rr106_c1e3", 2),
     **{f"summarize-{name}": Artifact(("summarize",), name, 2)
        for name in ("la_rr106", "la_rr2", "ny_rr2", "us_rr2", "la_rr106_c1e3", "la_rr106_c1e7")},
     **{f"simulate-{n}-{cause}{suffix}": Artifact(_simulate(3, *options), _block_spec(n, cause), 3)
@@ -171,28 +159,19 @@ ARTIFACTS = {
 }
 
 
-def produce(key, workdir, blas=None) -> bytes:
-    """Artifact ``key``'s bytes, made in ``workdir`` (in a subprocess under
-    ``blas`` OpenBLAS threads where given).  Asserts a clean exit, that a
-    report replays to itself, that a figure's line count was printed and
-    that each split was forced as the artifact says."""
-    workdir = Path(workdir)
-    if blas is not None:
-        env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src"),
-               "OPENBLAS_NUM_THREADS": str(blas)}
-        subprocess.run([sys.executable, __file__, key, str(workdir)], env=env,
-                       check=True, timeout=600)
-        return (workdir / "artifact").read_bytes()
+def produce(key, workdir) -> bytes:
+    """Artifact ``key``'s bytes, made in ``workdir``.  Asserts a clean exit,
+    that a report replays to itself, that a figure's line count was printed
+    and that each split was forced as the artifact says."""
     a = ARTIFACTS[key]
-    command, out = a.argv[0], workdir / "artifact"
+    command, out = a.argv[0], Path(workdir) / "artifact"
     argv = [command, scenario_path(workdir, a.scenario), *a.argv[1:]]
     if command != "summarize":
         argv += ["--out", str(out)]
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as printed:
         simulate = command == "simulate"
         threshold = STUDY_THRESHOLD if simulate else CONVOLVE_THRESHOLD
-        forked = a.workers and force_workers(mp, a.workers, blas=None if simulate else 1,
-                                             threshold=threshold)
+        forked = a.workers and force_workers(mp, a.workers, threshold=threshold)
         assert main(argv) == 0
         if command == "summarize":
             out.write_text(printed.getvalue(), encoding="utf-8")
@@ -209,7 +188,3 @@ def produce(key, workdir, blas=None) -> bytes:
         assert bool(forked) == (a.argv[-1] not in ("1", "2"))
         assert all(len(ranges) == a.workers for ranges in forked)
     return data
-
-
-if __name__ == "__main__":
-    produce(sys.argv[1], sys.argv[2])

@@ -9,9 +9,7 @@ each ``summarize`` mode the argmax of those pmfs and each ``P(...)`` within
 half a unit in its last printed digit; each replication report bit for bit
 the per-individual engine's.  Prints each artifact's old and new digest and
 its largest error in units of its tolerance, then writes ``golden/pins.json``
-and the golden files it names only if all passed.  The figure pinned per
-BLAS thread count is made under one and under two OpenBLAS threads: with
-fewer than two usable CPUs the script refuses.
+and the golden files it names only if all passed.
 """
 
 import csv
@@ -31,7 +29,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
 from oracles import oracle_replication_rows, scipy_laws  # noqa: E402
 from pinned import ARTIFACTS, GOLDEN, PINS, pins, produce, scenario_text  # noqa: E402
-from riskcounts import _parallel  # noqa: E402
 from riskcounts.distributions import MASS_IDENTITY_TOL  # noqa: E402
 from riskcounts.scenarios import parse_scenario  # noqa: E402
 
@@ -42,8 +39,8 @@ _LINE = re.compile(r"^ *(P\(.*?\)|exposed|unexposed|split total|all-low): +(?:mo
 
 class Result(NamedTuple):
     key: str
-    old: object  # digests, by thread count where pinned so
-    new: object
+    old: str | None  # None for a new artifact
+    new: str
     error: float  # in units of the tolerance
     data: bytes
 
@@ -113,21 +110,16 @@ def artifact_error(key, data) -> float:
     return (figure_error if a.argv[0] == "figure" else summarize_error)(text, laws)
 
 
-def check(blas_counts=(1, 2)) -> list[Result]:
+def check() -> list[Result]:
     """Every artifact made in a scratch directory and checked against its
-    oracle; one whose bytes depend on the BLAS thread count is made under
-    each of ``blas_counts``."""
+    oracle."""
     results = []
     with tempfile.TemporaryDirectory() as scratch:
-        for key, a in ARTIFACTS.items():
-            made = {}
-            for blas in blas_counts if a.threaded else (None,):
-                made[blas] = produce(key, tempfile.mkdtemp(dir=scratch), blas)
-            digests = {str(b): hashlib.sha256(d).hexdigest() for b, d in made.items()}
-            results.append(Result(
-                key, pins()["pins"].get(key, {}).get("sha256"),
-                digests if a.threaded else digests["None"],
-                max(artifact_error(key, d) for d in made.values()), next(iter(made.values()))))
+        for key in ARTIFACTS:
+            data = produce(key, tempfile.mkdtemp(dir=scratch))
+            results.append(Result(key, pins()["pins"].get(key, {}).get("sha256"),
+                                  hashlib.sha256(data).hexdigest(), artifact_error(key, data),
+                                  data))
     return results
 
 
@@ -139,10 +131,6 @@ def dump(doc) -> str:
 
 
 def main():
-    if _parallel.usable_cpus() < 2:
-        threaded = ", ".join(key for key, a in ARTIFACTS.items() if a.threaded)
-        sys.exit(f"refused, nothing written: {threaded} is pinned under 1 and 2 OpenBLAS "
-                 "threads, and this process has fewer than 2 usable CPUs")
     results = check()
     for r in results:
         print(f"{r.key}: {'unchanged' if r.old == r.new else 'CHANGED'}, largest error "

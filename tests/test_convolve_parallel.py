@@ -11,9 +11,6 @@ equal lengths, both operand orders, random lengths and random cell ranges.
 """
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +28,11 @@ from riskcounts.distributions import (
     convolve,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 def _force(monkeypatch, workers):
     """Run every convolution on ``workers`` processes (fewer if it has fewer
     cells) and record the ranges each forked split used."""
-    return force_workers(monkeypatch, workers, blas=1, threshold=CONVOLVE_THRESHOLD)
+    return force_workers(monkeypatch, workers, threshold=CONVOLVE_THRESHOLD)
 
 
 def _operands(seed, n1, n2):
@@ -183,17 +178,6 @@ def test_small_convolutions_run_in_process(monkeypatch):
     assert forked == [[(0, 999), (999, 1999)]]
 
 
-@pytest.mark.parametrize("cpus, threads, split", [
-    (2, 1, True), (2, 2, False), (4, 2, True), (3, 2, False), (8, None, False),
-])
-def test_each_worker_gets_a_whole_blas_thread_team(monkeypatch, cpus, threads, split):
-    forked = _force(monkeypatch, cpus)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: threads)
-    x, y = _operands(0, 50, 40)
-    assert _correlate(x, y, 0, 89).tobytes() == np.correlate(x, y, "full").tobytes()
-    assert len(forked) == split
-
-
 def _dying_cells(x, y, start, stop, out):
     if os.getpid() != PARENT:
         os._exit(1)
@@ -215,31 +199,3 @@ def test_a_lost_worker_range_is_recomputed(monkeypatch):
     got = convolve(a, b)
     assert got.log_mass.tobytes() == expected.log_mass.tobytes()
     assert len(forked) == 1 and len(forked[0]) == 3
-
-
-#: Prints the SHA-256 of a convolution whose dot products are long enough
-#: for OpenBLAS to thread, computed in-process, then split over two workers.
-THREADED = """\
-import hashlib
-import numpy as np
-from riskcounts import _parallel, distributions as d
-rng = np.random.default_rng(5)
-x, y = d._aligned(rng.random(10_600)), d._aligned(rng.random(10_300))
-d._PARALLEL_MIN_MACS = 10**30
-print(hashlib.sha256(d._correlate(x, y, 0, 20_899)).hexdigest())
-d._PARALLEL_MIN_MACS = 0
-_parallel.usable_cpus = lambda: 2
-_parallel.blas_threads = lambda: 1  # split even though each BLAS runs two threads
-print(hashlib.sha256(d._correlate(x, y, 0, 20_899)).hexdigest())
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
-def test_threaded_blas_gives_the_same_bytes_split_or_whole():
-    # OpenBLAS splits a dot product longer than 10,000 over its threads,
-    # which rounds differently; a worker must run under the same setting
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"}
-    out = subprocess.run([sys.executable, "-c", THREADED], env=env, capture_output=True,
-                         text=True, check=True, timeout=300).stdout.split()
-    assert len(out) == 2 and out[0] == out[1]
-

@@ -2,7 +2,8 @@
 
 * ``_exact_sum`` must equal ``math.fsum``: both are correctly rounded.
 * ``convolve`` must equal ``oracle_convolve``, the ``np.convolve`` version
-  it replaced, on every output cell.
+  it replaced, run on one OpenBLAS thread as ``convolve`` is, on every
+  output cell.
 * The window builder must equal ``oracle_build_windowed``, the builder that
   refilled the whole window at every widening round, copied here as it
   stood.  Each constructor's call is run through both with the same step
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riskcounts import distributions
+from riskcounts import _parallel, distributions
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
@@ -129,7 +130,8 @@ def oracle_build_windowed(
 
 
 def oracle_convolve(a, b, eps):
-    full = np.convolve(a.masses, b.masses)
+    with _parallel.one_blas_thread():
+        full = np.convolve(a.masses, b.masses)
     lo = a.support_lo + b.support_lo
     budget = eps / 4.0
     csum = np.cumsum(full)

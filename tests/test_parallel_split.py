@@ -5,8 +5,7 @@ with a cost per row.  These tests give it random nondecreasing cost tables
 and forced CPU counts, record the ranges it hands to ``_parallel.run``,
 and check that the array is that of one in-process ``fill``, that the
 ranges tile the rows, and that each costs about an equal share; and that
-work below the threshold, on one CPU, or on a BLAS whose thread count
-cannot be read never leaves the caller.
+work below the threshold or on one CPU never leaves the caller.
 """
 
 import sys
@@ -92,36 +91,22 @@ def test_linear_cost_gives_sizes_within_one_the_first_smallest(units, per_row, c
     assert sizes[0] == min(sizes) and max(sizes) - min(sizes) <= 1
 
 
-def _no_blas_threads():
-    raise AssertionError("the BLAS thread count was read")
-
-
-def test_work_below_the_threshold_stays_in_process_without_reading_blas(monkeypatch):
+def test_work_below_the_threshold_stays_in_process(monkeypatch):
     forked = force_workers(monkeypatch, 4)
-    monkeypatch.setattr(_parallel, "blas_threads", _no_blas_threads)
-    got = _parallel.split(_fill, (40, 2), lambda m: 10 * m, 401, blas=True)
+    got = _parallel.split(_fill, (40, 2), lambda m: 10 * m, 401)
     assert got.tobytes() == _expected((40, 2)).tobytes()
     assert forked == []
 
 
 def test_one_usable_cpu_stays_in_process(monkeypatch):
-    forked = force_workers(monkeypatch, 1, blas=1)
-    for blas in (False, True):
-        got = _parallel.split(_fill, (40,), lambda m: m, 0, blas=blas)
-        assert got.tobytes() == _expected((40,)).tobytes()
-    assert forked == []
-
-
-def test_an_unreadable_blas_thread_count_stays_in_process(monkeypatch):
-    forked = force_workers(monkeypatch, 4)
-    monkeypatch.setattr(_parallel, "blas_threads", lambda: None)
-    got = _parallel.split(_fill, (40,), lambda m: m, 0, blas=True)
+    forked = force_workers(monkeypatch, 1)
+    got = _parallel.split(_fill, (40,), lambda m: m, 0)
     assert got.tobytes() == _expected((40,)).tobytes()
     assert forked == []
 
 
 @linux_only
 def test_the_threshold_is_the_whole_cost(monkeypatch):
-    forked = force_workers(monkeypatch, 2, blas=1)
-    _parallel.split(_fill, (40,), lambda m: 10 * m, 400, blas=True)
+    forked = force_workers(monkeypatch, 2)
+    _parallel.split(_fill, (40,), lambda m: 10 * m, 400)
     assert forked == [[(0, 20), (20, 40)]]

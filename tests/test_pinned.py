@@ -6,15 +6,14 @@ import hashlib
 import pytest
 
 import record_pins
-from pinned import ARTIFACTS, BLAS_THREADS, GOLDEN, PINS, pins, produce
+from pinned import ARTIFACTS, GOLDEN, PINS, pins, produce
 
 
 @pytest.mark.parametrize("key", sorted(ARTIFACTS))
 def test_pinned_artifact(key, tmp_path):
-    pin, threaded = pins()["pins"][key], ARTIFACTS[key].threaded
-    data = produce(key, tmp_path, BLAS_THREADS if threaded else None)
-    want = pin["sha256"][str(BLAS_THREADS)] if threaded else pin["sha256"]
-    assert hashlib.sha256(data).hexdigest() == want
+    pin = pins()["pins"][key]
+    data = produce(key, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == pin["sha256"]
     if "golden" in pin:
         assert data.decode("utf-8") == (GOLDEN / pin["golden"]).read_text(encoding="utf-8")
 
@@ -28,6 +27,6 @@ def test_every_pin_is_checked_and_every_golden_file_named():
 
 
 def test_every_pinned_artifact_passes_its_oracle():
-    results = record_pins.check(range(1, BLAS_THREADS + 1))
+    results = record_pins.check()
     assert [r.key for r in results] == list(ARTIFACTS)
     assert {r.key: r.error for r in results if not r.error <= 1.0} == {}

@@ -62,7 +62,7 @@ def _gone(pid):
 def _kill_mid_work(argv):
     proc = subprocess.Popen(
         [sys.executable, "-c", DRIVER, *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     workers = []
