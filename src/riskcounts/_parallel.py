@@ -89,8 +89,7 @@ def split(fill, shape: tuple[int, ...], cost_before, min_cost: float) -> np.ndar
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, and yield whether
     it could be pinned.  The setting is process-wide while the block runs;
-    the caller's thread count comes back on exit, also after an exception.
-    As a decorator, it pins each call."""
+    the caller's thread count comes back on exit, also after an exception."""
     get, put = _openblas() or (lambda: 1, None)
     before = get()
     if before != 1:

@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _parallel
 from .distributions import (
     DEFAULT_EPS,
     BetaParams,
@@ -179,26 +178,28 @@ def _above_lookup(d: CountDistribution, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-@_parallel.one_blas_thread()
 def prob_greater(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
     """P(X > Y) for independent X, Y, with its truncation error bound.
 
     The sum runs over the smaller support and uses prefix/suffix CDFs of
     the other distribution, so cost is linear in the two window sizes.
+    ``np.sum`` adds the n products in numpy's pairwise order, fixed by n
+    alone; each passes through at most k = ceil(log2 n) + 17 additions, so
+    the value is within gamma_k = k*u / (1 - k*u), u = 2^-53, of their
+    exact sum, relatively (Higham, *Accuracy and Stability*, section 4.2).
     """
     bound = x.truncated_mass + y.truncated_mass
     nx = x.support_hi - x.support_lo + 1
     ny = y.support_hi - y.support_lo + 1
     if nx <= ny:
         ks = np.arange(x.support_lo, x.support_hi + 1)
-        value = float(np.dot(x.masses, _below_lookup(y, ks)))
+        value = float(np.sum(x.masses * _below_lookup(y, ks)))
     else:
         ks = np.arange(y.support_lo, y.support_hi + 1)
-        value = float(np.dot(y.masses, _above_lookup(x, ks)))
+        value = float(np.sum(y.masses * _above_lookup(x, ks)))
     return BoundedProbability(value=value, error_bound=bound)
 
 
-@_parallel.one_blas_thread()
 def prob_equal(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
     bound = x.truncated_mass + y.truncated_mass
     lo = max(x.support_lo, y.support_lo)
@@ -207,7 +208,7 @@ def prob_equal(x: CountDistribution, y: CountDistribution) -> BoundedProbability
         return BoundedProbability(value=0.0, error_bound=bound)
     xs = x.masses[lo - x.support_lo : hi - x.support_lo + 1]
     ys = y.masses[lo - y.support_lo : hi - y.support_lo + 1]
-    return BoundedProbability(value=float(np.dot(xs, ys)), error_bound=bound)
+    return BoundedProbability(value=float(np.sum(xs * ys)), error_bound=bound)
 
 
 def prob_less(x: CountDistribution, y: CountDistribution) -> BoundedProbability:

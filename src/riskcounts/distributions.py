@@ -41,10 +41,11 @@ would give.  Otherwise every cell is computed and the tails are trimmed from
 their running sums.  The computed cells go to ``_parallel.split``, which
 runs them in-process or in ranges across forked workers; each edge cell is
 charged for its own Python call, and a range that costs at least the whole
-correlate is sliced from one full call instead.  Each cell comes from the
-same dot product on the same operands as in one full call, on one OpenBLAS
-thread (``_parallel.one_blas_thread``), so the bits depend on neither the
-trim's path, the worker count nor the BLAS thread count.
+correlate is sliced from one full call instead.  The cells are all that BLAS
+computes: each is the same dot product on the same operands as in one full
+call, on one OpenBLAS thread (``_parallel.one_blas_thread``), so the bits
+depend on neither the trim's path, the worker count nor the BLAS thread
+count.  Every other sum of products is ``np.sum``'s fixed pairwise order.
 """
 
 from __future__ import annotations
@@ -309,16 +310,14 @@ class CountDistribution:
             return self.stored_mass
         return float(self._cdf[k - self.support_lo])
 
-    @_parallel.one_blas_thread()
     def mean(self) -> float:
         ks = np.arange(self.support_lo, self.support_hi + 1, dtype=np.float64)
-        return float(np.dot(ks, self.masses))
+        return float(np.sum(ks * self.masses))
 
-    @_parallel.one_blas_thread()
     def variance(self) -> float:
         ks = np.arange(self.support_lo, self.support_hi + 1, dtype=np.float64)
         mu = self.mean()
-        return float(np.dot((ks - mu) ** 2, self.masses))
+        return float(np.sum((ks - mu) ** 2 * self.masses))
 
 
 @dataclass(frozen=True)
@@ -1036,7 +1035,9 @@ def _prefix_margin(n1: int, n2: int, budget: float):
     A cell is a dot product of at most n2 terms, in whatever order the BLAS
     takes, and the running sum adds at most n1 + n2 - 2 more roundings:
     k = n1 + 2*n2 - 2.  The estimate rounds n1 - 1 times in ``np.cumsum``
-    of the longer operand and n2 times in its dot product: k = n1 + n2 - 1.
+    of the longer operand and n2 times in its sum of products, once in each
+    product and at most n2 - 1 times in ``np.sum``'s additions, in any
+    order: k = n1 + n2 - 1.
     Chaining the two bounds through the exact sum costs gamma of at most
     twice the total count: delta.  Each product may also underflow, by at
     most 2^-1075 absolute: n2 products for the estimate and (n1 + n2 - 1) *
@@ -1052,7 +1053,6 @@ def _prefix_margin(n1: int, n2: int, budget: float):
     return (budget - tiny) / (1 + delta), (budget + tiny) / (1 - delta)
 
 
-@_parallel.one_blas_thread()
 def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
     """The number of leading cells of ``np.correlate(x, y, "full")`` whose
     running ``np.cumsum`` stays at most ``budget``, for ``len(x) >=
@@ -1060,8 +1060,8 @@ def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
     way falls between the cut-offs of ``_prefix_margin``.
 
     The first m cells sum to  sum_t y[t] * X[m - len(y) + t],  where X is
-    the running sum of ``x`` (0 before it, its total past it), one dot
-    product per m; the running sums never decrease, so bisection finds the
+    the running sum of ``x`` (0 before it, its total past it), one sum of
+    products per m; the running sums never decrease, so bisection finds the
     count in about log2 of the cell count of them.
     """
     n1, n2 = len(x), len(y)
@@ -1071,13 +1071,12 @@ def _certified_head(x: np.ndarray, y: np.ndarray, budget: float) -> int | None:
     ext[:n2] = 0.0
     np.cumsum(x, out=ext[n2 : n2 + n1])
     ext[n2 + n1 :] = ext[n2 + n1 - 1]
-    y = np.ascontiguousarray(y)
     # the sum of the first ``lo`` cells is at most budget, that of ``hi``
     # exceeds it; hi = cells + 1 stands for past the end
     lo, hi = 0, n1 + n2
     while hi - lo > 1:
         m = (lo + hi) // 2
-        q = float(np.dot(y, ext[m : m + n2]))
+        q = float(np.sum(y * ext[m : m + n2]))
         if q <= below:
             lo = m
         elif q > above:

@@ -10,11 +10,14 @@
   ratio and anchor functions.
 * The streamed interval probe (``_streamed_law``) must give the interval of
   the law it never stores, bit for bit, or the same error.
+* ``prob_greater``, ``prob_equal``, ``mean`` and ``variance`` must lie
+  within the rounding bound of numpy's pairwise sum of their products.
 """
 
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath  # noqa: F401  the anchors import it on first use; here it stays out of traced peaks
 import numpy as np
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from riskcounts import _parallel, distributions
+from riskcounts.comparison import _above_lookup, _below_lookup, prob_equal, prob_greater
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
@@ -333,6 +337,59 @@ def test_kept_cells_end_in_positive_cells_on_built_laws(a, b, eps):
     longer, shorter = (b, a) if len(b.masses) > len(a.masses) else (a, b)
     _, kept = _kept_cells(_aligned(longer.masses), _aligned(shorter.masses[::-1]), eps / 4.0)
     assert kept[0] > 0 and kept[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# sums of products: numpy's pairwise order, within its rounding bound
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def pairwise_roundings(n):
+    """The most additions a term passes through in ``np.sum`` of ``n``
+    float64 terms.  numpy sums fewer than 8 in a row, at most 128 on eight
+    accumulators (each then combined pairwise and the rest added in a row),
+    and splits more in two at a multiple of 8."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(pairwise_roundings(half), pairwise_roundings(n - half))
+
+
+def assert_within_pairwise_bound(value, terms):
+    """|value - fsum(terms)| <= gamma_k * fsum(terms) for non-negative
+    ``terms``, k their roundings plus two for fsum's own, which moves both
+    the reference and the scale (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sections 3.1 and 4.2)."""
+    assert (terms >= 0).all()
+    k = pairwise_roundings(len(terms)) + 2
+    reference = math.fsum(terms)
+    assert abs(Fraction(value) - Fraction(reference)) <= Fraction(k, 2**53 - k) * Fraction(reference)
+
+
+def summed_products(a, b):
+    """The rounded products that ``prob_greater(a, b)``, ``prob_equal(a,
+    b)``, ``a.mean()`` and ``a.variance()`` each sum."""
+    if len(a.masses) <= len(b.masses):
+        greater = a.masses * _below_lookup(b, np.arange(a.support_lo, a.support_hi + 1))
+    else:
+        greater = b.masses * _above_lookup(a, np.arange(b.support_lo, b.support_hi + 1))
+    lo = max(a.support_lo, b.support_lo)
+    both = max(min(a.support_hi, b.support_hi) + 1 - lo, 0)
+    equal = a.masses[lo - a.support_lo :][:both] * b.masses[lo - b.support_lo :][:both]
+    ks = np.arange(a.support_lo, a.support_hi + 1, dtype=np.float64)
+    return greater, equal, ks * a.masses, (ks - a.mean()) ** 2 * a.masses
+
+
+@given(a=_laws, b=_laws)
+@settings(max_examples=100, deadline=None)
+@example(a=binomial_distribution(10**9, 0.011), b=binomial_distribution(10**9, 0.01))
+def test_sums_of_products_lie_within_the_pairwise_bound_of_fsum(a, b):
+    values = prob_greater(a, b).value, prob_equal(a, b).value, a.mean(), a.variance()
+    for value, terms in zip(values, summed_products(a, b)):
+        assert_within_pairwise_bound(value, terms)
 
 
 @pytest.fixture
