@@ -289,11 +289,14 @@ def cmd_calibrate(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float
         f"calibrating beta priors to spread ratio {target:g} at "
         f"{_pct(coverage)} coverage"
     )
-    for label, n, p in (
-        ("exposed", payload.n_exposed, payload.p_exposed),
-        ("unexposed", payload.n_unexposed, payload.p_unexposed),
-    ):
-        prior, rep = _calibrate(n, p, target, coverage, eps)
+    arms = [
+        (label, n, p, *_calibrate(n, p, target, coverage, eps))
+        for label, n, p in (
+            ("exposed", payload.n_exposed, payload.p_exposed),
+            ("unexposed", payload.n_unexposed, payload.p_unexposed),
+        )
+    ]
+    for label, n, p, prior, rep in arms:
         print(f"{label} arm (n={n}, risk mean {p!r}):")
         print(f"  alpha: {prior.alpha!r}")
         print(f"  beta:  {prior.beta!r}")

@@ -22,11 +22,12 @@ the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
 
 One widening loop (``_window``) finds each window.  Each round tests each
-edge once: against the filled cell, or, in a round that would fill a
-million cells or more toward the cap, against the anchor function at the
-edge within a certified slack, so that a window the cap refuses is refused
-before it is filled.  Its runs of step sums are read once, each block's
-log masses written over its run chunk (``_Window.log_blocks``).
+edge once, on the exact value of its cell.  From the first round that would
+add a million cells or more to a window that can outgrow the cap, the loop
+streams: it sums the new cells keeping only each side's last running sum,
+so that a window the cap refuses is refused holding one chunk, and the
+window it settles on is filled once.  Its runs of step sums are read once,
+each block's log masses written over its run chunk (``_Window.log_blocks``).
 ``_build_windowed`` stores them as a law; callers that need only an
 interval (calibration and spread reports) turn each block in place into
 its block of the cdf (``_StreamedCdf``), through the same checks and to the
@@ -51,6 +52,7 @@ count.  Every other sum of products is ``np.sum``'s fixed pairwise order.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -104,22 +106,11 @@ _BRACKET_SIGMAS = 12.0
 #: Hard cap on stored support points (desk-scale memory).
 _MAX_SUPPORT_POINTS = 20_000_000
 
-#: From the first widening round that would fill this many cells or more,
-#: ``_window``'s loop walks without filling, deciding each edge from the
-#: anchor function, so that a window the cap will refuse is refused before
-#: it is filled.
+#: From the first widening round that would add this many cells or more to a
+#: window that can outgrow the cap, ``_window``'s loop streams: it sums each
+#: side's new cells keeping only the running sum's last value, so that a
+#: window the cap will refuse is refused holding one chunk, not the window.
 _WALK_MIN_CELLS = 1 << 20
-
-#: Unit roundoff of a double.
-_U = 2.0**-53
-
-#: Bound on the absolute error of an anchor's 40-digit evaluation before its
-#: rounding to a double, wherever ``_window``'s loop walks (cell indices
-#: below 2^53).  Its dozen log-gamma and log terms stay below 1e27 in
-#: magnitude (c ln c at ``MAX_CONCENTRATION``; n ln n and lambda ln lambda
-#: are far smaller there), and each operation at ``_ANCHOR_DPS`` digits (136
-#: bits) errs by under 2^-135 of its result: 12 * 1e27 * 2^-135 < 3e-13.
-_ANCHOR_ERROR = 1e-12
 
 #: Bound on the mass a log-concave window drops past a step ratio that
 #: underflowed to zero.  Such a ratio is below 2^-1073 (the quotient rounds
@@ -476,56 +467,6 @@ def _cap_error(points: int) -> DomainError:
     )
 
 
-def _edge_slack(anchor_log: float, edge_log: float, steps: int) -> float:
-    """A bound on how far a window edge ``steps`` cells from the anchor, as
-    filled, lies from ``edge_log``, the anchor's value at the edge.
-
-    The filled cell is ``anchor_log`` plus the running sum of ``steps``
-    step logs.  The bound is the sum of:
-      * each anchor's own error, ``_ANCHOR_ERROR`` plus its rounding;
-      * each step's quotient, at most five roundings, and its log, within
-        4 ulps: 5u per step plus 8u times the sum of |step logs|, which a
-        unimodal pmf bounds by -anchor_log - edge_log (its mode's log is
-        at most 0);
-      * the running sum's rounding, at most u times the sum of its partial
-        sums (Higham, *Accuracy and Stability of Numerical Algorithms*,
-        2nd ed., section 4.2), each at most max(-anchor_log, anchor_log -
-        edge_log) by unimodality;
-      * the roundings of the edge's own sum and of ``edge_log`` +- slack.
-    The 1s and 2s added to the log bounds absorb the difference between the
-    evaluated and the true logs, far below 1.
-    """
-    partial = max(-anchor_log, anchor_log - edge_log) + 1.0
-    variation = -anchor_log - edge_log + 2.0
-    return 2.0 * _ANCHOR_ERROR + 1.01 * _U * (
-        steps * (partial + 7.0)
-        + 8.0 * variation
-        + 4.0 * (abs(anchor_log) + abs(edge_log) + 1.0)
-    )
-
-
-def _edge_decision(
-    anchor_log: float, edge_log: float, steps: int, log_r: float, per_side: float
-) -> bool | None:
-    """Whether a window edge ``steps`` cells from the anchor passes the
-    widening loop's tail test, decided from ``edge_log``, the anchor's value
-    at the edge, instead of the filled cell; None when undecided.
-
-    The test is monotone in the edge's value, so it is decided where it
-    holds at ``edge_log + slack`` or fails at ``edge_log - slack``
-    (``_edge_slack``): where the tail bound clears eps/4 by a factor
-    exp(slack).
-    """
-    slack = _edge_slack(anchor_log, edge_log, steps)
-    if not slack < 1.0:
-        return None
-    if _geometric_tail_bound(edge_log + slack, log_r) <= per_side:
-        return True
-    if _geometric_tail_bound(edge_log - slack, log_r) > per_side:
-        return False
-    return None
-
-
 class _Window(NamedTuple):
     """A window the widening loop of ``_window`` settled on, as the running
     sums of step logs it filled, not yet as log masses.
@@ -587,14 +528,14 @@ def _window(
     index order, so a block whose first step has the run's last value added
     continues the very same sequence of roundings.
 
-    Each round decides each edge once.  From the first round that would
-    fill ``_WALK_MIN_CELLS`` cells, the loop walks: it decides each edge
-    from ``anchor_fn`` at the edge instead of the filled cell
-    (``_edge_decision``) and widens without filling, so that a window the
-    cap refuses is refused before it is filled.  Each walked decision is
-    the one the filled cell would give.  The walk ends for good at its
-    first undecided edge or at a window whose two sides both pass; the next
-    round fills up to that window and tests the filled edges.
+    Each round tests each edge once, on the exact value of its cell.  From
+    the first round that would add ``_WALK_MIN_CELLS`` cells to a window
+    that can outgrow the cap, the loop streams: it sums each side's new
+    cells (``_extend_run``) keeping only the running sum's last value, which
+    is the edge cell's value in any fill, so that a window the cap refuses
+    is refused holding one chunk, not the window.  A window that settles
+    after streaming is then filled once, onward from the cells stored
+    before the loop streamed.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -611,45 +552,46 @@ def _window(
     per_side = eps / 4.0
     step = max(64, math.ceil(4.0 * sd))
     # Every constructor's anchor lies inside the first bracket, so it stays
-    # put while the window widens.  Each round fills only the cells it adds:
-    # ``above`` and ``below`` cover the cells down to ``filled_lo`` and up
-    # to ``filled_hi``.
+    # put while the window widens.  Each round sums only the cells it adds,
+    # onto ``run_lo`` and ``run_hi``, which reach down to ``reached_lo`` and
+    # up to ``reached_hi``: the stored runs ``below`` and ``above`` until the
+    # loop streams, then queues that keep only their last chunk.
     anchor_k = min(max(anchor_at, lo), hi)
     anchor_log = anchor_fn(anchor_k)
     above: list[np.ndarray] = []
     below: list[np.ndarray] = []
-    filled_lo = filled_hi = anchor_k
+    run_lo, run_hi = below, above
+    reached_lo = reached_hi = anchor_k
 
-    def passes(k: int, sign: int, run: list[np.ndarray], walking: bool) -> bool | None:
+    def passes(k: int, sign: int, run) -> bool:
         """The tail test past the window edge ``k`` on the side ``sign``
-        (-1 below, 1 above): decided from ``anchor_fn(k)`` while walking,
-        else from the filled cell, the last of ``run``."""
+        (-1 below, 1 above), on the edge cell: the last of ``run``."""
         log_r = sign * float(log_ratio(np.array([k - 1.0 if sign < 0 else float(k)]))[0])
-        if walking:
-            return _edge_decision(anchor_log, anchor_fn(k), sign * (k - anchor_k), log_r, per_side)
         edge = anchor_log + sign * run[-1][-1] if run else anchor_log
         return _geometric_tail_bound(float(edge), log_r) <= per_side
 
-    # a window can outgrow the cap only if the domain is wider than it, and
-    # the walk's error bound needs cell indices that are exact doubles
-    walk = n_max is None or _MAX_SUPPORT_POINTS < n_max + 1 < 2**53
+    # only a window whose domain is wider than the cap can outgrow it
+    can_outgrow = n_max is None or n_max + 1 > _MAX_SUPPORT_POINTS
+    streaming = False
     for _ in range(128):
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
             raise _cap_error(hi - lo + 1)
-        walking = walk and (filled_lo - lo) + (hi - filled_hi) >= _WALK_MIN_CELLS
-        if not walking:
-            if lo < filled_lo:
-                _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
-                filled_lo = lo
-            if hi > filled_hi:
-                _extend_run(above, log_ratio, filled_hi, hi, 1)
-                filled_hi = hi
+        if (
+            can_outgrow
+            and not streaming
+            and (reached_lo - lo) + (hi - reached_hi) >= _WALK_MIN_CELLS
+        ):
+            streaming = True
+            run_lo, run_hi = deque(below[-1:], maxlen=1), deque(above[-1:], maxlen=1)
+        if lo < reached_lo:
+            _extend_run(run_lo, log_ratio, reached_lo - 1, lo - 1, -1)
+            reached_lo = lo
+        if hi > reached_hi:
+            _extend_run(run_hi, log_ratio, reached_hi, hi, 1)
+            reached_hi = hi
 
-        ok_lo = lo == 0 or passes(lo, -1, below, walking)
-        ok_hi = (n_max is not None and hi == n_max) or passes(hi, 1, above, walking)
-        if walking and (ok_lo is None or ok_hi is None or (ok_lo and ok_hi)):
-            walk = False  # the next round fills this window and tests it
-            continue
+        ok_lo = lo == 0 or passes(lo, -1, run_lo)
+        ok_hi = (n_max is not None and hi == n_max) or passes(hi, 1, run_hi)
         if ok_lo and ok_hi:
             break
         if not ok_lo:
@@ -659,6 +601,14 @@ def _window(
         step *= 2
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
+
+    if streaming:
+        filled_lo = anchor_k - sum(map(len, below))
+        filled_hi = anchor_k + sum(map(len, above))
+        if lo < filled_lo:
+            _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
+        if hi > filled_hi:
+            _extend_run(above, log_ratio, filled_hi, hi, 1)
 
     # A step ratio that underflows to zero (a subnormal risk) leaves -inf
     # cells above it; a log-concave window that ends in -inf ends instead

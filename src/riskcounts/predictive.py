@@ -127,17 +127,21 @@ def calibrate_prior(
     ``target_ratio`` times the plug-in spread.
 
     The prior mean is held fixed and the concentration alpha+beta is found
-    by bisection in log-space, and the search is fully deterministic.  The
-    search assumes the spread ratio is nonincreasing in concentration from
-    the lower bound c = 10 up, which need not hold: where P(no case) at
+    by bisection in log-space on [10, 1e12], from its first midpoint
+    sqrt(10 * 1e12), and the search is fully deterministic.  It returns the
+    first midpoint whose ratio is within 0.01 of the target.  The ratio
+    need not fall as c rises from the lower bound: where P(no case) at
     c = 10 alone covers the upper quantile the predictive width there is 0,
     and the ratio first rises with c before it falls (la_rr2's exposed arm,
     2,000,000 people at risk 2e-7: 0.0 at c = 10, 369.4 at 1e3, 1.8 at
-    3e6).  The search then refuses with "exceeds the maximum 0 reachable",
-    although a concentration with the target ratio exists.  Because the
-    widths are integer counts the ratio moves in steps; if no step lands
-    within 0.01 of the target inside the concentration bounds, calibration
-    fails explicitly rather than returning a silently-off prior.
+    3e6).  So c = 10 is probed only once no midpoint is within tolerance:
+    it is returned if its ratio is, and otherwise raises "exceeds the
+    maximum ... reachable at concentration 10.0" when the target is above
+    its ratio, or the window cap's ``DomainError``.  A cap refusal met at a
+    midpoint ends the search with that refusal.  Because the widths are
+    integer counts the ratio moves in steps; if no step lands within 0.01 of
+    the target, calibration fails explicitly rather than returning a
+    silently-off prior.
     """
     return _calibrate(n, p_mean, target_ratio, coverage, eps)[0]
 
@@ -171,34 +175,40 @@ def _calibrate(
     if w_plug == 0:
         raise DomainError("plug-in interval width is zero; no ratio to target")
 
-    def report_at(c: float) -> SpreadReport:
-        prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
-        w = central_interval(_streamed_law(_beta_binomial_args(n, prior, eps)), coverage).width
-        return SpreadReport(width_predictive=w, width_plugin=w_plug, ratio=w / w_plug)
+    probes: dict[float, SpreadReport] = {}
 
-    best_c, best = lo_c, report_at(lo_c)
-    if target_ratio > best.ratio + _RATIO_TOL:
-        raise CalibrationError(
-            f"target ratio {target_ratio} exceeds the maximum {best.ratio:.4g} "
-            f"reachable at concentration {lo_c}"
-        )
+    def report_at(c: float) -> SpreadReport:
+        if c not in probes:
+            prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
+            w = central_interval(_streamed_law(_beta_binomial_args(n, prior, eps)), coverage).width
+            probes[c] = SpreadReport(width_predictive=w, width_plugin=w_plug, ratio=w / w_plug)
+        return probes[c]
+
+    def fitted(c: float) -> tuple[BetaParams, SpreadReport]:
+        return BetaParams(c * p_mean, c * (1.0 - p_mean)), probes[c]
+
     lo, hi = lo_c, hi_c
     for _ in range(_MAX_BISECTIONS):
-        if abs(best.ratio - target_ratio) <= _RATIO_TOL:
-            return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean)), best
         mid = math.sqrt(lo * hi)
         rep = report_at(mid)
-        if abs(rep.ratio - target_ratio) < abs(best.ratio - target_ratio):
-            best_c, best = mid, rep
+        if abs(rep.ratio - target_ratio) <= _RATIO_TOL:
+            return fitted(mid)
         if rep.ratio > target_ratio:
             lo = mid
         else:
             hi = mid
-    if abs(best.ratio - target_ratio) <= _RATIO_TOL:
-        return BetaParams(best_c * p_mean, best_c * (1.0 - p_mean)), best
+    floor = report_at(lo_c)
+    if target_ratio > floor.ratio + _RATIO_TOL:
+        raise CalibrationError(
+            f"target ratio {target_ratio} exceeds the maximum {floor.ratio:.4g} "
+            f"reachable at concentration {lo_c}"
+        )
+    best_c = min((lo_c, *probes), key=lambda c: abs(probes[c].ratio - target_ratio))
+    if abs(probes[best_c].ratio - target_ratio) <= _RATIO_TOL:
+        return fitted(best_c)
     raise CalibrationError(
         f"no concentration in [{lo_c:g}, {hi_c:g}] reaches spread ratio "
-        f"{target_ratio} +- {_RATIO_TOL} (closest: {best.ratio:.4g} at "
+        f"{target_ratio} +- {_RATIO_TOL} (closest: {probes[best_c].ratio:.4g} at "
         f"concentration {best_c:.6g})"
     )
 

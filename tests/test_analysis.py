@@ -44,7 +44,7 @@ def builds(monkeypatch):
     (["summarize", "uncertain"], {"beta_binomial_distribution": 5, "convolve": 1}),
     (["figure", "la_rr106", "--id", "1"], {"binomial_distribution": 2}),
     (["figure", "la_rr106", "--id", "3"], {"binomial_distribution": 3, "convolve": 1}),
-    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 24}),
+    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
     scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])

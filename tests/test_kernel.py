@@ -612,13 +612,13 @@ def test_us_rr2_refusal_at_c10_is_unchanged(both_builders):
 
 #: A cap small enough that windows near it build in milliseconds.
 SMALL_CAP = 4_000
-#: A trigger no build reaches: the walk never runs.
+#: A trigger no build reaches: the loop never streams.
 NO_WALK = 1 << 62
 
 
 def law_or_refusal(build, cap, walk_min_cells):
     """``build()``'s law, or its refusal's message, under ``cap`` support
-    points, walking toward the cap before a round of ``walk_min_cells``."""
+    points, streaming from the first round that adds ``walk_min_cells``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distributions, "_MAX_SUPPORT_POINTS", cap)
         mp.setattr(distributions, "_WALK_MIN_CELLS", walk_min_cells)
@@ -659,81 +659,19 @@ def test_walking_toward_the_cap_keeps_every_law_and_refusal(build, walk_min_cell
     assert law_or_refusal(build, cap, walk_min_cells) == law_or_refusal(build, cap, NO_WALK)
 
 
-@given(
-    n=st.integers(1, 10**9),
-    log_p=st.floats(-12.0, 0.0),
-    kind=st.sampled_from(["binomial", "poisson", "beta-binomial"]),
-    log_c=st.floats(0.0, 7.0),
-    eps=st.sampled_from([5e-324, 1e-14, 1e-12, 1e-9, 1e-6]),
-)
-@settings(max_examples=80, deadline=None)
-def test_filled_window_edges_lie_within_the_walks_slack(n, log_p, kind, log_c, eps):
-    """Each edge of a built window, as filled, lies within ``_edge_slack``
-    of its anchor value, which the walk toward the cap decides from."""
-    p = min(10.0**log_p, 1.0 - 1e-9)
-    try:
-        if kind == "binomial":
-            law = binomial_distribution(n, p, eps=eps)
-            anchor_fn, anchor_k = distributions._binomial_anchor(n, p), min(int((n + 1) * p), n)
-        elif kind == "poisson":
-            law = poisson_distribution(n * p, eps=eps)
-            anchor_fn, anchor_k = distributions._poisson_anchor(n * p), int(n * p)
-        else:
-            n, c = min(n, 10**6), 10.0**log_c
-            a, b = p * c, (1.0 - p) * c
-            law = beta_binomial_distribution(n, BetaParams(a, b), eps=eps)
-            anchor_fn = distributions._beta_binomial_anchor(n, a, b)
-            anchor_k = int(round(n * a / (a + b)))
-    except DomainError:
-        return
-    if len(law.log_mass) == 1:
-        return
-    anchor_log = anchor_fn(anchor_k)
-    assert law.log_mass[anchor_k - law.support_lo] == anchor_log
-    for edge in (law.support_lo, law.support_hi):
-        edge_log = anchor_fn(edge)
-        slack = distributions._edge_slack(anchor_log, edge_log, abs(edge - anchor_k))
-        assert abs(law.log_mass[edge - law.support_lo] - edge_log) <= slack
-
-
-def test_an_edge_within_its_slack_of_the_tail_test_is_left_undecided():
-    anchor_log, edge_log, steps, log_r = -9.0, -40.0, 10**6, -1e-3
-    slack = distributions._edge_slack(anchor_log, edge_log, steps)
-    bound = distributions._geometric_tail_bound(edge_log, log_r)
-    decide = distributions._edge_decision
-    assert decide(anchor_log, edge_log, steps, log_r, bound) is None
-    assert decide(anchor_log, edge_log, steps, log_r, bound * math.exp(3 * slack)) is True
-    assert decide(anchor_log, edge_log, steps, log_r, bound * math.exp(-3 * slack)) is False
-    assert decide(anchor_log, edge_log, steps, 0.0, 1.0) is False
-    assert decide(anchor_log, -math.inf, steps, log_r, bound) is None
-
-
-def test_the_walk_refuses_us_rr2_before_filling_a_round_of_a_million_cells(monkeypatch):
-    filled = []
-    extend_run = distributions._extend_run
-
-    def counted(run, log_ratio, start, stop, step):
-        filled.append(abs(stop - start))
-        extend_run(run, log_ratio, start, stop, step)
-
-    monkeypatch.setattr(distributions, "_extend_run", counted)
-    with pytest.raises(DomainError) as got:
-        beta_binomial_distribution(*US_RR2_C10)
-    assert str(got.value) == US_RR2_REFUSAL
-    assert max(filled) < distributions._WALK_MIN_CELLS, filled
-
-
 ANCHOR_FACTORIES = ("_binomial_anchor", "_poisson_anchor", "_beta_binomial_anchor")
 
 
 def fills_and_anchors(build, cap, walk_min_cells):
     """``law_or_refusal(build, cap, walk_min_cells)``, the ``log_ratio``
     index ranges handed to ``_extend_run`` as half-open ``(a, b)`` pairs,
-    and the cells the anchor function was evaluated at."""
-    ranges, anchors = [], []
+    stored and streamed, and the cells the anchor function was evaluated
+    at."""
+    stored, streamed, anchors = [], [], []
     extend_run = distributions._extend_run
 
     def recorded(run, log_ratio, start, stop, step):
+        ranges = stored if isinstance(run, list) else streamed
         ranges.append((start, stop) if step > 0 else (stop + 1, start + 1))
         extend_run(run, log_ratio, start, stop, step)
 
@@ -754,62 +692,42 @@ def fills_and_anchors(build, cap, walk_min_cells):
         for name in ANCHOR_FACTORIES:
             mp.setattr(distributions, name, counted(getattr(distributions, name)))
         result = law_or_refusal(build, cap, walk_min_cells)
-    return result, ranges, anchors
+    return result, stored, streamed, anchors
 
 
-@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000]),
+@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000, NO_WALK]),
        st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
 @settings(max_examples=100, deadline=None)
-def test_the_loop_fills_each_cell_once_and_evaluates_one_anchor_below_the_walk(
+def test_the_stored_runs_tile_the_window_once_and_one_anchor_is_evaluated(
     build, walk_min_cells, cap
 ):
-    """Walking or not, the step logs filled are those of the window the loop
-    reaches, each once: the ``log_ratio`` index ranges, below the anchor and
-    above it, sum to their span, which is the law's support.  Where no round
-    reaches the default ``_WALK_MIN_CELLS``, the anchor is evaluated once."""
-    result, ranges, _ = fills_and_anchors(build, cap, walk_min_cells)
-    if ranges:
-        lo, hi = min(a for a, _ in ranges), max(b for _, b in ranges)
-        assert sum(b - a for a, b in ranges) == hi - lo
-        if not isinstance(result, str):
-            assert result[:2] == (lo, hi)
-    _, _, anchors = fills_and_anchors(build, cap, distributions._WALK_MIN_CELLS)
+    """Streamed or not, the step logs stored are those of the window the
+    loop settles on, each once: the stored ``log_ratio`` index ranges, below
+    the anchor and above it, tile the law's support without gap or overlap.
+    The anchor function is evaluated once, at the anchor."""
+    result, stored, _, anchors = fills_and_anchors(build, cap, walk_min_cells)
     assert len(anchors) == 1
+    if not stored:
+        return
+    stored.sort()
+    assert all(b == c for (_, b), (c, _) in zip(stored, stored[1:])), stored
+    if not isinstance(result, str):
+        assert result[:2] == (stored[0][0], stored[-1][1])
 
 
-def recorded_decisions(monkeypatch):
-    """The list that gets each ``_edge_decision`` result from now on."""
-    decisions = []
-    decide = distributions._edge_decision
-
-    def recorded(*args):
-        decisions.append(decide(*args))
-        return decisions[-1]
-
-    monkeypatch.setattr(distributions, "_edge_decision", recorded)
-    return decisions
-
-
-def test_a_walk_that_fails_six_edges_then_passes_two_keeps_the_law(monkeypatch):
+def test_a_window_streamed_from_its_first_round_keeps_the_law():
     """Binomial(1e8, 1/2) at eps 5e-324 widens each side three rounds past
-    its bracket.  Walked from the first round, each of those six edges fails
-    and both final edges pass; the loop then fills that window once."""
-    decisions = recorded_decisions(monkeypatch)
+    its bracket.  Streamed from the first round, the loop then fills the
+    window it settles on once, to the same law as a loop that never
+    streams."""
     build = functools.partial(binomial_distribution, 10**8, 0.5, eps=5e-324)
     cap = distributions._MAX_SUPPORT_POINTS
-    unwalked = law_or_refusal(build, cap, NO_WALK)
-    assert decisions == []
-    assert law_or_refusal(build, cap, 1) == unwalked
-    assert decisions == [False] * 6 + [True] * 2
-    assert unwalked[:2] == (49_799_998, 50_200_002)
-
-
-def test_no_walk_runs_where_a_cell_index_is_not_an_exact_double(monkeypatch):
-    decisions = recorded_decisions(monkeypatch)
-    monkeypatch.setattr(distributions, "_WALK_MIN_CELLS", 1)
-    law = binomial_distribution(2**60, 1e-15)
-    assert decisions == []
-    assert (law.support_lo, law.support_hi) == (743, 1563)
+    unstreamed, _, streamed, _ = fills_and_anchors(build, cap, NO_WALK)
+    assert streamed == []
+    assert unstreamed[:2] == (49_799_998, 50_200_002)
+    law, stored, streamed, _ = fills_and_anchors(build, cap, 1)
+    assert law == unstreamed
+    assert streamed and sorted(stored) == [(49_799_998, 50_000_000), (50_000_000, 50_200_002)]
 
 
 def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
@@ -1127,14 +1045,16 @@ def test_a_window_build_holds_no_window_sized_temporaries():
 
 
 def test_a_refused_window_is_refused_without_its_temporaries():
-    """The us_rr2 build at c = 10 is refused before the round that would
-    fill 1.4M cells: the walk toward the cap finds the 22M-point window
-    first, so only the 1.55M cells of the rounds before it (12.4 MB of
-    step sums) are filled.  Filling every round up to the refusal (11.2M
-    cells) peaked at 86.5 MB; a fill in one call at 222 MB."""
+    """The us_rr2 build at c = 10 is refused without storing the round that
+    would add 1.4M cells: the loop streams from that round on and finds the
+    22M-point window holding one chunk, so only the 1.55M cells of the
+    rounds before it (12.4 MB of step sums) are stored, and the refusal
+    peaks at about 12.8 MiB.  Storing a streamed round of a million cells
+    would add 8 MiB; filling every round up to the refusal (11.2M cells)
+    peaked at 86.5 MB, and a fill in one call at 222 MB."""
     refusal, peak = traced_peak(lambda: beta_binomial_distribution(*US_RR2_C10))
     assert str(refusal) == US_RR2_REFUSAL
-    assert peak < 16 << 20, f"the refused build peaked at {peak} bytes"
+    assert peak < 13.5 * (1 << 20), f"the refused build peaked at {peak} bytes"
 
 
 #: The ny_rr2 exposed arm at calibration's first concentration, c = 10: a

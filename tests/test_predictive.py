@@ -1,6 +1,7 @@
 """Risk-uncertainty layer: posterior updates, predictive laws, calibration."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,9 @@ from riskcounts import (
     spread_report,
     spread_reports,
 )
+from pinned import scenario_path
+from riskcounts import predictive
+from riskcounts.cli import main
 from riskcounts.predictive import split_vs_counterfactual as predictive_split
 
 LA_RR106 = ExposureScenario(2_000_000, 2_000_000, 0.00020034, 0.000189)
@@ -151,9 +155,9 @@ def test_target_one_warns_and_returns_concentration_cap():
 
 #: Spread reports on la_rr2's exposed arm (2,000,000 people at risk 2e-7)
 #: by concentration: (width_predictive, width_plugin).  The ratio is 0 at
-#: calibration's lower bound c = 10 and rises before it falls, so the
-#: search, which assumes it falls from c = 10, refuses targets it could
-#: reach (1.8 at 3e6).
+#: calibration's lower bound c = 10 and rises before it falls, so a search
+#: that assumed it falls from c = 10 refused targets it could reach (1.8 at
+#: 3e6).
 LA_RR2_SWEEP = {10.0: (0, 5), 1e3: (1847, 5), 1e5: (90, 5), 1e6: (17, 5), 3e6: (9, 5), 1e7: (6, 5)}
 
 
@@ -164,8 +168,107 @@ def test_the_spread_ratio_is_not_monotone_from_the_lower_concentration_bound():
     assert {c: (r.width_predictive, r.width_plugin) for c, r in reports.items()} == LA_RR2_SWEEP
     ratios = [reports[c].ratio for c in LA_RR2_SWEEP]
     assert ratios == pytest.approx([0.0, 369.4, 18.0, 3.4, 1.8, 1.2])
-    with pytest.raises(CalibrationError, match="exceeds the maximum 0 reachable at concentration 10.0"):
-        calibrate_prior(2_000_000, 2e-7, target_ratio=1.8)
+    # the search starts at its first midpoint, sqrt(10 * 1e12), where the ratio is 9/5
+    prior = calibrate_prior(2_000_000, 2e-7, target_ratio=1.8)
+    assert prior.concentration == pytest.approx(3_162_277.66016838, rel=1e-12)
+    rep = spread_report(2_000_000, BetaParams(prior.alpha, prior.beta))
+    assert (rep.width_predictive, rep.width_plugin, rep.ratio) == (9, 5, 9 / 5)
+
+
+#: la_rr106's calibrated priors, (alpha, beta) as ``float.hex``, by target
+#: ratio, for the exposed arm (risk 0.00020034) and the unexposed (0.000189).
+LA_RR106_PRIORS = {
+    1.5: (("0x1.3cf263c8e89dcp+8", "0x1.8229fc0adc9f7p+20"),
+          ("0x1.2b01a696e51c1p+8", "0x1.822b1b16afbfbp+20")),
+    2.0: (("0x1.0ab5d8d33b34fp+7", "0x1.44f4dcc4289a2p+19"),
+          ("0x1.f73a20596ae18p+6", "0x1.44f5ce50b3028p+19")),
+    3.0: (("0x1.91972b6fa6a16p+5", "0x1.e94af374ae67cp+17"),
+          ("0x1.7f92d4fe7396cp+5", "0x1.ef6322cdea46bp+17")),
+}
+
+
+@pytest.mark.parametrize("target", sorted(LA_RR106_PRIORS))
+def test_la_rr106_priors_are_pinned_bit_for_bit(target):
+    got = tuple(
+        (prior.alpha.hex(), prior.beta.hex())
+        for prior in (
+            calibrate_prior(LA_RR106.n_exposed, LA_RR106.p_exposed, target),
+            calibrate_prior(LA_RR106.n_unexposed, LA_RR106.p_unexposed, target),
+        )
+    )
+    assert got == LA_RR106_PRIORS[target]
+
+
+#: ``calibrate <scenario> 1.5`` stderr on the bundled scenarios whose
+#: concentration-10 probe refuses: no midpoint reaches 1.5, so the lower
+#: bound's refusal stands, as the search's first probe raised it.
+REFUSALS_AT_1_5 = {
+    "la_rr2": "target ratio 1.5 exceeds the maximum 0 reachable at concentration 10.0",
+    "ny_rr2": "target ratio 1.5 exceeds the maximum 0 reachable at concentration 10.0",
+    "us_rr2": "support window of 22264918 points exceeds the 20000000-point cap; the eps "
+              "contract cannot be met at desk scale for these parameters",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS_AT_1_5))
+def test_an_unreached_target_keeps_the_lower_bounds_refusal(name, tmp_path, capsys):
+    assert main(["calibrate", scenario_path(tmp_path, name), "1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "calibrating beta priors to spread ratio 1.5 at 99.99% coverage\n"
+    assert err == f"error: {REFUSALS_AT_1_5[name]}\n"
+
+
+ARM = re.compile(
+    r"  alpha: (\S+)\n  beta:  (\S+)\n.*\n"
+    r"  interval widths: predictive (\d+), plug-in (\d+), ratio (\S+)\n"
+)
+
+
+@pytest.mark.parametrize("target", ["2.0", "3.0"])
+@pytest.mark.parametrize("name", sorted(REFUSALS_AT_1_5))
+def test_a_root_above_the_lower_bound_is_found(name, target, tmp_path, capsys):
+    """Each arm's printed ratio is within 0.01 of the target, and is the
+    ratio an independent spread report gives at the printed prior."""
+    assert main(["calibrate", scenario_path(tmp_path, name), target]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    arms = ARM.findall(out)
+    ns = [int(n) for n in re.findall(r"arm \(n=(\d+),", out)]
+    assert len(arms) == len(ns) == 2
+    for n, (alpha, beta, w_pred, w_plug, ratio) in zip(ns, arms):
+        assert abs(float(ratio) - float(target)) <= 0.01
+        rep = spread_report(n, BetaParams(float(alpha), float(beta)))
+        assert (rep.width_predictive, rep.width_plugin) == (int(w_pred), int(w_plug))
+        assert f"{rep.ratio:#.6g}" == ratio
+
+
+def test_an_unreachable_target_probes_at_most_sixty_concentrations(monkeypatch):
+    probed = []
+    args = predictive._beta_binomial_args
+
+    def recorded(n, prior, eps):
+        probed.append(prior.concentration)
+        return args(n, prior, eps)
+
+    monkeypatch.setattr(predictive, "_beta_binomial_args", recorded)
+    with pytest.raises(CalibrationError, match="exceeds the maximum"):
+        calibrate_prior(1_000, 0.05, target_ratio=500.0)
+    assert len(probed) == len(set(probed)) <= 60
+    assert probed[-1] == 10.0
+
+
+@pytest.mark.parametrize("target, closest", [
+    (2.369, "2.4 at concentration 10"),  # the lower bound wins the tie-break
+    (1.148, "1.133 at concentration 159.634"),
+])
+def test_a_target_between_ratio_steps_names_the_closest_probe(target, closest):
+    """Widths of a 50-person arm move the ratio in steps wider than the
+    tolerance, so some targets are missed everywhere."""
+    with pytest.raises(CalibrationError) as got:
+        calibrate_prior(50, 0.1, target_ratio=target)
+    assert str(got.value) == (
+        f"no concentration in [10, 1e+12] reaches spread ratio {target} +- 0.01 (closest: {closest})"
+    )
 
 
 def test_unreachable_target_raises():
