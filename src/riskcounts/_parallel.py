@@ -3,7 +3,7 @@
 ``split`` is the package's one decision on processes: replication studies
 and large convolutions each make one call, and it alone decides whether the
 work leaves the calling process and which rows each process computes.  Work
-runs in-process below the caller's cost threshold (about 35 ms of
+runs in-process below the caller's cost threshold (about 25 ms of
 replications, ``cohort._PARALLEL_MIN_INDIVIDUALS``; 1e9 multiply-adds of kept
 cells with each edge cell charged its Python call,
 ``distributions._PARALLEL_MIN_MACS``), on one usable CPU (the affinity set,

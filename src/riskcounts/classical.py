@@ -8,6 +8,7 @@ absolute — the third decimal of a p-value is stable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,12 +70,15 @@ def two_proportion_test(
     return TestResult(statistic=z, p_value=p_value, alpha=alpha, reject=p_value < alpha)
 
 
+@functools.lru_cache(maxsize=1 << 8)
 def _score_test(
     cases_a: int, n_a: int, cases_b: int, n_b: int, continuity_correction: bool
 ) -> tuple[float, float]:
     """``(statistic, p_value)`` of ``two_proportion_test`` on counts the
     caller vouches for (0 <= cases <= n, n >= 1); replication studies call
-    it directly, once per variant and replication."""
+    it directly, once per variant and replication.  A pure function of its
+    arguments, so the scores of the most recent counts are kept: studies of
+    small cohorts repeat the same counts many times."""
     pa = cases_a / n_a
     pb = cases_b / n_b
     pooled = (cases_a + cases_b) / (n_a + n_b)

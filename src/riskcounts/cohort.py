@@ -22,20 +22,26 @@ replication's p-values in index order in the calling process, so the
 report's bits do not depend on the worker count.
 
 ``generate`` and the replication ranges draw through one routine,
-``_draw``, which documents the draw order inside one cohort and yields it
-block by block.  ``generate`` stores every block.  A range reduces each
-block as it is drawn to the cell counts its tests read: the outcomes to the
-cases in each group, and each proxy or noisy-covariate block to the
-individuals and cases on one side of its split.  So a range holds a
-per-individual array only while a later phase reads it: the latent factor
-until the outcomes are drawn, and the outcomes only when a proxy or noisy
-covariate is tested.  Covariate noise is drawn in blocks too, which gives
-the values of one call and leaves the stream where one call leaves it.
+``_draw``, which owns the draw order inside one cohort (its phases are
+listed by ``_phases``) and hands each block of raw draws to a reducer;
+``_transform`` turns a block into what the cohort holds.  ``generate``
+stores every block.  A range reduces its cohorts to the counts its tests
+read: the cases in each group, and the individuals and cases on one side
+of each proxy or noisy-covariate split.  Cohorts of at most half a block
+are drawn in tiles of many replications: each cohort's phases are drawn
+whole into the tile's buffers, one row per replication, the tile is
+reduced at once to one row of counts per replication, and the rows are
+scored in order, the score tests of counts met lately read from a cache.
+Wider cohorts are streamed, one replication at a time, each block reduced
+as it is drawn, so a range holds a per-individual array only while a later
+phase reads it: the latent factor until the outcomes are drawn, and the
+outcomes only when a proxy or noisy covariate is tested.  Covariate noise
+is drawn in blocks too, which gives the values of one call and leaves the
+stream where one call leaves it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -81,19 +87,24 @@ _BLOCK = 1 << 16
 #: and the block of uniforms together stay under 1 MiB.
 _NOISE_BLOCK = _BLOCK // 4
 
-#: A replication's fixed cost (re-keying its Philox, scoring, the range's
-#: Python calls), in individuals drawn.  On a 2-vCPU x86-64 host it is
-#: about 8-10 us at 6 ns an individual with the exposure label alone, 16 us
-#: at 15 ns with a proxy and 20 us at 20 ns with the latent factor, so
-#: 1,000-1,750.
-_REPLICATION_SETUP = 1_750
+#: A replication's fixed cost (re-keying its Philox, its share of its
+#: tile's numpy calls, scoring), in draws of one phase for one individual.
+#: In-process on a 2-vCPU x86-64 host it is about 5 us at 6.4 ns a draw
+#: with the exposure label alone, 6.5 us at 8.3 ns with a proxy (two
+#: phases) and 15 us at 11 ns with the latent factor and a noisy covariate
+#: (four phases), so 800-1,400.
+_REPLICATION_SETUP = 800
 
-#: Studies smaller than this, counted as replications x (2 n_per_group +
-#: ``_REPLICATION_SETUP``), run in-process.  Forking and starting the pool
-#: costs 10-20 ms and two busy processes run 5-30% slower each, so on the
-#: host above two processes break even near this size (about 35 ms on one
-#: CPU: 1,600 replications at 1,000 per group, or 3,400 at 1 per group).
-_PARALLEL_MIN_INDIVIDUALS = 6_000_000
+#: Studies smaller than this, counted as replications x (2 n_per_group x
+#: the phases ``_draw`` takes + ``_REPLICATION_SETUP``), run in-process.
+#: Forking costs 10-20 ms and two busy processes run slower each.  On the
+#: host above, two processes won from 3,300 replications at 1 per group
+#: (about 20 ms, two thirds of this size), and the benchmark's replay of
+#: 2,000 replications at 1,000 per group (1.4 times this size) took 36 ms
+#: forked against 52 ms in-process.  Counting phases sends a proxy or
+#: latent-factor study, whose individuals cost two to four times as much,
+#: to the workers sooner.
+_PARALLEL_MIN_INDIVIDUALS = 4_000_000
 
 #: Replications whose Philox keys a range derives in one pass: their
 #: arrays stay a few hundred KiB whatever the range's length.
@@ -288,15 +299,39 @@ def _replication_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack((low0 | high0 << 32, low1 | high1 << 32), axis=1)
 
 
-def _arrays(spec: CausalSpec):
-    """Fresh buffers for ``_draw``: a block of uniforms, a block of flags,
-    and the latent array (None unless ``spec``'s latent factor is drawn)."""
+def _phases(spec: CausalSpec) -> list[tuple[str, CovariateRule | ProxyRule | None]]:
+    """The phases of one cohort's draw, in the order ``_draw`` takes them
+    from the stream, as ``(phase, rule)``: the latent factor's ``"mix"``
+    and ``"coins"`` (only when it is in play), the ``"outcome"``, the
+    ``"noise"`` of each covariate rule with noise in listed order, and the
+    ``"proxy"`` flips last."""
+    phases = [("mix", None), ("coins", None)] if spec.true_cause == "latent-factor" else []
+    phases.append(("outcome", None))
+    phases += [("noise", rule) for rule in spec.covariate_rules if rule.noise_sd > 0.0]
+    if spec.proxy_rule is not None:
+        phases.append(("proxy", spec.proxy_rule))
+    return phases
+
+
+def _buffers(spec: CausalSpec, rows: int) -> list[np.ndarray | None]:
+    """Where ``_draw`` puts each phase of ``_phases(spec)`` for ``rows``
+    cohorts at once.
+
+    One row is the streamed path: the uniform phases share one block of
+    ``_BLOCK`` doubles and the noise one block of ``_NOISE_BLOCK``, each
+    block being reduced before the next is drawn, and the coins get no
+    buffer.  A tile of several rows holds each phase of each cohort whole,
+    so it takes ``rows`` x 2n cells a phase, at most one block."""
     n2 = 2 * spec.n_per_group
-    return (
-        np.empty(min(n2, _BLOCK)),
-        np.empty(min(n2, _BLOCK), dtype=bool),
-        np.empty(n2, dtype=bool) if spec.true_cause == "latent-factor" else None,
-    )
+    if rows > 1:
+        assert rows * n2 <= _BLOCK, "a tile holds at most one block a phase"
+        return [np.empty((rows, n2), np.int8 if phase == "coins" else float)
+                for phase, _ in _phases(spec)]
+    phases = [phase for phase, _ in _phases(spec)]
+    uniforms = np.empty((1, min(n2, _BLOCK)))
+    noise = np.empty((1, min(n2, _NOISE_BLOCK))) if "noise" in phases else None
+    return [None if phase == "coins" else noise if phase == "noise" else uniforms
+            for phase in phases]
 
 
 def _levels(rule: CovariateRule) -> tuple[float, float]:
@@ -311,99 +346,104 @@ def _cut(n: int, start: int, k: int) -> int:
     return min(max(n - start, 0), k)
 
 
-def _uniforms(rng: np.random.Generator, buf: np.ndarray, left: int) -> np.ndarray:
-    """The next block of at most ``len(buf)`` of ``left`` uniforms, drawn
-    into ``buf``."""
-    u = buf[:left]
-    rng.random(out=u)
-    return u
+def _draw(spec: CausalSpec, streams, dests: list[np.ndarray | None], reduce) -> int:
+    """Draw one cohort of ``spec`` from each generator ``streams`` yields,
+    one row each, and hand the raw draws to ``reduce``; return the rows.
 
+    ``dests`` come from ``_buffers``, one per phase of ``_phases(spec)``.
+    Each phase is drawn into its row of its buffer in blocks of the
+    buffer's width, and ``reduce(phase, rule, start, raw)`` reads a block
+    ``raw`` of every row, ``start`` being its first individual.  With
+    one-row buffers each block is reduced as it is drawn.  A tile's
+    buffers hold each phase of a cohort whole, so it draws every row before
+    it reduces each phase over all of them at once, in phase order.
+    Individuals 0..n-1 are group 0, n..2n-1 group 1.
 
-def _draw(
-    spec: CausalSpec,
-    rng: np.random.Generator,
-    buf: np.ndarray,
-    flags: np.ndarray,
-    outcome: np.ndarray | None,
-    latent: np.ndarray | None,
-):
-    """Draw one cohort of ``spec`` from ``rng`` and yield it block by block
-    as ``(rule, start, block)``, ``start`` being the block's first
-    individual: the outcomes with rule None, then the values of each
-    covariate with noise with its rule, then the proxy exposures with
-    ``spec.proxy_rule``.  Individuals 0..n-1 are group 0, n..2n-1 group 1.
-
-    ``buf``, ``flags`` and ``latent`` come from ``_arrays``.  Outcomes are
-    written into ``outcome`` when the caller keeps one per individual, else
-    into ``flags`` like the proxy exposures; a block is valid until the
-    next one is drawn.
-
-    The draw order is fixed: latent factor (two draws: mixing uniforms, then
-    fair coins; only when the latent factor is in play), outcomes,
-    covariates in listed order (rules without noise consume no randomness
-    and are left to the caller), proxy flips last.  Every phase is drawn
-    whether or not the caller reads it: normal noise takes no fixed number
-    of words from the stream, so each later phase starts wherever the ones
-    before it left off.  The three uniform streams (mixing, outcomes, proxy
-    flips) are taken in blocks of ``_BLOCK`` individuals and compared in
-    place, so no per-individual risk array is built; Philox's ``random()``
-    spends one 64-bit word per double whatever the block, so the stream and
-    every value are those of a single call.  The noise is taken in blocks of
-    ``_NOISE_BLOCK``: ``normal()`` keeps nothing between values, so its
-    blocks too give a single call's values and leave the stream where it
-    would.  The fair coins stay one call: numpy's bounded int8 draw buffers
-    bits within a call, which blocks would change.
+    The draw order is fixed: latent factor (two draws: mixing uniforms,
+    then fair coins; only when the latent factor is in play), outcomes,
+    covariate noise in listed order (rules without noise consume no
+    randomness and are left to the caller), proxy flips last.  Every phase
+    is drawn whether or not the caller reads it: normal noise takes no
+    fixed number of words from the stream, so each later phase starts
+    wherever the ones before it left off.  Philox's ``random()`` spends one
+    64-bit word per double whatever the block, so the three uniform streams
+    (mixing, outcomes, proxy flips) give a single call's values in blocks of
+    any width, and ``normal()`` keeps nothing between values, so its blocks
+    too give a single call's values and leave the stream where it would.
+    The fair coins stay one call: numpy's bounded int8 draw buffers bits
+    within a call, which blocks would change.
     """
+    phases = list(zip(_phases(spec), dests))
+    n2 = 2 * spec.n_per_group
+    tile = len(dests[0]) > 1
+    rows = 0
+    for rng in streams:
+        for (phase, rule), dest in phases:
+            if phase == "coins":
+                coins = rng.integers(0, 2, size=n2, dtype=np.int8)
+                if tile:
+                    dest[rows] = coins
+                else:
+                    reduce(phase, rule, 0, coins[None])
+                continue
+            width = dest.shape[1]
+            for start in range(0, n2, width):
+                raw = dest[rows, : n2 - start]  # at most the buffer's width
+                if phase == "noise":
+                    raw[...] = rng.normal(0.0, rule.noise_sd, size=len(raw))
+                else:
+                    rng.random(out=raw)
+                if not tile:
+                    reduce(phase, rule, start, dest[:, : len(raw)])
+        rows += 1
+    if tile:
+        for (phase, rule), dest in phases:
+            reduce(phase, rule, 0, dest[:rows])
+    return rows
+
+
+def _transform(spec: CausalSpec, phase: str, rule, start: int, raw: np.ndarray,
+               latent: np.ndarray | None, out: np.ndarray | None) -> np.ndarray | None:
+    """Turn a block ``raw`` of one phase's draws (one row per cohort, from
+    individual ``start`` on) into what the cohorts hold, and return it.
+
+    The mixing uniforms and the coins go into ``latent`` (every individual
+    of each cohort) and return None: an individual's latent indicator copies
+    the group where its mix is below the correlation, else it is the coin.
+    The outcomes and the proxy exposures go into ``out``.  Covariate values
+    are the noise plus the rule's levels, made in place."""
     n = spec.n_per_group
-    n2 = 2 * n
-    if latent is not None:
-        # ``latent`` holds the mix until the coins are drawn
-        s = spec.latent_group_correlation
-        for start in range(0, n2, _BLOCK):
-            u = _uniforms(rng, buf, n2 - start)
-            np.less(u, s, out=latent[start : start + len(u)])
-        coins = rng.integers(0, 2, size=n2, dtype=np.int8).view(bool)
+    k = raw.shape[1]
+    cut = _cut(n, start, k)
+    if phase == "mix":
+        np.less(raw, spec.latent_group_correlation, out=latent[:, start : start + k])
+    elif phase == "coins":
         # where the mix copies the group, group 0 reads False and group 1
         # True; elsewhere the coin stands
-        np.greater(coins[:n], latent[:n], out=latent[:n])
-        np.logical_or(latent[n:], coins[n:], out=latent[n:])
-        del coins
-
-    p0 = spec.baseline_p
-    p1 = spec.baseline_p if spec.true_cause == "none" else spec.effect_p
-    for start in range(0, n2, _BLOCK):
-        u = _uniforms(rng, buf, n2 - start)
-        k = len(u)
-        out = flags[:k] if outcome is None else outcome[start : start + k]
+        coins = raw.view(bool)
+        np.greater(coins[:, :n], latent[:, :n], out=latent[:, :n])
+        np.logical_or(latent[:, n:], coins[:, n:], out=latent[:, n:])
+    elif phase == "outcome":
+        p0 = spec.baseline_p
+        p1 = spec.baseline_p if spec.true_cause == "none" else spec.effect_p
         if latent is None:
-            cut = _cut(n, start, k)
-            np.less(u[:cut], p0, out=out[:cut])
-            np.less(u[cut:], p1, out=out[cut:])
+            np.less(raw[:, :cut], p0, out=out[:, :cut])
+            np.less(raw[:, cut:], p1, out=out[:, cut:])
         else:
-            np.less(u, p0, out=out)
-            np.copyto(out, u < p1, where=latent[start : start + k])
-        yield None, start, out
-
-    for rule in spec.covariate_rules:
-        if rule.noise_sd > 0.0:
-            level0, level1 = _levels(rule)
-            for start in range(0, n2, _NOISE_BLOCK):
-                values = rng.normal(0.0, rule.noise_sd, size=min(n2 - start, _NOISE_BLOCK))
-                cut = _cut(n, start, len(values))
-                np.add(values[:cut], level0, out=values[:cut])
-                np.add(values[cut:], level1, out=values[cut:])
-                yield rule, start, values
-
-    if spec.proxy_rule is not None:
+            np.less(raw, p0, out=out)
+            np.copyto(out, raw < p1, where=latent[:, start : start + k])
+        return out
+    elif phase == "noise":
+        level0, level1 = _levels(rule)
+        np.add(raw[:, :cut], level0, out=raw[:, :cut])
+        np.add(raw[:, cut:], level1, out=raw[:, cut:])
+        return raw
+    else:
         # a flip reads group 0 as exposed and group 1 as unexposed
-        acc = spec.proxy_rule.accuracy
-        for start in range(0, n2, _BLOCK):
-            u = _uniforms(rng, buf, n2 - start)
-            k = len(u)
-            cut = _cut(n, start, k)
-            np.greater_equal(u[:cut], acc, out=flags[:cut])
-            np.less(u[cut:], acc, out=flags[cut:k])
-            yield spec.proxy_rule, start, flags[:k]
+        np.greater_equal(raw[:, :cut], rule.accuracy, out=out[:, :cut])
+        np.less(raw[:, cut:], rule.accuracy, out=out[:, cut:])
+        return out
+    return None
 
 
 def generate(spec: CausalSpec, seed: Seed) -> Cohort:
@@ -416,18 +456,27 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
     n = spec.n_per_group
     group = np.repeat(np.array([0, 1], dtype=np.int8), n)
     true_exposure = group == 1
-    buf, flags, latent = _arrays(spec)
+    latent = np.empty(2 * n, dtype=bool) if spec.true_cause == "latent-factor" else None
     outcome = np.empty(2 * n, dtype=bool)
     proxy = None if spec.proxy_rule is None else np.empty(2 * n, dtype=bool)
     covariates = {
         rule.name: np.empty(2 * n) if rule.noise_sd > 0.0 else np.repeat(_levels(rule), n)
         for rule in spec.covariate_rules
     }
-    for rule, start, block in _draw(spec, _rng(seed), buf, flags, outcome, latent):
-        if rule is not None:
-            kept = proxy if isinstance(rule, ProxyRule) else covariates[rule.name]
-            kept[start : start + len(block)] = block
 
+    # ``_transform`` works on rows of cohorts; this is one row
+    flags = {"outcome": outcome[None], "proxy": None if proxy is None else proxy[None]}
+    latent_row = None if latent is None else latent[None]
+
+    def keep(phase, rule, start, raw):
+        block = slice(start, start + raw.shape[1])
+        out = flags.get(phase)
+        values = _transform(spec, phase, rule, start, raw, latent_row,
+                            None if out is None else out[:, block])
+        if phase == "noise":
+            covariates[rule.name][block] = values[0]
+
+    _draw(spec, (_rng(seed),), _buffers(spec, 1), keep)
     for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
         if arr is not None:
             arr.setflags(write=False)
@@ -489,10 +538,10 @@ def _check_separates(rule: CovariateRule, n_a: int, n: int) -> None:
 
 def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
     """The score test of ``variant`` on cohorts of ``spec``, as ``(split,
-    score)``.  ``score(c0, c1, cells)`` gives ``(statistic, p_value)`` from a
-    cohort's cases in group 0 and in group 1 and, in ``cells[split]``, the
-    ``_cells`` of ``split``: the proxy rule or the covariate rule with noise
-    the variant splits the cohort by.  ``split`` is None for a variant
+    score)``.  ``score(c0, c1, cell)`` gives ``(statistic, p_value)`` from a
+    cohort's cases in group 0 and in group 1 and ``cell``, the ``_cells`` of
+    ``split``: the proxy rule or the covariate rule with noise the variant
+    splits the cohort by.  ``split`` and ``cell`` are None for a variant
     scored from the group counts alone.
 
     A rule without noise puts each group wholly on one side of its
@@ -504,13 +553,13 @@ def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
     try:
         if variant == "true_exposure":
             # the label split is the two halves of the cohort
-            return None, lambda c0, c1, cells: _score_test(c1, n, c0, n, continuity_correction)
+            return None, lambda c0, c1, cell: _score_test(c1, n, c0, n, continuity_correction)
         if variant == "proxy_exposure":
             proxy = spec.proxy_rule
             if proxy is None:
                 raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
-            return proxy, lambda c0, c1, cells: _split_score(
-                *cells[proxy], 2 * n, c0 + c1, continuity_correction
+            return proxy, lambda c0, c1, cell: _split_score(
+                *cell, 2 * n, c0 + c1, continuity_correction
             )
         if not variant.startswith("covariate_"):
             raise DomainError(f"unknown analysis variant {variant!r}")
@@ -522,8 +571,8 @@ def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
             )
         if rule.noise_sd > 0.0:
 
-            def score(c0: int, c1: int, cells) -> tuple[float, float]:
-                n_a, cases_a = cells[rule]
+            def score(c0: int, c1: int, cell) -> tuple[float, float]:
+                n_a, cases_a = cell
                 _check_separates(rule, n_a, 2 * n)
                 return _split_score(n_a, cases_a, 2 * n, c0 + c1, continuity_correction)
 
@@ -531,8 +580,8 @@ def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
         sides = _side(rule, np.array(_levels(rule)))
         _check_separates(rule, np.count_nonzero(sides), 2)
         if sides[1]:
-            return None, lambda c0, c1, cells: _score_test(c1, n, c0, n, continuity_correction)
-        return None, lambda c0, c1, cells: _score_test(c0, n, c1, n, continuity_correction)
+            return None, lambda c0, c1, cell: _score_test(c1, n, c0, n, continuity_correction)
+        return None, lambda c0, c1, cell: _score_test(c0, n, c1, n, continuity_correction)
     except DomainError as exc:
         error = exc
 
@@ -549,16 +598,16 @@ def _variant_score(
     replication range reduces its draws to."""
     n = cohort.spec.n_per_group
     split, score = _scorer(cohort.spec, variant, continuity_correction)
-    cells = {}
+    cell = None
     if split is not None:
         values = (
             cohort.proxy_exposure
             if isinstance(split, ProxyRule)
             else cohort.covariates[split.name]
         )
-        cells[split] = _cells(_side(split, values), cohort.outcome)
+        cell = _cells(_side(split, values), cohort.outcome)
     return score(
-        np.count_nonzero(cohort.outcome[:n]), np.count_nonzero(cohort.outcome[n:]), cells
+        np.count_nonzero(cohort.outcome[:n]), np.count_nonzero(cohort.outcome[n:]), cell
     )
 
 
@@ -646,12 +695,13 @@ def replication_study(
         variants = default_variants(spec)
     variants = tuple(variants)
     seed = check_seed(seed)
+    draws = 2 * spec.n_per_group * len(_phases(spec))
     p = _parallel.split(
         lambda start, stop, rows: _replicate_range(
             spec, seed, variants, continuity_correction, start, stop, rows
         ),
         (replications, len(variants)),
-        lambda m: m * (2 * spec.n_per_group + _REPLICATION_SETUP),
+        lambda m: m * (draws + _REPLICATION_SETUP),
         _PARALLEL_MIN_INDIVIDUALS,
     )
     # Python numbers, whose repr is the plain value
@@ -677,7 +727,7 @@ def _replicate_range(
 ) -> None:
     """Write the p-values of replications ``start`` to ``stop - 1`` into
     ``rows``: one row per replication, one column per variant.  Stops at the
-    first error.
+    first error, with every row before it written and none after.
 
     ``seed`` is ``check_seed``-valid.  Each replication is ``generate(spec,
     (seed, i))`` scored as ``_variant_score`` scores it, drawn from one
@@ -686,42 +736,104 @@ def _replicate_range(
     rows are bit-identical to ``SeedSequence((seed, i))``'s keys (tier-1
     checks them against numpy's own); no ``SeedSequence`` is built.
 
-    Each block ``_draw`` yields is reduced at once to the counts the
-    variants' scorers read: the cases in each group and the ``_cells`` of
-    each split.  Outcomes are kept one per individual only when a split is
-    scored, for its blocks to read; no proxy flag or covariate value
-    outlives its block.
+    Replications are drawn in tiles of min(``_KEY_BLOCK``, ``_BLOCK`` //
+    2n), at least one: ``_draw`` draws every phase of each cohort of a tile
+    into the tile's buffers, ``_Tally`` reduces the tile to one row of
+    counts per cohort (the cases in each group and the ``_cells`` of each
+    split), and the rows are scored in index order, each variant's score
+    test on counts it has scored lately read from ``_score_test``'s cache.
+    A tile of one cohort, and so every cohort wider than half a block
+    (the ``MAX_COHORT_SIZE`` rung among them), takes the streamed path:
+    each block is reduced as it is drawn, outcomes are kept one per
+    individual only when a split is scored, and no proxy flag or covariate
+    value outlives its block.
     """
-    n = spec.n_per_group
+    n2 = 2 * spec.n_per_group
     scorers = [_scorer(spec, v, continuity_correction) for v in variants]
-    splits = {split for split, _ in scorers if split is not None}
-    buf, flags, latent = _arrays(spec)
-    outcome = np.empty(2 * n, dtype=bool) if splits else None
+    splits = tuple(dict.fromkeys(split for split, _ in scorers if split is not None))
+    tile = max(1, min(_KEY_BLOCK, _BLOCK // n2))
+    dests = _buffers(spec, tile)
+    tally = _Tally(spec, tile, splits)
+    # the column of each variant's split's cell in a row of counts
+    plan = [(None if split is None else tally.at[split], score) for split, score in scorers]
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     # the state a fresh Philox starts in (counter 0, an empty buffer, no
-    # spare 32-bit word); each replication sets the key it would be seeded with
+    # spare 32-bit word), as lists, which the state setter reads faster than
+    # arrays; each replication sets the key it would be seeded with
     state = bits.state
-    keys = itertools.chain.from_iterable(
-        _replication_keys(seed, at, min(at + _KEY_BLOCK, stop))
-        for at in range(start, stop, _KEY_BLOCK)
-    )
-    for row, key in enumerate(keys):
-        state["state"]["key"] = key
-        bits.state = state
-        c0 = c1 = 0
-        cells = dict.fromkeys(splits, (0, 0))
-        for rule, at, block in _draw(spec, rng, buf, flags, outcome, latent):
-            k = len(block)
-            if rule is None:
-                cut = _cut(n, at, k)
-                c0 += np.count_nonzero(block[:cut])
-                c1 += np.count_nonzero(block[cut:])
-            elif rule in cells:
-                n_a, cases_a = _cells(_side(rule, block), outcome[at : at + k])
-                was_n, was_cases = cells[rule]
-                cells[rule] = (was_n + n_a, was_cases + cases_a)
-        rows[row] = [score(c0, c1, cells)[1] for _, score in scorers]
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+
+    def streams(keys):
+        for key in keys:
+            state["state"]["key"] = key
+            bits.state = state
+            yield rng
+
+    row = 0
+    for at in range(start, stop, _KEY_BLOCK):
+        keys = _replication_keys(seed, at, min(at + _KEY_BLOCK, stop))
+        for first in range(0, len(keys), tile):
+            tally.clear()
+            drawn = _draw(spec, streams(keys[first : first + tile]), dests, tally)
+            for c in tally.counts[:drawn].tolist():
+                rows[row] = [score(c[0], c[1], None if col is None else c[col : col + 2])[1]
+                             for col, score in plan]
+                row += 1
+
+
+class _Tally:
+    """The counts the scorers read, one row per cohort of a tile: the cases
+    in group 0 and in group 1, then each split's ``(individuals, cases)`` on
+    group 1's side.  Called as ``_draw``'s ``reduce``."""
+
+    def __init__(self, spec: CausalSpec, tile: int, splits: tuple) -> None:
+        n2 = 2 * spec.n_per_group
+        width = min(n2, _BLOCK)
+        self.spec = spec
+        self.latent = np.empty((tile, n2), dtype=bool) if spec.true_cause == "latent-factor" else None
+        # outcomes are kept per individual only when a split reads them
+        self.keep = bool(splits)
+        self.outcome = np.empty((tile, n2 if splits else width), dtype=bool)
+        self.flags = np.empty((tile, width), dtype=bool) if spec.proxy_rule in splits else None
+        self.counts = np.zeros((tile, 2 + 2 * len(splits)), dtype=np.int64)
+        self.at = {split: 2 + 2 * j for j, split in enumerate(splits)}
+
+    def clear(self) -> None:
+        self.counts[:] = 0
+
+    def __call__(self, phase, rule, start, raw):
+        if rule is not None and rule not in self.at:
+            return  # a phase no variant reads
+        rows, k = raw.shape
+        block = slice(start, start + k)
+        out = None
+        if phase == "outcome":
+            out = self.outcome[:rows, block] if self.keep else self.outcome[:rows, :k]
+        elif phase == "proxy":
+            out = self.flags[:rows, :k]
+        latent = None if self.latent is None else self.latent[:rows]
+        drawn = _transform(self.spec, phase, rule, start, raw, latent, out)
+        counts = self.counts[:rows]
+        if phase == "outcome":
+            cut = _cut(self.spec.n_per_group, start, k)
+            counts[:, 0] += _count(drawn[:, :cut])
+            counts[:, 1] += _count(drawn[:, cut:])
+        elif rule is not None:
+            side = _side(rule, drawn)
+            at = self.at[rule]
+            counts[:, at] += _count(side)
+            counts[:, at + 1] += _count(side & self.outcome[:rows, block])
+
+
+def _count(flags: np.ndarray) -> np.ndarray | int:
+    """How many flags are set in each row of ``flags``.  A single row takes
+    numpy's flat count, several times faster than a reduction along rows; a
+    tile's rows hold at most half a block, so 16-bit sums are exact."""
+    if len(flags) == 1:
+        return np.count_nonzero(flags)
+    return np.add.reduce(flags.view(np.uint8), axis=1, dtype=np.uint16)
 
 
 def proxy_study(

@@ -379,18 +379,24 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     Goes through a temporary file in the destination directory followed by
     ``os.replace``; a crash mid-write never leaves a truncated file at the
     final path.  Bytes are UTF-8 with LF endings on every platform.
+
+    A failure raises ``OSError`` naming ``path``, not the temporary file,
+    whose random name would make the message differ from run to run.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-    )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(text.encode("utf-8"))
-        os.replace(tmp_name, target)
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+            os.replace(tmp_name, target)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc

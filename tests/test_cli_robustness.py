@@ -162,6 +162,23 @@ def test_unreadable_files_name_their_path(tmp_path, text, message):
         assert message in line
 
 
+@pytest.mark.parametrize("doc, command", [(EXPOSURE, "figure"), (CAUSAL, "simulate")])
+@pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
+def test_a_failed_write_names_its_target_the_same_on_every_run(tmp_path, doc, command, target):
+    # the temporary file has a random name; the message names the target
+    scenario = tmp_path / "in.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / target)
+    argv = [command, str(scenario), "--out", out] + (["--id", "1"] if command == "figure" else [])
+    lines = {_assert_clean_exit(argv) for _ in range(2)}
+    assert len(lines) == 1
+    (line,) = lines
+    assert line.endswith(f": {out!r}") and ".tmp" not in line
+    # the temporary file is removed, also when made beside a directory target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+    assert not list(tmp_path.parent.glob("*.tmp"))
+
+
 def test_an_integer_beyond_the_float_range_is_refused(tmp_path):
     doc = copy.deepcopy(EXPOSURE)
     doc["exposure_scenario"]["p_exposed"] = 10**400

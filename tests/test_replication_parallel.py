@@ -121,18 +121,39 @@ def test_a_repeated_variant_is_tallied_once_per_row():
 def test_small_studies_run_in_process(monkeypatch):
     monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
     forked = force_workers(monkeypatch, 4, compute=False)
-    # 6,000 individual-equivalents a replication at 1,000 per group
+    # the fewest replications at 1,000 per group that reach the threshold
+    threshold, setup = cohort._PARALLEL_MIN_INDIVIDUALS, cohort._REPLICATION_SETUP
     spec = CausalSpec(1_000, "none", 0.1, 0.1)
-    at_threshold = cohort._PARALLEL_MIN_INDIVIDUALS // (2_000 + cohort._REPLICATION_SETUP)
+    at_threshold = -(-threshold // (2_000 + setup))
     replication_study(spec, at_threshold - 1)
     assert forked == []
     replication_study(spec, at_threshold)
     assert len(forked) == 1 and len(forked[0]) == 4
-    # three replications as large as the threshold: one worker each
-    big = CausalSpec(cohort._PARALLEL_MIN_INDIVIDUALS // 6 - cohort._REPLICATION_SETUP // 2,
-                     "none", 0.1, 0.1)
+    # three replications together as large as the threshold: one worker each
+    big = CausalSpec(-(-(threshold - 3 * setup) // 6), "none", 0.1, 0.1)
     replication_study(big, 3)
     assert forked[1:] == [[(0, 1), (1, 2), (2, 3)]]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
+@pytest.mark.parametrize("spec, phases", [
+    (CausalSpec(1_000, "none", 0.1, 0.1, proxy_rule=ProxyRule(0.9)), 2),
+    (CausalSpec(1_000, "latent-factor", 0.1, 0.2, latent_group_correlation=0.5,
+                covariate_rules=(CovariateRule("x", 0.0, 1.0, 0.5), CovariateRule("y", 0.0, 1.0))),
+     4),
+])
+def test_a_study_counts_each_phase_it_draws(monkeypatch, spec, phases):
+    # a proxy's flips, a latent factor's mix and coins and a covariate's
+    # noise each cost about as much as the outcomes; a rule without noise
+    # draws nothing
+    monkeypatch.setattr(cohort, "_replicate_range", _no_draws)
+    forked = force_workers(monkeypatch, 2, compute=False)
+    at_threshold = -(-cohort._PARALLEL_MIN_INDIVIDUALS
+                     // (phases * 2_000 + cohort._REPLICATION_SETUP))
+    replication_study(spec, at_threshold - 1)
+    assert forked == []
+    replication_study(spec, at_threshold)
+    assert len(forked) == 1
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run only on Linux")
