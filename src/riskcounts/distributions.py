@@ -21,16 +21,13 @@ log is taken.  Each step then contributes ~1 ulp of absolute log error and
 the window total stays accurate to ~1e-13 even for windows of 1e5+ points,
 comfortably inside the 1e-9 mass-identity contract enforced below.
 
-One widening loop (``_window``) finds each window.  Each round tests each
-edge once, on the exact value of its cell.  From the first round that would
-add a million cells or more to a window that can outgrow the cap, the loop
-streams: it sums the new cells keeping only each side's last running sum,
-so that a window the cap refuses is refused holding one chunk, and the
-window it settles on is filled once.  Its runs of step sums are read once,
-each block's log masses written over its run chunk (``_Window.log_blocks``).
-``_build_windowed`` stores them as a law; callers that need only an
-interval (calibration and spread reports) turn each block in place into
-its block of the cdf (``_StreamedCdf``), through the same checks and to the
+One widening loop (``_window``) finds each window.  Each round sums only the
+cells it adds, keeping each side's last running sum, and tests each edge on
+that exact value of its cell, so a window the cap refuses is refused holding
+one chunk of step logs.  The window it settles on is then filled once into
+one array of log masses.  ``_build_windowed`` stores that array as a law;
+callers that need only an interval (calibration and spread reports) turn it
+in place into its cdf (``_StreamedCdf``), through the same checks and to the
 same bits, holding 8 bytes per cell where a law holds 16 and its cdf 8 more.
 
 Convolution is a direct ``np.correlate`` that computes only the cells its
@@ -52,10 +49,8 @@ count.  Every other sum of products is ``np.sum``'s fixed pairwise order.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,12 +100,6 @@ _BRACKET_SIGMAS = 12.0
 
 #: Hard cap on stored support points (desk-scale memory).
 _MAX_SUPPORT_POINTS = 20_000_000
-
-#: From the first widening round that would add this many cells or more to a
-#: window that can outgrow the cap, ``_window``'s loop streams: it sums each
-#: side's new cells keeping only the running sum's last value, so that a
-#: window the cap will refuse is refused holding one chunk, not the window.
-_WALK_MIN_CELLS = 1 << 20
 
 #: Bound on the mass a log-concave window drops past a step ratio that
 #: underflowed to zero.  Such a ratio is below 2^-1073 (the quotient rounds
@@ -365,7 +354,7 @@ def _point_mass(kind: str, k: int) -> CountDistribution:
 
 
 #: Elements per block of ``_exact_sum`` and of a window's fill
-#: (``_extend_run``): their temporaries stay in cache.
+#: (``_run``): their temporaries stay in cache.
 _SUM_BLOCK = 1 << 14
 
 #: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024].
@@ -373,54 +362,34 @@ _FREXP_MIN = -1073
 _FREXP_SPAN = 1024 - _FREXP_MIN + 1
 
 
-class _ExactSum:
-    """The correctly rounded sum of non-negative doubles, fed a block at a
-    time (``add``) and read once all are in (``total``).
-
-    Equal to ``math.fsum`` over every value added, which is also correctly
-    rounded, whatever the split into blocks.  Each value is m * 2^(e-53)
-    with an integer m < 2^53 (``np.frexp``); m splits into a high and a low
-    half below 2^27, so every per-exponent bucket total of a ``_SUM_BLOCK``
-    is an integer below 2^53 and ``np.bincount`` adds it exactly.  The
-    int64 bucket totals then add exactly across blocks, and are combined as
-    one Python integer, whose true division by a power of two rounds
-    correctly.  An infinity or NaN gives what ``math.fsum`` gives for
-    non-negative inputs: NaN if any value is NaN, else infinity.
-    """
-
-    def __init__(self) -> None:
-        self._hi = np.zeros(_FREXP_SPAN, dtype=np.int64)
-        self._lo = np.zeros(_FREXP_SPAN, dtype=np.int64)
-        self._non_finite: float | None = None
-
-    def add(self, x: np.ndarray) -> _ExactSum:
-        if len(x) and not math.isfinite(peak := float(x.max())):
-            if self._non_finite is None or math.isnan(peak):
-                self._non_finite = peak
-        if self._non_finite is not None:
-            return self
-        for a in range(0, len(x), _SUM_BLOCK):
-            m, e = np.frexp(x[a : a + _SUM_BLOCK])
-            m *= 2.0**53
-            hi = np.floor(m * 2.0**-26)
-            m -= hi * 2.0**26
-            e -= _FREXP_MIN
-            self._hi += np.bincount(e, weights=hi, minlength=_FREXP_SPAN).astype(np.int64)
-            self._lo += np.bincount(e, weights=m, minlength=_FREXP_SPAN).astype(np.int64)
-        return self
-
-    def total(self) -> float:
-        if self._non_finite is not None:
-            return self._non_finite
-        total = 0
-        for i in np.flatnonzero(self._hi | self._lo).tolist():
-            total += ((int(self._hi[i]) << 26) + int(self._lo[i])) << i
-        return total / (1 << (53 - _FREXP_MIN))
-
-
 def _exact_sum(x: np.ndarray) -> float:
-    """``math.fsum(x)`` for non-negative doubles, through ``_ExactSum``."""
-    return _ExactSum().add(x).total()
+    """``math.fsum(x)`` for non-negative doubles: the correctly rounded sum.
+
+    Each value is m * 2^(e-53) with an integer m < 2^53 (``np.frexp``); m
+    splits into a high and a low half below 2^27, so every per-exponent
+    bucket total of a ``_SUM_BLOCK`` is an integer below 2^53 and
+    ``np.bincount`` adds it exactly.  The int64 bucket totals then add
+    exactly across blocks, and are combined as one Python integer, whose
+    true division by a power of two rounds correctly.  An infinity or NaN
+    gives what ``math.fsum`` gives for non-negative inputs: NaN if any value
+    is NaN, else infinity (``max`` propagates NaN).
+    """
+    if len(x) and not math.isfinite(peak := float(x.max())):
+        return peak
+    his = np.zeros(_FREXP_SPAN, dtype=np.int64)
+    los = np.zeros(_FREXP_SPAN, dtype=np.int64)
+    for a in range(0, len(x), _SUM_BLOCK):
+        m, e = np.frexp(x[a : a + _SUM_BLOCK])
+        m *= 2.0**53
+        hi = np.floor(m * 2.0**-26)
+        m -= hi * 2.0**26
+        e -= _FREXP_MIN
+        his += np.bincount(e, weights=hi, minlength=_FREXP_SPAN).astype(np.int64)
+        los += np.bincount(e, weights=m, minlength=_FREXP_SPAN).astype(np.int64)
+    total = 0
+    for i in np.flatnonzero(his | los).tolist():
+        total += ((int(his[i]) << 26) + int(los[i])) << i
+    return total / (1 << (53 - _FREXP_MIN))
 
 
 def _aligned(x: np.ndarray) -> np.ndarray:
@@ -433,17 +402,27 @@ def _aligned(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend_run(run: list[np.ndarray], log_ratio, start: int, stop: int, step: int) -> None:
-    """Append to ``run`` the running sum of ``log_ratio(k)`` for k from
-    ``start`` toward ``stop`` (excluded) by ``step`` (1 or -1), one chunk of
-    at most ``_SUM_BLOCK`` cells at a time.  Each chunk continues from the
-    run's last value: the same bits as one ``np.cumsum`` over the whole run."""
+def _run(
+    log_ratio, start: int, stop: int, step: int, carry: float = 0.0, out: np.ndarray | None = None
+) -> float:
+    """The last value of the running sum of ``log_ratio(k)`` for k from
+    ``start`` toward ``stop`` (excluded) by ``step`` (1 or -1), continued
+    from ``carry`` (returned as it is for an empty run).  The sum goes one
+    chunk of at most ``_SUM_BLOCK`` cells at a time, and is written into
+    ``out``, one cell per k in run order, where ``out`` is given.
+
+    Each chunk's first step has the last value added before ``np.cumsum``
+    adds in index order: the bits of one ``np.cumsum`` over the whole run,
+    however it is split into calls and chunks.  The first carry, 0.0,
+    changes no bit, as ``np.log`` never returns -0.0.
+    """
     for a in range(start, stop, step * _SUM_BLOCK):
         b = min(a + _SUM_BLOCK, stop) if step > 0 else max(a - _SUM_BLOCK, stop)
         steps = log_ratio(np.arange(a, b, step, dtype=np.float64))
-        if run:
-            steps[0] += run[-1][-1]
-        run.append(np.cumsum(steps))
+        steps[0] += carry
+        i = (a - start) * step
+        carry = float(np.cumsum(steps, out=steps if out is None else out[i : i + len(steps)])[-1])
+    return carry
 
 
 def _geometric_tail_bound(edge_log_mass: float, log_r: float) -> float:
@@ -467,39 +446,6 @@ def _cap_error(points: int) -> DomainError:
     )
 
 
-class _Window(NamedTuple):
-    """A window the widening loop of ``_window`` settled on, as the running
-    sums of step logs it filled, not yet as log masses.
-
-    ``below`` and ``above`` hold, chunk by chunk, the running sums of the
-    step logs outward from the anchor: cell ``anchor_k - 1 - t`` is
-    ``anchor_log - below[t]`` and cell ``anchor_k + 1 + t`` is ``anchor_log
-    + above[t]``, counting t over the chunks in order.  ``dropped`` bounds
-    the mass cut off past an underflowed step ratio (0 where none was).
-    """
-
-    lo: int
-    hi: int
-    anchor_log: float
-    below: list[np.ndarray]
-    above: list[np.ndarray]
-    dropped: float
-
-    def log_blocks(self):
-        """The window's log masses, block by block in index order, each
-        written in place over the run chunk it comes from: the ``below``
-        chunks last first, each through its reversed view, then the anchor's
-        own cell, then the ``above`` chunks.  Each cell is the one
-        subtraction or addition that also makes it in a whole-window fill.
-        Single-use: once read, the runs hold log masses, not step sums."""
-        for chunk in reversed(self.below):
-            block = chunk[::-1]
-            yield np.subtract(self.anchor_log, block, out=block)
-        yield np.array([self.anchor_log])
-        for chunk in self.above:
-            yield np.add(self.anchor_log, chunk, out=chunk)
-
-
 def _window(
     mean: float,
     sd: float,
@@ -510,32 +456,28 @@ def _window(
     eps: float,
     monotone_lo: bool = True,
     monotone_hi: bool = True,
-) -> _Window:
-    """The bracket-fill-verify-widen loop shared by every window build, and
-    the one declaration of its parameters.  The window it returns is read
-    once (``_Window.log_blocks``): ``_build_windowed`` stores its log
-    masses, ``_StreamedCdf`` keeps its cdf.
+) -> tuple[int, int, np.ndarray, float]:
+    """The bracket-widen-fill loop shared by every window build, and
+    the one declaration of its parameters.  It returns the window it
+    settles on as ``(lo, hi, log_mass, dropped)``: ``log_mass[i]`` is the
+    log mass of count ``lo + i``, and ``dropped`` bounds the mass cut off
+    past an underflowed step ratio (0 where none was).  ``_build_windowed``
+    stores ``log_mass`` as a law; ``_StreamedCdf`` turns it into its cdf.
 
     ``monotone_lo`` / ``monotone_hi`` declare that the step ratios are
     nonincreasing past the respective edge (log-concave pmf), which is what
     makes the geometric tail bound rigorous.  A side without that guarantee
     is extended to its domain edge outright.
 
-    Each round fills its new cells in blocks of ``_SUM_BLOCK``
-    (``_extend_run``), so no temporary of ``log_ratio`` outgrows a block.
-    The bits are those of one fill: ``log_ratio`` is elementwise, so each
-    step log is the same whatever block holds it, and ``np.cumsum`` adds in
-    index order, so a block whose first step has the run's last value added
-    continues the very same sequence of roundings.
-
-    Each round tests each edge once, on the exact value of its cell.  From
-    the first round that would add ``_WALK_MIN_CELLS`` cells to a window
-    that can outgrow the cap, the loop streams: it sums each side's new
-    cells (``_extend_run``) keeping only the running sum's last value, which
-    is the edge cell's value in any fill, so that a window the cap refuses
-    is refused holding one chunk, not the window.  A window that settles
-    after streaming is then filled once, onward from the cells stored
-    before the loop streamed.
+    Each round sums only the cells it adds on each side (``_run``) and
+    keeps only each side's last running sum, from which it tests each edge
+    on the exact value of its cell.  So a window the cap refuses is refused
+    holding one chunk of step logs, not the window.  Once both edges pass,
+    the window's log masses are filled once, outward from the anchor, into
+    one array; each step log is computed again there.  The bits are those
+    of one ``np.cumsum`` per side: ``log_ratio`` is elementwise, so each
+    step log is the same whatever round or chunk computes it, and no
+    temporary of ``log_ratio`` outgrows a ``_SUM_BLOCK``.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -552,43 +494,26 @@ def _window(
     per_side = eps / 4.0
     step = max(64, math.ceil(4.0 * sd))
     # Every constructor's anchor lies inside the first bracket, so it stays
-    # put while the window widens.  Each round sums only the cells it adds,
-    # onto ``run_lo`` and ``run_hi``, which reach down to ``reached_lo`` and
-    # up to ``reached_hi``: the stored runs ``below`` and ``above`` until the
-    # loop streams, then queues that keep only their last chunk.
+    # put while the window widens.  ``run_lo`` and ``run_hi`` are the running
+    # sums of the step logs from the anchor down to ``reached_lo`` and up to
+    # ``reached_hi``.
     anchor_k = min(max(anchor_at, lo), hi)
     anchor_log = anchor_fn(anchor_k)
-    above: list[np.ndarray] = []
-    below: list[np.ndarray] = []
-    run_lo, run_hi = below, above
+    run_lo = run_hi = 0.0
     reached_lo = reached_hi = anchor_k
 
-    def passes(k: int, sign: int, run) -> bool:
+    def passes(k: int, sign: int, run: float) -> bool:
         """The tail test past the window edge ``k`` on the side ``sign``
-        (-1 below, 1 above), on the edge cell: the last of ``run``."""
+        (-1 below, 1 above), on the edge cell ``anchor_log + sign * run``."""
         log_r = sign * float(log_ratio(np.array([k - 1.0 if sign < 0 else float(k)]))[0])
-        edge = anchor_log + sign * run[-1][-1] if run else anchor_log
-        return _geometric_tail_bound(float(edge), log_r) <= per_side
+        return _geometric_tail_bound(anchor_log + sign * run, log_r) <= per_side
 
-    # only a window whose domain is wider than the cap can outgrow it
-    can_outgrow = n_max is None or n_max + 1 > _MAX_SUPPORT_POINTS
-    streaming = False
     for _ in range(128):
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
             raise _cap_error(hi - lo + 1)
-        if (
-            can_outgrow
-            and not streaming
-            and (reached_lo - lo) + (hi - reached_hi) >= _WALK_MIN_CELLS
-        ):
-            streaming = True
-            run_lo, run_hi = deque(below[-1:], maxlen=1), deque(above[-1:], maxlen=1)
-        if lo < reached_lo:
-            _extend_run(run_lo, log_ratio, reached_lo - 1, lo - 1, -1)
-            reached_lo = lo
-        if hi > reached_hi:
-            _extend_run(run_hi, log_ratio, reached_hi, hi, 1)
-            reached_hi = hi
+        run_lo = _run(log_ratio, reached_lo - 1, lo - 1, -1, run_lo)
+        run_hi = _run(log_ratio, reached_hi, hi, 1, run_hi)
+        reached_lo, reached_hi = lo, hi
 
         ok_lo = lo == 0 or passes(lo, -1, run_lo)
         ok_hi = (n_max is not None and hi == n_max) or passes(hi, 1, run_hi)
@@ -602,13 +527,14 @@ def _window(
     else:  # pragma: no cover - the widening loop reaches a domain edge first
         raise DomainError("support bracketing failed to satisfy the eps contract")
 
-    if streaming:
-        filled_lo = anchor_k - sum(map(len, below))
-        filled_hi = anchor_k + sum(map(len, above))
-        if lo < filled_lo:
-            _extend_run(below, log_ratio, filled_lo - 1, lo - 1, -1)
-        if hi > filled_hi:
-            _extend_run(above, log_ratio, filled_hi, hi, 1)
+    # the below side is summed through its reversed view, nearest cell first
+    log_mass = np.empty(hi - lo + 1)
+    log_mass[anchor_k - lo] = anchor_log
+    below, above = log_mass[: anchor_k - lo], log_mass[anchor_k - lo + 1 :]
+    _run(log_ratio, anchor_k - 1, lo - 1, -1, out=below[::-1])
+    np.subtract(anchor_log, below, out=below)
+    _run(log_ratio, anchor_k, hi, 1, out=above)
+    np.add(anchor_log, above, out=above)
 
     # A step ratio that underflows to zero (a subnormal risk) leaves -inf
     # cells above it; a log-concave window that ends in -inf ends instead
@@ -616,15 +542,11 @@ def _window(
     # tail's bound.  (A window with a -inf cell at or below the anchor fails
     # the law's finiteness check, cut or not.)
     dropped = 0.0
-    if monotone_lo and monotone_hi and above and np.isneginf(anchor_log + above[-1][-1]):
-        for i, chunk in enumerate(above):
-            cut = np.flatnonzero(np.isneginf(anchor_log + chunk))
-            if len(cut):
-                above = above[:i] + ([chunk[: cut[0]]] if cut[0] else [])
-                break
-        hi = anchor_k + sum(map(len, above))
+    if monotone_lo and monotone_hi and len(above) and np.isneginf(above[-1]):
+        hi = anchor_k + int(np.argmax(np.isneginf(above)))
+        log_mass = log_mass[: hi - lo + 1]
         dropped = _UNDERFLOW_TAIL
-    return _Window(lo, hi, anchor_log, below, above, dropped)
+    return lo, hi, log_mass, dropped
 
 
 def _truncated(stored: float, dropped: float, eps: float) -> float:
@@ -634,13 +556,8 @@ def _truncated(stored: float, dropped: float, eps: float) -> float:
 
 def _build_windowed(kind: str, **args) -> CountDistribution:
     """The law of kind ``kind`` on the window ``_window(**args)`` settles
-    on, its log masses joined from the window's one read
-    (``_Window.log_blocks``)."""
-    w = _window(**args)
-    log_mass = np.concatenate(list(w.log_blocks()))
-    lo, hi, dropped = w.lo, w.hi, w.dropped
-    del w  # frees the runs before the window is exponentiated
-
+    on, which it takes over as its ``log_mass``."""
+    lo, hi, log_mass, dropped = _window(**args)
     masses = np.exp(log_mass)
     stored = _exact_sum(masses)
     return CountDistribution(
@@ -657,48 +574,26 @@ class _StreamedCdf:
     """What ``central_interval`` reads of the law ``_build_windowed`` makes
     of a window -- its support, ``cdf`` and ``_search`` -- without the law.
 
-    The window is read once (``_Window.log_blocks``), block by block in
-    index order, and each block is turned in place into its block of the
-    cdf: it passes the law's finiteness check, is exponentiated, added to
-    the exact sum, and summed by ``np.cumsum`` continuing from the last
-    value of the block before, the same bits as one ``np.cumsum`` over the
-    window.  The stored mass then passes the law's truncated-mass and
-    identity checks, in the law's order.  The cdf blocks, written over the
-    window's runs, are all it holds: 8 bytes per cell, read by a quantile
-    search or a cdf value without recomputing a cell.
+    The window's log masses (``_window``) are turned in place into its cdf:
+    they pass the law's finiteness check, are exponentiated, summed exactly
+    and then by ``np.cumsum``, the same bits as the law's masses and
+    ``_cdf``.  The stored mass then passes the law's truncated-mass and
+    identity checks, in the law's order.  The cdf, written over the window,
+    is all it holds: 8 bytes per cell, where a law holds 16 and its cdf 8
+    more, read by the law's own quantile search and cdf lookup without
+    recomputing a cell.
     """
 
-    def __init__(self, w: _Window, eps: float) -> None:
-        self.support_lo, self.support_hi = w.lo, w.hi
-        total = _ExactSum()
-        self._blocks = []
-        carry = 0.0
-        for block in w.log_blocks():
-            _check_finite(block)
-            total.add(np.exp(block, out=block))
-            block[0] += carry  # 0.0 added to the first mass changes no bit
-            carry = np.cumsum(block, out=block)[-1]
-            self._blocks.append(block)
-        stored = total.total()
-        _check_identity(stored, _check_truncated(_truncated(stored, w.dropped, eps)))
-        self._starts = np.cumsum([0] + [len(block) for block in self._blocks[:-1]])
-        self._ends = np.array([block[-1] for block in self._blocks])
+    def __init__(self, window: tuple[int, int, np.ndarray, float], eps: float) -> None:
+        self.support_lo, self.support_hi, cdf, dropped = window
+        _check_finite(cdf)
+        stored = _exact_sum(np.exp(cdf, out=cdf))
+        self._cdf = np.cumsum(cdf, out=cdf)
+        _check_identity(stored, _check_truncated(_truncated(stored, dropped, eps)))
 
-    def _search(self, q: float) -> int:
-        """``np.searchsorted(cdf, q, side="left")`` on the window's cdf:
-        in the first block whose last value reaches ``q``."""
-        j = int(np.searchsorted(self._ends, q, side="left"))
-        if j == len(self._ends):
-            return self.support_hi - self.support_lo + 1
-        return int(self._starts[j]) + int(np.searchsorted(self._blocks[j], q, side="left"))
-
-    def cdf(self, k: int) -> float:
-        """``CountDistribution.cdf``: the stored mass at counts <= k."""
-        i = min(k, self.support_hi) - self.support_lo
-        if i < 0:
-            return 0.0
-        j = int(np.searchsorted(self._starts, i, side="right")) - 1
-        return float(self._blocks[j][i - self._starts[j]])
+    _search = CountDistribution._search
+    stored_mass = CountDistribution.stored_mass
+    cdf = CountDistribution.cdf
 
 
 def _streamed_law(args: CountDistribution | dict) -> CountDistribution | _StreamedCdf:

@@ -214,26 +214,6 @@ def test_exact_sum_matches_fsum_on_a_window():
     assert _exact_sum(law.masses) == math.fsum(law.masses)
 
 
-@given(
-    hnp.arrays(np.float64, st.integers(0, 300),
-               elements=finite_non_negative | st.sampled_from([0.0, 5e-324, math.inf, math.nan])),
-    st.lists(st.integers(0, 300), max_size=8),
-)
-@settings(max_examples=300, deadline=None)
-@example(np.array([1.0, math.inf, 2.0, math.nan, 3.0]), [1, 2, 3, 4])
-@example(np.array([1.0, math.nan, math.inf]), [2])
-@example(np.array([5e-324] * 5 + [1e300]), [0, 0, 3, 6])
-def test_the_exact_sum_accumulator_equals_fsum_over_any_block_split(x, cuts):
-    """Any split, empty blocks included; an infinity gives infinity and a
-    NaN anywhere gives NaN, as ``math.fsum`` does."""
-    bounds = sorted([0, len(x)] + [c % (len(x) + 1) for c in cuts])
-    total = distributions._ExactSum()
-    for a, b in zip(bounds, bounds[1:]):
-        total.add(x[a:b])
-    got, want = total.total(), math.fsum(x)
-    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
-
-
 # ---------------------------------------------------------------------------
 # aligned convolution
 # ---------------------------------------------------------------------------
@@ -581,7 +561,8 @@ def test_a_neginf_cell_below_the_anchor_is_refused_cut_or_not(both_builders):
 
     args = dict(mean=5.0, sd=1.0, n_max=20, log_ratio=log_ratio, anchor_fn=lambda k: -1.0,
                 anchor_at=5, eps=1e-12)
-    assert distributions._window(**args).dropped == distributions._UNDERFLOW_TAIL
+    *_, dropped = distributions._window(**args)
+    assert dropped == distributions._UNDERFLOW_TAIL
     for interval in (
         lambda: central_interval(distributions._build_windowed(kind="binomial", **args), 0.9),
         lambda: central_interval(_streamed_law(args), 0.9),
@@ -612,16 +593,15 @@ def test_us_rr2_refusal_at_c10_is_unchanged(both_builders):
 
 #: A cap small enough that windows near it build in milliseconds.
 SMALL_CAP = 4_000
-#: A trigger no build reaches: the loop never streams.
-NO_WALK = 1 << 62
 
 
-def law_or_refusal(build, cap, walk_min_cells):
+def law_or_refusal(build, cap, oracle=False):
     """``build()``'s law, or its refusal's message, under ``cap`` support
-    points, streaming from the first round that adds ``walk_min_cells``."""
+    points; built by ``oracle_build_windowed`` where ``oracle`` is set."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distributions, "_MAX_SUPPORT_POINTS", cap)
-        mp.setattr(distributions, "_WALK_MIN_CELLS", walk_min_cells)
+        if oracle:
+            mp.setattr(distributions, "_build_windowed", lambda **kw: oracle_build_windowed(**kw)[0])
         try:
             law = build()
         except DomainError as exc:
@@ -652,28 +632,30 @@ def builds_near_the_cap(draw, kinds=("binomial", "poisson", "beta-binomial")):
     )
 
 
-@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000]),
-       st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
+@given(builds_near_the_cap(), st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
 @settings(max_examples=150, deadline=None)
-def test_walking_toward_the_cap_keeps_every_law_and_refusal(build, walk_min_cells, cap):
-    assert law_or_refusal(build, cap, walk_min_cells) == law_or_refusal(build, cap, NO_WALK)
+def test_walking_toward_the_cap_keeps_every_law_and_refusal(build, cap):
+    assert law_or_refusal(build, cap) == law_or_refusal(build, cap, oracle=True)
 
 
 ANCHOR_FACTORIES = ("_binomial_anchor", "_poisson_anchor", "_beta_binomial_anchor")
 
 
-def fills_and_anchors(build, cap, walk_min_cells):
-    """``law_or_refusal(build, cap, walk_min_cells)``, the ``log_ratio``
-    index ranges handed to ``_extend_run`` as half-open ``(a, b)`` pairs,
-    stored and streamed, and the cells the anchor function was evaluated
-    at."""
-    stored, streamed, anchors = [], [], []
-    extend_run = distributions._extend_run
+def sums_and_anchors(build, cap):
+    """``law_or_refusal(build, cap)``, each ``_run`` call in order as
+    ``(written, cells)``, and the cells the anchor function was evaluated
+    at.  ``cells`` is the half-open range of the window's cells whose step
+    logs the call sums: cell ``k`` for ``log_ratio(k)`` below the anchor,
+    ``k + 1`` above it.  ``written`` tells a call that writes the law's
+    array from one that only sums."""
+    runs, anchors = [], []
+    run = distributions._run
 
-    def recorded(run, log_ratio, start, stop, step):
-        ranges = stored if isinstance(run, list) else streamed
-        ranges.append((start, stop) if step > 0 else (stop + 1, start + 1))
-        extend_run(run, log_ratio, start, stop, step)
+    def recorded(log_ratio, start, stop, step, carry=0.0, out=None):
+        cells = (start + 1, stop + 1) if step > 0 else (stop + 1, start + 1)
+        if cells[0] < cells[1]:
+            runs.append((out is not None, cells))
+        return run(log_ratio, start, stop, step, carry, out)
 
     def counted(factory):
         def counted_factory(*args):
@@ -688,46 +670,87 @@ def fills_and_anchors(build, cap, walk_min_cells):
         return counted_factory
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distributions, "_extend_run", recorded)
+        mp.setattr(distributions, "_run", recorded)
         for name in ANCHOR_FACTORIES:
             mp.setattr(distributions, name, counted(getattr(distributions, name)))
-        result = law_or_refusal(build, cap, walk_min_cells)
-    return result, stored, streamed, anchors
+        result = law_or_refusal(build, cap)
+    return result, runs, anchors
 
 
-@given(builds_near_the_cap(), st.sampled_from([1, 64, 1_000, 3_000, NO_WALK]),
-       st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
+def tiles(ranges, lo, hi):
+    """Whether the half-open ``ranges`` cover ``lo..hi`` once each."""
+    ranges = sorted(ranges)
+    return bool(ranges) and ranges[0][0] == lo and ranges[-1][1] == hi + 1 and all(
+        b == c for (_, b), (c, _) in zip(ranges, ranges[1:])
+    )
+
+
+@given(builds_near_the_cap(), st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]))
 @settings(max_examples=100, deadline=None)
-def test_the_stored_runs_tile_the_window_once_and_one_anchor_is_evaluated(
-    build, walk_min_cells, cap
-):
-    """Streamed or not, the step logs stored are those of the window the
-    loop settles on, each once: the stored ``log_ratio`` index ranges, below
-    the anchor and above it, tile the law's support without gap or overlap.
-    The anchor function is evaluated once, at the anchor."""
-    result, stored, _, anchors = fills_and_anchors(build, cap, walk_min_cells)
+@example(functools.partial(binomial_distribution, 10**8, 0.5, 5e-324), distributions._MAX_SUPPORT_POINTS)
+def test_the_written_runs_tile_the_window_once_after_the_last_round(build, cap):
+    """The widening rounds sum each cell of the window once and write
+    nothing; then the runs written into the law's array, below the anchor
+    and above it, tile its support with the anchor's cell, each cell once.
+    A refusal writes nothing.  The anchor function is evaluated once, at
+    the anchor.  (Binomial(1e8, 1/2) at eps 5e-324 widens each side three
+    rounds past its bracket, under the real cap.)"""
+    result, runs, anchors = sums_and_anchors(build, cap)
     assert len(anchors) == 1
-    if not stored:
+    written = [flag for flag, _ in runs]
+    assert written == sorted(written), "a widening round ran after the fill"
+    fill = [cells for flag, cells in runs if flag]
+    if isinstance(result, str):
+        assert fill == []
         return
-    stored.sort()
-    assert all(b == c for (_, b), (c, _) in zip(stored, stored[1:])), stored
-    if not isinstance(result, str):
-        assert result[:2] == (stored[0][0], stored[-1][1])
+    lo, hi = result[:2]
+    assert tiles(fill + [(anchors[0], anchors[0] + 1)], lo, hi)
+    assert tiles([cells for flag, cells in runs if not flag] + [(anchors[0], anchors[0] + 1)], lo, hi)
+    if build.args == (10**8, 0.5, 5e-324):
+        assert (lo, hi) == (49_799_998, 50_200_002)
+        assert sorted(fill) == [(49_799_998, 50_000_000), (50_000_001, 50_200_003)]
+        assert sum(not flag for flag, _ in runs) == 2 * (1 + 3)  # the bracket and three rounds a side
 
 
-def test_a_window_streamed_from_its_first_round_keeps_the_law():
-    """Binomial(1e8, 1/2) at eps 5e-324 widens each side three rounds past
-    its bracket.  Streamed from the first round, the loop then fills the
-    window it settles on once, to the same law as a loop that never
-    streams."""
-    build = functools.partial(binomial_distribution, 10**8, 0.5, eps=5e-324)
-    cap = distributions._MAX_SUPPORT_POINTS
-    unstreamed, _, streamed, _ = fills_and_anchors(build, cap, NO_WALK)
-    assert streamed == []
-    assert unstreamed[:2] == (49_799_998, 50_200_002)
-    law, stored, streamed, _ = fills_and_anchors(build, cap, 1)
-    assert law == unstreamed
-    assert streamed and sorted(stored) == [(49_799_998, 50_000_000), (50_000_000, 50_200_002)]
+@pytest.mark.parametrize("step", [-1, 1])
+@given(
+    length=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+    | st.integers(1, 3 * BLOCK),
+    split=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]) | st.integers(0, 3 * BLOCK),
+    carry=st.just(0.0) | st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_run_written_through_a_view_is_one_fresh_forward_sum(step, length, split, carry, seed):
+    """``_run`` written through the reversed view of a window, as the fill
+    writes the cells below the anchor (step -1), or through its forward
+    view (step 1): the bytes of one fresh ``np.cumsum`` of the same steps,
+    carry added to the first, read in the view's order.  Also where the run
+    is split into two calls, the second continuing from the first's last
+    value; runs that end at, start at and cross a ``_SUM_BLOCK`` edge all
+    occur.  Cells outside the view are not touched."""
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-30.0, 5.0, length + 2)
+    split = min(split, length)
+    lo = 1  # k = 1 .. length
+
+    def log_ratio(ks):
+        return table[ks.astype(np.intp)]
+
+    ks = np.arange(lo, lo + length)[::step]  # the run's k, in run order
+    steps = table[ks]
+    steps[0] += carry
+    fresh = np.cumsum(steps)
+
+    window = np.full(length + 2, np.nan)
+    view = window[lo : lo + length][::step]  # cell lo + i for the step at k = lo + i
+    start, stop = ks[0], ks[-1] + step
+    mid = start + step * split
+    last = distributions._run(log_ratio, start, mid, step, carry, out=view[:split])
+    last = distributions._run(log_ratio, mid, stop, step, last, out=view[split:])
+    assert view.tobytes() == fresh.tobytes()
+    assert last == fresh[-1] == distributions._run(log_ratio, start, stop, step, carry)
+    assert np.isnan(window[[0, -1]]).all()
 
 
 def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
@@ -935,13 +958,12 @@ def test_the_probe_raises_the_laws_errors_first(monkeypatch, coverage, fault, tr
         assert got[0] == "DomainError" and error in got[1]
 
 
-@given(builds_near_the_cap(kinds=("binomial", "beta-binomial")), st.sampled_from([1, 64, 1_000, 3_000]),
+@given(builds_near_the_cap(kinds=("binomial", "beta-binomial")),
        st.sampled_from([SMALL_CAP // 2, SMALL_CAP, 2 * SMALL_CAP]), st.sampled_from(COVERAGES))
 @settings(max_examples=100, deadline=None)
-def test_the_streamed_interval_keeps_every_refusal_near_the_cap(build, walk_min_cells, cap, coverage):
+def test_the_streamed_interval_keeps_every_refusal_near_the_cap(build, cap, coverage):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distributions, "_MAX_SUPPORT_POINTS", cap)
-        mp.setattr(distributions, "_WALK_MIN_CELLS", walk_min_cells)
         want, got = law_and_probe(build.func, build.args, coverage)
     assert got == want
 
@@ -952,10 +974,9 @@ def test_blocked_exp_and_carried_cumsum_equal_one_call(size, seed):
     """``np.exp`` block by block equals one call over the window, and a
     cdf summed block by block, each block continuing from the last value of
     the one before (``block[0] += carry``, then ``np.cumsum`` in place, as
-    ``_StreamedCdf`` runs them), equals one ``np.cumsum``, over block splits
+    ``_run`` continues a run), equals one ``np.cumsum``, over block splits
     at random and at ``_SUM_BLOCK``; also where each block is the reversed
-    view of a chunk stored last cell first, written in place, as a ``below``
-    chunk is."""
+    view of a chunk stored last cell first, written in place."""
     rng = np.random.default_rng(seed)
     log_mass = rng.uniform(-760.0, 0.0, size)  # subnormal and zero masses included
     masses = np.exp(log_mass)
@@ -980,11 +1001,11 @@ def test_blocked_exp_and_carried_cumsum_equal_one_call(size, seed):
 
 
 def test_the_probe_reads_its_window_once_in_place():
-    """Each block of the probe's cdf is written over a run chunk of its
-    window, the anchor's one cell aside: 8 bytes a cell in all.  Intervals
-    then read those blocks and nothing else: no further step log, no
-    recomputed block, and the law's interval bit for bit."""
-    params = (10**6, BetaParams(0.5, 9.5))  # alpha < 1: a below run down to 0
+    """The probe's cdf is written over its window's one array of log
+    masses: 8 bytes a cell in all.  Intervals then read that cdf and
+    nothing else: no further step log, no recomputed cell, and the law's
+    interval bit for bit."""
+    params = (10**6, BetaParams(0.5, 9.5))  # alpha < 1: a window down to 0, over many blocks
     args = distributions._beta_binomial_args(*params, 1e-12)
     calls = []
     log_ratio = args["log_ratio"]
@@ -994,17 +1015,15 @@ def test_the_probe_reads_its_window_once_in_place():
         return log_ratio(ks)
 
     args["log_ratio"] = counted
-    w = distributions._window(**args)
-    chunks = w.below + w.above
-    probe = distributions._StreamedCdf(w, args["eps"])
-    blocks = probe._blocks
-    assert len(w.below) >= 3 and w.above and len(blocks) == len(chunks) + 1
-    own = [block for block in blocks if not any(np.shares_memory(block, c) for c in chunks)]
-    assert len(own) == 1 and len(own[0]) == 1
-    cells = probe.support_hi - probe.support_lo + 1
-    assert sum(block.nbytes for block in blocks) == 8 * cells
+    window = distributions._window(**args)
+    lo, hi, log_mass, _ = window
+    probe = distributions._StreamedCdf(window, args["eps"])
+    cells = hi - lo + 1
+    assert lo == 0 and cells > 3 * BLOCK
+    assert np.shares_memory(probe._cdf, log_mass) and probe._cdf.nbytes == log_mass.nbytes == 8 * cells
     read = len(calls)
     law = beta_binomial_distribution(*params)
+    assert probe._cdf.tobytes() == law._cdf.tobytes()
     for coverage in COVERAGES:
         got, peak = traced_peak(lambda: interval_or_error(lambda: central_interval(probe, coverage)))
         assert got == interval_or_error(lambda: central_interval(law, coverage))
@@ -1035,8 +1054,8 @@ def traced_peak(build):
 
 def test_a_window_build_holds_no_window_sized_temporaries():
     """A 4M-cell window (ny_rr2's exposed arm at c = 10) ends as two arrays,
-    ``log_mass`` and ``masses``, and its runs of step sums are freed before
-    ``masses`` is made; its fill adds a block at a time.  A fill in one call
+    ``log_mass`` and ``masses``, and its widening rounds keep no step sums;
+    its fill adds a block at a time.  A fill in one call
     made window-sized temporaries, and the law copied ``log_mass``: 3.00x."""
     law, peak = traced_peak(lambda: beta_binomial_distribution(4_000_000, BetaParams(10 * 2e-7, 10 * (1 - 2e-7))))
     assert len(law.log_mass) > 3_000_000
@@ -1045,12 +1064,10 @@ def test_a_window_build_holds_no_window_sized_temporaries():
 
 
 def test_a_refused_window_is_refused_without_its_temporaries():
-    """The us_rr2 build at c = 10 is refused without storing the round that
-    would add 1.4M cells: the loop streams from that round on and finds the
-    22M-point window holding one chunk, so only the 1.55M cells of the
-    rounds before it (12.4 MB of step sums) are stored, and the refusal
-    peaks at about 12.8 MiB.  Storing a streamed round of a million cells
-    would add 8 MiB; filling every round up to the refusal (11.2M cells)
+    """The us_rr2 build at c = 10 finds its 22M-point window holding one
+    chunk of step sums, and the refusal peaks at about 0.75 MiB.  Storing
+    the 1.55M cells of the rounds before the one that would add 1.4M cells
+    peaked at 12.8 MiB; filling every round up to the refusal (11.2M cells)
     peaked at 86.5 MB, and a fill in one call at 222 MB."""
     refusal, peak = traced_peak(lambda: beta_binomial_distribution(*US_RR2_C10))
     assert str(refusal) == US_RR2_REFUSAL
@@ -1063,8 +1080,8 @@ NY_RR2_C10 = (4_000_000, BetaParams(10 * 2e-7, 10 * (1 - 2e-7)))
 
 
 def test_a_streamed_interval_holds_only_its_running_sums():
-    """The probe of ny_rr2's c = 10 window holds its runs of step sums, 8 B
-    a cell, and block-sized temporaries.  The law and the cdf
+    """The probe of ny_rr2's c = 10 window holds its one array, 8 B a cell,
+    and block-sized temporaries.  The law and the cdf
     ``central_interval`` caches on it peaked at 91.6 MiB."""
     cells = 4_000_001
     bound = 8 * cells + (2 << 20)
