@@ -177,7 +177,12 @@ class CausalSpec:
             raise DomainError(f"true_cause must be one of {TRUE_CAUSES}, got {self.true_cause!r}")
         object.__setattr__(self, "baseline_p", _check_probability(self.baseline_p, "baseline_p"))
         object.__setattr__(self, "effect_p", _check_probability(self.effect_p, "effect_p"))
-        rules = tuple(self.covariate_rules)
+        rules = self.covariate_rules
+        if not isinstance(rules, (tuple, list)) or not all(
+            isinstance(r, CovariateRule) for r in rules
+        ):
+            raise DomainError("covariate_rules must be a tuple or list of CovariateRule")
+        rules = tuple(rules)
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise DomainError("covariate names must be unique")
@@ -218,17 +223,10 @@ class Cohort:
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """Return ``seed`` as an ``int`` if numpy's SeedSequence takes it as
-    entropy (an integer >= 0); otherwise raise ``DomainError``.
-
-    This is the one seed rule for every entry point.  ``name`` opens the
-    message; a caller whose own error line already names the value passes
-    ``""``.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {seed!r}".lstrip())
-    if seed < 0:
-        raise DomainError(f"{name} must be >= 0, got {seed}".lstrip())
-    return int(seed)
+    entropy (an integer >= 0); otherwise raise ``DomainError``, the message
+    opening with ``name``, or with the bare rule where ``name`` is ``""``.
+    This is the one seed rule for every entry point."""
+    return _check_count(seed, name)
 
 
 def _rng(seed: Seed) -> np.random.Generator:

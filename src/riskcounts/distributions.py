@@ -136,10 +136,10 @@ def _check_probability(value: float, name: str) -> float:
 
 def _check_count(value: int, name: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}".lstrip())
     value = int(value)
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {value}".lstrip())
     return value
 
 
@@ -472,12 +472,16 @@ def _window(
     Each round sums only the cells it adds on each side (``_run``) and
     keeps only each side's last running sum, from which it tests each edge
     on the exact value of its cell.  So a window the cap refuses is refused
-    holding one chunk of step logs, not the window.  Once both edges pass,
-    the window's log masses are filled once, outward from the anchor, into
-    one array; each step log is computed again there.  The bits are those
-    of one ``np.cumsum`` per side: ``log_ratio`` is elementwise, so each
-    step log is the same whatever round or chunk computes it, and no
-    temporary of ``log_ratio`` outgrows a ``_SUM_BLOCK``.
+    holding one chunk of step logs, not the window.  The widening needs no
+    round limit: an unsettled round moves each failing edge out by ``step``
+    (at least 64, doubling) or onto its domain bound, where it passes, and
+    the cap refuses a window before its cells are summed, so at most 20
+    rounds sum cells.  Once both edges pass, the window's log masses are
+    filled once, outward from the anchor, into one array; each step log is
+    computed again there.  The bits are those of one ``np.cumsum`` per
+    side: ``log_ratio`` is elementwise, so each step log is the same
+    whatever round or chunk computes it, and no temporary of ``log_ratio``
+    outgrows a ``_SUM_BLOCK``.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
     lo = max(0, math.floor(mean - spread) - 2)
@@ -508,7 +512,7 @@ def _window(
         log_r = sign * float(log_ratio(np.array([k - 1.0 if sign < 0 else float(k)]))[0])
         return _geometric_tail_bound(anchor_log + sign * run, log_r) <= per_side
 
-    for _ in range(128):
+    while True:
         if hi - lo + 1 > _MAX_SUPPORT_POINTS:
             raise _cap_error(hi - lo + 1)
         run_lo = _run(log_ratio, reached_lo - 1, lo - 1, -1, run_lo)
@@ -524,8 +528,6 @@ def _window(
         if not ok_hi:
             hi = hi + step if n_max is None else min(n_max, hi + step)
         step *= 2
-    else:  # pragma: no cover - the widening loop reaches a domain edge first
-        raise DomainError("support bracketing failed to satisfy the eps contract")
 
     # the below side is summed through its reversed view, nearest cell first
     log_mass = np.empty(hi - lo + 1)

@@ -53,8 +53,6 @@ CONCENTRATION_BOUNDS = (10.0, 1e12)
 #: targets would be meaningless.
 _RATIO_TOL = 0.01
 
-_MAX_BISECTIONS = 200
-
 
 class CalibrationError(ValueError):
     """The requested spread ratio is unreachable within the concentration bounds."""
@@ -74,6 +72,8 @@ class SpreadReport:
 
 def posterior_update(prior: BetaParams, successes: int, trials: int) -> BetaParams:
     """Conjugate update: add observed successes/failures as pseudo-counts."""
+    if not isinstance(prior, BetaParams):
+        raise DomainError("prior must be a BetaParams instance")
     successes = _check_count(successes, "successes")
     trials = _check_count(trials, "trials")
     if successes > trials:
@@ -128,20 +128,21 @@ def calibrate_prior(
 
     The prior mean is held fixed and the concentration alpha+beta is found
     by bisection in log-space on [10, 1e12], from its first midpoint
-    sqrt(10 * 1e12), and the search is fully deterministic.  It returns the
-    first midpoint whose ratio is within 0.01 of the target.  The ratio
-    need not fall as c rises from the lower bound: where P(no case) at
-    c = 10 alone covers the upper quantile the predictive width there is 0,
-    and the ratio first rises with c before it falls (la_rr2's exposed arm,
-    2,000,000 people at risk 2e-7: 0.0 at c = 10, 369.4 at 1e3, 1.8 at
-    3e6).  So c = 10 is probed only once no midpoint is within tolerance:
-    it is returned if its ratio is, and otherwise raises "exceeds the
-    maximum ... reachable at concentration 10.0" when the target is above
-    its ratio, or the window cap's ``DomainError``.  A cap refusal met at a
-    midpoint ends the search with that refusal.  Because the widths are
-    integer counts the ratio moves in steps; if no step lands within 0.01 of
-    the target, calibration fails explicitly rather than returning a
-    silently-off prior.
+    sqrt(10 * 1e12), deterministically.  It returns the first midpoint whose
+    ratio is within 0.01 of the target.  Each probed midpoint becomes an end
+    of the bracket, so the bisection ends when its next midpoint is one it
+    has probed, after at most 58.  The ratio need not fall as c rises from
+    the lower bound: where P(no case) at c = 10 alone covers the upper
+    quantile the predictive width there is 0, and the ratio first rises with
+    c before it falls (la_rr2's exposed arm, 2,000,000 people at risk 2e-7:
+    0.0 at c = 10, 369.4 at 1e3, 1.8 at 3e6).  So c = 10 is probed only
+    then, unless it was a midpoint: it is returned if its ratio is within
+    0.01, and otherwise raises "exceeds the maximum ... reachable at
+    concentration 10.0" when the target is above its ratio, or the window
+    cap's ``DomainError``.  A cap refusal met at a midpoint ends the search
+    with that refusal.  Because the widths are integer counts the ratio
+    moves in steps; if no step lands within 0.01 of the target, calibration
+    fails explicitly rather than returning a silently-off prior.
     """
     return _calibrate(n, p_mean, target_ratio, coverage, eps)[0]
 
@@ -150,7 +151,8 @@ def _calibrate(
     n: int, p_mean: float, target_ratio: float, coverage: float, eps: float
 ) -> tuple[BetaParams, SpreadReport]:
     """``calibrate_prior`` plus the spread report of the prior it returns,
-    taken from the widths the search already measured."""
+    taken from the widths the search already measured.  The bisection stops
+    at its first midpoint already probed: an end of the bracket."""
     n = _check_count(n, "n", minimum=1)
     p_mean = _check_probability(p_mean, "p_mean")
     if not (0.0 < p_mean < 1.0):
@@ -175,40 +177,36 @@ def _calibrate(
     if w_plug == 0:
         raise DomainError("plug-in interval width is zero; no ratio to target")
 
-    probes: dict[float, SpreadReport] = {}
+    probes: dict[float, tuple[BetaParams, SpreadReport]] = {}
 
-    def report_at(c: float) -> SpreadReport:
+    def probe(c: float) -> tuple[BetaParams, SpreadReport]:
         if c not in probes:
             prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
             w = central_interval(_streamed_law(_beta_binomial_args(n, prior, eps)), coverage).width
-            probes[c] = SpreadReport(width_predictive=w, width_plugin=w_plug, ratio=w / w_plug)
+            probes[c] = prior, SpreadReport(w, w_plug, w / w_plug)
         return probes[c]
 
-    def fitted(c: float) -> tuple[BetaParams, SpreadReport]:
-        return BetaParams(c * p_mean, c * (1.0 - p_mean)), probes[c]
-
     lo, hi = lo_c, hi_c
-    for _ in range(_MAX_BISECTIONS):
-        mid = math.sqrt(lo * hi)
-        rep = report_at(mid)
-        if abs(rep.ratio - target_ratio) <= _RATIO_TOL:
-            return fitted(mid)
-        if rep.ratio > target_ratio:
+    while (mid := math.sqrt(lo * hi)) not in probes:
+        ratio = probe(mid)[1].ratio
+        if abs(ratio - target_ratio) <= _RATIO_TOL:
+            return probes[mid]
+        if ratio > target_ratio:
             lo = mid
         else:
             hi = mid
-    floor = report_at(lo_c)
-    if target_ratio > floor.ratio + _RATIO_TOL:
+    floor = probe(lo_c)[1].ratio
+    if target_ratio > floor + _RATIO_TOL:
         raise CalibrationError(
-            f"target ratio {target_ratio} exceeds the maximum {floor.ratio:.4g} "
+            f"target ratio {target_ratio} exceeds the maximum {floor:.4g} "
             f"reachable at concentration {lo_c}"
         )
-    best_c = min((lo_c, *probes), key=lambda c: abs(probes[c].ratio - target_ratio))
-    if abs(probes[best_c].ratio - target_ratio) <= _RATIO_TOL:
-        return fitted(best_c)
+    if abs(floor - target_ratio) <= _RATIO_TOL:
+        return probes[lo_c]
+    best_c = min((lo_c, *probes), key=lambda c: abs(probes[c][1].ratio - target_ratio))
     raise CalibrationError(
         f"no concentration in [{lo_c:g}, {hi_c:g}] reaches spread ratio "
-        f"{target_ratio} +- {_RATIO_TOL} (closest: {probes[best_c].ratio:.4g} at "
+        f"{target_ratio} +- {_RATIO_TOL} (closest: {probes[best_c][1].ratio:.4g} at "
         f"concentration {best_c:.6g})"
     )
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from riskcounts.cli import main
+from riskcounts.cohort import CausalSpec, CovariateRule
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
@@ -17,6 +18,7 @@ from riskcounts.distributions import (
     convolve,
     poisson_distribution,
 )
+from riskcounts.predictive import posterior_update, spread_report
 from riskcounts.scenarios import ScenarioError, bundled_text, parse_scenario
 
 MASS_TOL = 1e-9
@@ -79,6 +81,39 @@ def test_parse_scenario_refuses_negative_seed_and_keeps_zero():
 def test_zero_seed_option_runs(tmp_path, capsys):
     assert main(["simulate", _null_spec(tmp_path), "--seed", "0", "--replications", "3"]) == 0
     assert "# seed: 0\n" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# wrong-typed API arguments
+# ---------------------------------------------------------------------------
+
+
+def _spec(**fields):
+    return CausalSpec(**{"n_per_group": 10, "true_cause": "none", "baseline_p": 0.1,
+                         "effect_p": 0.1, **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _spec(covariate_rules=[{"name": "x"}]),
+     "covariate_rules must be a tuple or list of CovariateRule"),
+    (lambda: _spec(covariate_rules=None), "covariate_rules must be a tuple or list of CovariateRule"),
+    (lambda: _spec(covariate_rules="x"), "covariate_rules must be a tuple or list of CovariateRule"),
+    (lambda: _spec(covariate_rules=(CovariateRule("x", 0.0, 1.0), 3)),
+     "covariate_rules must be a tuple or list of CovariateRule"),
+    (lambda: _spec(proxy_rule=0.9), "proxy_rule must be a ProxyRule or None"),
+    (lambda: posterior_update((1, 2), 1, 2), "prior must be a BetaParams instance"),
+    (lambda: posterior_update(None, 1, 2), "prior must be a BetaParams instance"),
+    (lambda: spread_report(10, (1, 2)), "prior must be a BetaParams instance"),
+])
+def test_a_wrong_typed_argument_is_refused_with_a_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_covariate_rules_given_as_a_list_are_kept_as_a_tuple():
+    rule = CovariateRule("x", 0.0, 1.0)
+    assert _spec(covariate_rules=[rule]).covariate_rules == (rule,)
 
 
 # ---------------------------------------------------------------------------

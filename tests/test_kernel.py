@@ -7,7 +7,8 @@
 * The window builder must equal ``oracle_build_windowed``, the builder that
   refilled the whole window at every widening round, copied here as it
   stood.  Each constructor's call is run through both with the same step
-  ratio and anchor functions.
+  ratio and anchor functions.  Its widening, which has no round limit,
+  must settle or be refused within ``MAX_ROUNDS`` rounds.
 * The streamed interval probe (``_streamed_law``) must give the interval of
   the law it never stores, bit for bit, or the same error.
 * ``prob_greater``, ``prob_equal``, ``mean`` and ``variance`` must lie
@@ -710,6 +711,91 @@ def test_the_written_runs_tile_the_window_once_after_the_last_round(build, cap):
         assert (lo, hi) == (49_799_998, 50_200_002)
         assert sorted(fill) == [(49_799_998, 50_000_000), (50_000_001, 50_200_003)]
         assert sum(not flag for flag, _ in runs) == 2 * (1 + 3)  # the bracket and three rounds a side
+
+
+#: The most rounds ``_window`` widens before it settles or the cap refuses:
+#: each unsettled round moves a failing edge out by a step of at least 64
+#: that doubles, or onto its domain bound, where it passes.
+MAX_ROUNDS = math.ceil(math.log2(distributions._MAX_SUPPORT_POINTS / 64)) + 1
+
+
+class Settled(Exception):
+    """Raised at the fill's first ``_run`` call: the widening is over."""
+
+
+def widening_rounds(build):
+    """The rounds ``build``'s window widens, and how the widening ended:
+    ``None`` when the window settled, the refusal's text when it was
+    refused.  Each round sums both sides, two ``_run`` calls without
+    ``out``.  The fill is not run: its first call, the first with ``out``,
+    stops the build."""
+    calls = 0
+    run = distributions._run
+
+    def counted(log_ratio, start, stop, step, carry=0.0, out=None):
+        nonlocal calls
+        if out is not None:
+            raise Settled
+        calls += 1
+        return run(log_ratio, start, stop, step, carry)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_run", counted)
+        try:
+            build()
+        except Settled:
+            return calls // 2, None
+        except DomainError as exc:
+            return calls // 2, str(exc)
+    raise AssertionError("the build made no window")
+
+
+_EPS = st.floats(math.log10(5e-324), -6.0).map(lambda e: max(10.0**e, 5e-324))
+
+
+@st.composite
+def wide_builds(draw):
+    """A binomial (n up to 2^32 - 1), Poisson (lambda up to 1e14) or
+    beta-binomial (concentration 1e-3 to 1e12) build at eps from 1e-6 down
+    to 5e-324, as a ``functools.partial`` of its constructor."""
+    kind = draw(st.sampled_from(["binomial", "poisson", "beta-binomial"]))
+    eps = draw(_EPS)
+    p = 10.0 ** draw(st.floats(-12.0, -0.01))
+    p = draw(st.sampled_from([p, 1.0 - p]))
+    if kind == "poisson":
+        return functools.partial(poisson_distribution, 10.0 ** draw(st.floats(-3.0, 14.0)), eps)
+    n = draw(st.integers(1, 2**32 - 1) | st.integers(1, 10**4))
+    if kind == "binomial":
+        return functools.partial(binomial_distribution, n, p, eps)
+    c = 10.0 ** draw(st.floats(-3.0, 12.0))
+    return functools.partial(beta_binomial_distribution, n, BetaParams(p * c, (1.0 - p) * c), eps)
+
+
+@given(wide_builds())
+@settings(max_examples=150, deadline=None)
+@example(functools.partial(binomial_distribution, 2**32 - 1, 0.5, 5e-324))
+@example(functools.partial(binomial_distribution, 2**32 - 1, 1e-9, 5e-324))
+@example(functools.partial(poisson_distribution, 1e14, 1e-6))
+@example(functools.partial(poisson_distribution, 1e9, 5e-324))
+@example(functools.partial(beta_binomial_distribution, 10**6, BetaParams(5e-4, 5e-4), 5e-324))
+@example(functools.partial(beta_binomial_distribution, 10**9, BetaParams(5e11, 5e11), 5e-324))
+@example(functools.partial(beta_binomial_distribution, 2**32 - 1, BetaParams(1e9, 1e12), 5e-324))
+def test_the_widening_settles_or_is_refused_within_its_round_bound(build):
+    rounds, refusal = widening_rounds(build)
+    assert rounds <= MAX_ROUNDS == 20
+    assert refusal is None or refusal.startswith("support window of "), refusal
+
+
+def test_an_edge_that_never_passes_is_refused_at_the_cap_within_the_bound():
+    """The slowest widening: the lower edge sits at 0, where it passes, and
+    the upper edge never passes and has no domain bound.  From the bracket
+    0..10, round r moves it out by 64 * 2^(r - 1) until the cap refuses."""
+    rounds, refusal = widening_rounds(lambda: distributions._window(
+        mean=0.0, sd=0.0, n_max=None, log_ratio=np.zeros_like,
+        anchor_fn=lambda k: 0.0, anchor_at=0, eps=1e-12,
+    ))
+    assert rounds == 19
+    assert refusal.startswith(f"support window of {11 + 64 * (2**19 - 1)} points exceeds")
 
 
 @pytest.mark.parametrize("step", [-1, 1])

@@ -1,8 +1,10 @@
 """Risk-uncertainty layer: posterior updates, predictive laws, calibration."""
 
 import math
+import random
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,19 +244,164 @@ def test_a_root_above_the_lower_bound_is_found(name, target, tmp_path, capsys):
         assert f"{rep.ratio:#.6g}" == ratio
 
 
-def test_an_unreachable_target_probes_at_most_sixty_concentrations(monkeypatch):
-    probed = []
+def recorded_priors(monkeypatch):
+    """The prior of every predictive law the search builds, in build order."""
+    built = []
     args = predictive._beta_binomial_args
 
     def recorded(n, prior, eps):
-        probed.append(prior.concentration)
+        built.append(prior)
         return args(n, prior, eps)
 
     monkeypatch.setattr(predictive, "_beta_binomial_args", recorded)
-    with pytest.raises(CalibrationError, match="exceeds the maximum"):
-        calibrate_prior(1_000, 0.05, target_ratio=500.0)
-    assert len(probed) == len(set(probed)) <= 60
+    return built
+
+
+@pytest.mark.parametrize("n, p_mean, target, refusal", [
+    (1_000, 0.05, 500.0, "target ratio 500.0 exceeds the maximum 10.94 reachable at concentration 10.0"),
+    # la_rr2's exposed arm: the ratio is 0 at c = 10 and no midpoint reaches 1.5
+    (2_000_000, 2e-7, 1.5, "target ratio 1.5 exceeds the maximum 0 reachable at concentration 10.0"),
+])
+def test_an_unreachable_target_probes_each_concentration_once_and_10_last(
+    monkeypatch, n, p_mean, target, refusal
+):
+    built = recorded_priors(monkeypatch)
+    with pytest.raises(CalibrationError) as got:
+        calibrate_prior(n, p_mean, target_ratio=target)
+    assert str(got.value) == refusal
+    probed = [prior.concentration for prior in built]
+    assert len(probed) == len(set(probed)) <= 59
     assert probed[-1] == 10.0
+
+
+def capped_bisection(target_ratio, w_plug, width_at):
+    """The search as it stood with a cap of 200 bisection rounds, the
+    oracle for its stop rule: its outcome (a concentration, or a
+    refusal's text) and the concentrations it measured, in order.
+    ``width_at(c)`` is the predictive width at concentration ``c``."""
+    lo_c, hi_c = predictive.CONCENTRATION_BOUNDS
+    probes = {}
+
+    def ratio_at(c):
+        if c not in probes:
+            probes[c] = width_at(c) / w_plug
+        return probes[c]
+
+    try:
+        lo, hi = lo_c, hi_c
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            ratio = ratio_at(mid)
+            if abs(ratio - target_ratio) <= 0.01:
+                return mid, list(probes)
+            if ratio > target_ratio:
+                lo = mid
+            else:
+                hi = mid
+        floor = ratio_at(lo_c)
+        if target_ratio > floor + 0.01:
+            return (
+                f"target ratio {target_ratio} exceeds the maximum {floor:.4g} "
+                f"reachable at concentration {lo_c}"
+            ), list(probes)
+        best_c = min((lo_c, *probes), key=lambda c: abs(probes[c] - target_ratio))
+        if abs(probes[best_c] - target_ratio) <= 0.01:
+            return best_c, list(probes)
+        return (
+            f"no concentration in [{lo_c:g}, {hi_c:g}] reaches spread ratio "
+            f"{target_ratio} +- 0.01 (closest: {probes[best_c]:.4g} at "
+            f"concentration {best_c:.6g})"
+        ), list(probes)
+    except DomainError as exc:
+        return str(exc), list(probes)
+
+
+def search_and_oracle(monkeypatch, n, p_mean, target, coverage, eps, width_at=None):
+    """``_calibrate``'s outcome and probes next to ``capped_bisection``'s,
+    each as (prior or refusal text, the priors probed in order).  With
+    ``width_at`` the laws are not built: the plug-in width is 5 and the
+    predictive width at concentration c is ``width_at(c)``."""
+    def prior(c):
+        return BetaParams(c * p_mean, c * (1.0 - p_mean))
+
+    if width_at is None:
+        def width_at(c):
+            law = predictive._streamed_law(predictive._beta_binomial_args(n, prior(c), eps))
+            return predictive.central_interval(law, coverage).width
+
+        plug = predictive._streamed_law(predictive._binomial_args(n, p_mean, eps))
+        w_plug = predictive.central_interval(plug, coverage).width
+    else:
+        w_plug = 5
+        monkeypatch.setattr(predictive, "_binomial_args", lambda n, p, eps: None)
+        monkeypatch.setattr(predictive, "_beta_binomial_args", lambda n, prior, eps: prior)
+        monkeypatch.setattr(predictive, "_streamed_law", lambda args: args)
+        monkeypatch.setattr(
+            predictive, "central_interval",
+            lambda law, coverage: SimpleNamespace(
+                width=w_plug if law is None else width_at(law.concentration)
+            ),
+        )
+    outcome, probed = capped_bisection(target, w_plug, width_at)
+    expected = (prior(outcome) if isinstance(outcome, float) else outcome, [prior(c) for c in probed])
+
+    built = recorded_priors(monkeypatch)
+    try:
+        got = predictive._calibrate(n, p_mean, target, coverage, eps)[0]
+    except (CalibrationError, DomainError) as exc:
+        got = str(exc)
+    return (got, built), expected
+
+
+@pytest.mark.parametrize("target, width_at, probes", [
+    (2.0, lambda c: 50, 59),  # always above: the bracket closes on 1e12, then c = 10
+    (2.0, lambda c: 5, 58),  # always below: the bracket closes on 10, its last midpoint
+    (2.0, lambda c: 10 if c < 10.5 else 50, 59),  # only c = 10 is within tolerance
+    (3.0, lambda c: 5 if c < 1e4 else 50, 59),
+    (3.0, lambda c: 50 if c < 1e4 else 5, 58),
+])
+def test_the_bisection_stops_where_the_capped_loop_stopped_probing(
+    monkeypatch, target, width_at, probes
+):
+    got, expected = search_and_oracle(monkeypatch, 100, 0.25, target, 0.9, 1e-12, width_at)
+    assert got == expected
+    assert len(got[1]) == len(set(got[1])) == probes
+
+
+def stepped_width(seed):
+    """A predictive width at concentration c that moves in steps and need
+    not be monotone: a pseudo-random step function of log10(c)."""
+    steps = np.random.default_rng(seed).integers(0, 40, size=12)
+    return lambda c: int(steps[min(int(math.log10(c)), 11)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_bisection_keeps_the_capped_outcome_on_stepped_widths(monkeypatch, seed):
+    target = [1.5, 2.0, 3.0, 4.2, 7.0][seed % 5]
+    got, expected = search_and_oracle(
+        monkeypatch, 100, 0.25, target, 0.9, 1e-12, stepped_width(seed)
+    )
+    assert got == expected
+
+
+def small_arm_cases(count, seed=20):
+    """``count`` seeded (n, p_mean, target, coverage) cases of small arms."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randrange(1, 3_000)
+        p_mean = 10.0 ** rng.uniform(-3.0, -0.3)
+        coverage = rng.choice([0.5, 0.9, 0.99, 0.9999])
+        target = round(rng.uniform(1.0, 6.0), 3)
+        if n * p_mean >= 1.0 and target > 1.0:
+            cases.append((n, p_mean, target, coverage))
+    return cases
+
+
+@pytest.mark.parametrize("n, p_mean, target, coverage", small_arm_cases(24))
+def test_the_bisection_keeps_the_capped_outcome_on_small_arms(monkeypatch, n, p_mean, target, coverage):
+    got, expected = search_and_oracle(monkeypatch, n, p_mean, target, coverage, 1e-12)
+    assert got == expected
 
 
 @pytest.mark.parametrize("target, closest", [
