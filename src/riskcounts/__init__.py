@@ -59,7 +59,6 @@ from .distributions import (
     central_interval,
     convolve,
     mode,
-    poisson_distribution,
     quantile,
 )
 from .figures import FigureTable, build_figure, render_figure_csv, write_text_atomic
@@ -97,7 +96,6 @@ __all__ = [
     "central_interval",
     "convolve",
     "mode",
-    "poisson_distribution",
     "quantile",
     # comparison
     "BoundedProbability",

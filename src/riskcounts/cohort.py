@@ -221,6 +221,11 @@ class Cohort:
     latent: np.ndarray | None = field(default=None)
 
 
+def _check_spec(spec: CausalSpec) -> None:
+    if not isinstance(spec, CausalSpec):
+        raise DomainError("spec must be a CausalSpec instance")
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """Return ``seed`` as an ``int`` if numpy's SeedSequence takes it as
     entropy (an integer >= 0); otherwise raise ``DomainError``, the message
@@ -449,6 +454,7 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
 
     ``seed`` is a master seed or a tuple of them, each ``check_seed``-valid.
     """
+    _check_spec(spec)
     for part in seed if isinstance(seed, tuple) else (seed,):
         check_seed(part)
     n = spec.n_per_group
@@ -683,6 +689,7 @@ def replication_study(
     replication raises the error of the lowest failing index, as a serial
     loop would.
     """
+    _check_spec(spec)
     replications = _check_count(replications, "replications", minimum=1)
     if replications > MAX_REPLICATIONS:
         raise DomainError(
@@ -842,6 +849,7 @@ def proxy_study(
     continuity_correction: bool = True,
 ) -> ReplicationReport:
     """Rejection rates when grouping by true exposure versus by its proxy."""
+    _check_spec(spec)
     if spec.proxy_rule is None:
         raise DomainError("proxy_study requires a spec with a proxy_rule")
     return replication_study(
@@ -863,6 +871,7 @@ def false_cause_rate(
 ) -> float:
     """How often the exposure-label test rejects when the exposure label is,
     by construction, not the cause."""
+    _check_spec(spec)
     if spec.true_cause == "exposure-label":
         raise DomainError(
             "false_cause_rate needs a spec whose true cause is NOT the "

@@ -25,6 +25,7 @@ from .distributions import (
     DomainError,
     _check_count,
     _check_eps,
+    _check_law,
     _check_probability,
     beta_binomial_distribution,
     binomial_distribution,
@@ -188,6 +189,8 @@ def prob_greater(x: CountDistribution, y: CountDistribution) -> BoundedProbabili
     the value is within gamma_k = k*u / (1 - k*u), u = 2^-53, of their
     exact sum, relatively (Higham, *Accuracy and Stability*, section 4.2).
     """
+    _check_law(x, "x")
+    _check_law(y, "y")
     bound = x.truncated_mass + y.truncated_mass
     nx = x.support_hi - x.support_lo + 1
     ny = y.support_hi - y.support_lo + 1
@@ -201,6 +204,8 @@ def prob_greater(x: CountDistribution, y: CountDistribution) -> BoundedProbabili
 
 
 def prob_equal(x: CountDistribution, y: CountDistribution) -> BoundedProbability:
+    _check_law(x, "x")
+    _check_law(y, "y")
     bound = x.truncated_mass + y.truncated_mass
     lo = max(x.support_lo, y.support_lo)
     hi = min(x.support_hi, y.support_hi)
@@ -296,6 +301,8 @@ class ScenarioAnalysis:
     def __init__(
         self, scenario: ExposureScenario | UncertainScenario, eps: float = DEFAULT_EPS
     ) -> None:
+        if not isinstance(scenario, (ExposureScenario, UncertainScenario)):
+            raise DomainError("scenario must be an ExposureScenario or UncertainScenario instance")
         self.scenario = scenario
         self.eps = _check_eps(eps)
 

@@ -1,10 +1,11 @@
 """Truncated discrete count distributions, stored in log-space.
 
-Binomial, Poisson, and beta-binomial laws over populations up to
-``comparison.MAX_POPULATION`` (2^32 - 1) are represented on a finite
-support window.  Whatever probability falls outside the window is carried
-explicitly in ``truncated_mass`` instead of being renormalised away, so
-every downstream probability comes with an honest error bound.
+Binomial and beta-binomial laws over populations up to
+``comparison.MAX_POPULATION`` (2^32 - 1), and their convolutions, are
+represented on a finite support window inside the domain 0..n.  Whatever
+probability falls outside the window is carried explicitly in
+``truncated_mass`` instead of being renormalised away, so every
+downstream probability comes with an honest error bound.
 
 Numerical approach
 ------------------
@@ -24,7 +25,10 @@ comfortably inside the 1e-9 mass-identity contract enforced below.
 One widening loop (``_window``) finds each window.  Each round sums only the
 cells it adds, keeping each side's last running sum, and tests each edge on
 that exact value of its cell, so a window the cap refuses is refused holding
-one chunk of step logs.  The window it settles on is then filled once into
+one chunk of step logs.  Widening ends: an edge passes at its domain
+bound, 0 or n, and each unsettled round moves a failing edge out by a
+doubling step or onto that bound, so within 20 rounds the window settles
+or outgrows the cap.  The window it settles on is then filled once into
 one array of log masses.  ``_build_windowed`` stores that array as a law;
 callers that need only an interval (calibration and spread reports) turn it
 in place into its cdf (``_StreamedCdf``), through the same checks and to the
@@ -66,7 +70,6 @@ __all__ = [
     "CredibleInterval",
     "binomial_log_pmf",
     "binomial_distribution",
-    "poisson_distribution",
     "beta_binomial_distribution",
     "convolve",
     "mode",
@@ -150,6 +153,13 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def _check_law(law, name: str, streamed: bool = False) -> None:
+    """Refuse a ``law`` that is not a ``CountDistribution``, or where
+    ``streamed`` is set a ``_StreamedCdf`` either."""
+    if not isinstance(law, (CountDistribution, _StreamedCdf) if streamed else CountDistribution):
+        raise DomainError(f"{name} must be a CountDistribution instance")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -178,7 +188,7 @@ class BetaParams:
         return self.alpha + self.beta
 
 
-_KINDS = ("binomial", "poisson", "beta-binomial", "convolution")
+_KINDS = ("binomial", "beta-binomial", "convolution")
 
 
 # The mass contract's checks, shared by ``CountDistribution`` and the
@@ -449,7 +459,7 @@ def _cap_error(points: int) -> DomainError:
 def _window(
     mean: float,
     sd: float,
-    n_max: int | None,
+    n_max: int,
     log_ratio,
     anchor_fn,
     anchor_at: int,
@@ -464,36 +474,30 @@ def _window(
     past an underflowed step ratio (0 where none was).  ``_build_windowed``
     stores ``log_mass`` as a law; ``_StreamedCdf`` turns it into its cdf.
 
-    ``monotone_lo`` / ``monotone_hi`` declare that the step ratios are
-    nonincreasing past the respective edge (log-concave pmf), which is what
-    makes the geometric tail bound rigorous.  A side without that guarantee
-    is extended to its domain edge outright.
+    Every window lies in the domain ``0..n_max``.  ``monotone_lo`` /
+    ``monotone_hi`` declare that the step ratios are nonincreasing past the
+    respective edge (log-concave pmf), which is what makes the geometric
+    tail bound rigorous.  A side without that guarantee is extended to its
+    domain bound outright.
 
     Each round sums only the cells it adds on each side (``_run``) and
     keeps only each side's last running sum, from which it tests each edge
     on the exact value of its cell.  So a window the cap refuses is refused
     holding one chunk of step logs, not the window.  The widening needs no
-    round limit: an unsettled round moves each failing edge out by ``step``
-    (at least 64, doubling) or onto its domain bound, where it passes, and
-    the cap refuses a window before its cells are summed, so at most 20
-    rounds sum cells.  Once both edges pass, the window's log masses are
-    filled once, outward from the anchor, into one array; each step log is
-    computed again there.  The bits are those of one ``np.cumsum`` per
-    side: ``log_ratio`` is elementwise, so each step log is the same
-    whatever round or chunk computes it, and no temporary of ``log_ratio``
-    outgrows a ``_SUM_BLOCK``.
+    round limit: an edge at its domain bound (0 below, ``n_max`` above)
+    passes, and an unsettled round moves each failing edge out by ``step``
+    (at least 64, doubling) or onto that bound.  So each edge stops at its
+    bound at the latest, and the cap refuses a window before its cells are
+    summed, so at most 20 rounds sum cells.  Once both edges pass, the
+    window's log masses are filled once, outward from the anchor, into one
+    array; each step log is computed again there.  The bits are those of
+    one ``np.cumsum`` per side: ``log_ratio`` is elementwise, so each step
+    log is the same whatever round or chunk computes it, and no temporary
+    of ``log_ratio`` outgrows a ``_SUM_BLOCK``.
     """
     spread = max(_BRACKET_SIGMAS * sd, 8.0)
-    lo = max(0, math.floor(mean - spread) - 2)
-    hi = math.ceil(mean + spread) + 2
-    if n_max is not None:
-        hi = min(hi, n_max)
-    if not monotone_lo:
-        lo = 0
-    if not monotone_hi:
-        if n_max is None:
-            raise DomainError("unbounded support requires monotone tail ratios")
-        hi = n_max
+    lo = max(0, math.floor(mean - spread) - 2) if monotone_lo else 0
+    hi = min(math.ceil(mean + spread) + 2, n_max) if monotone_hi else n_max
 
     per_side = eps / 4.0
     step = max(64, math.ceil(4.0 * sd))
@@ -520,13 +524,13 @@ def _window(
         reached_lo, reached_hi = lo, hi
 
         ok_lo = lo == 0 or passes(lo, -1, run_lo)
-        ok_hi = (n_max is not None and hi == n_max) or passes(hi, 1, run_hi)
+        ok_hi = hi == n_max or passes(hi, 1, run_hi)
         if ok_lo and ok_hi:
             break
         if not ok_lo:
             lo = max(0, lo - step)
         if not ok_hi:
-            hi = hi + step if n_max is None else min(n_max, hi + step)
+            hi = min(n_max, hi + step)
         step *= 2
 
     # the below side is summed through its reversed view, nearest cell first
@@ -634,17 +638,6 @@ def _binomial_anchor(n: int, p: float):
     return anchor
 
 
-def _poisson_anchor(lam: float):
-    import mpmath
-
-    def anchor(k: int) -> float:
-        with mpmath.workdps(_ANCHOR_DPS):
-            x = mpmath.mpf(lam)
-            return float(-x + k * mpmath.log(x) - mpmath.loggamma(k + 1))
-
-    return anchor
-
-
 def _beta_binomial_anchor(n: int, a: float, b: float):
     import mpmath
 
@@ -708,31 +701,6 @@ def _binomial_args(n: int, p: float, eps: float) -> CountDistribution | dict:
         log_ratio=log_ratio,
         anchor_fn=_binomial_anchor(n, p),
         anchor_at=min(int((n + 1) * p), n),
-        eps=eps,
-    )
-
-
-def poisson_distribution(lam: float, eps: float = DEFAULT_EPS) -> CountDistribution:
-    """Poisson(lam) on a window whose omitted tail mass is <= eps."""
-    lam = float(lam)
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be finite and >= 0, got {lam!r}")
-    eps = _check_eps(eps)
-    if lam == 0.0:
-        return _point_mass("poisson", 0)
-
-    def log_ratio(ks: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(lam / (ks + 1.0))
-
-    return _build_windowed(
-        kind="poisson",
-        mean=lam,
-        sd=math.sqrt(lam),
-        n_max=None,
-        log_ratio=log_ratio,
-        anchor_fn=_poisson_anchor(lam),
-        anchor_at=int(lam),
         eps=eps,
     )
 
@@ -805,6 +773,8 @@ def convolve(
     tails are trimmed from their running sums.  Either way the bytes are
     those of trimming one full ``np.convolve``.
     """
+    _check_law(a, "a")
+    _check_law(b, "b")
     eps = _check_eps(eps)
     # np.convolve(a, b) with its operand order (the longer first, ``a`` on
     # a tie), so every cell comes from the same dot product, on 64-byte
@@ -998,6 +968,7 @@ def _cost_before(n1: int, n2: int, m: int) -> int:
 
 def mode(d: CountDistribution) -> int:
     """Count with the largest stored mass; ties break to the smallest count."""
+    _check_law(d, "d")
     return d.support_lo + int(np.argmax(d.log_mass))
 
 
@@ -1007,6 +978,7 @@ def quantile(d: CountDistribution, q: float) -> int:
     Quantiles are taken against the stored mass; a q within truncated_mass
     of 1 clamps to the top of the window.
     """
+    _check_law(d, "d", streamed=True)
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")

@@ -110,6 +110,8 @@ def spread_reports(
     u: UncertainScenario, coverage: float = 0.9999, eps: float = DEFAULT_EPS
 ) -> tuple[SpreadReport, SpreadReport]:
     """Per-arm spread reports for a scenario (exposed, unexposed)."""
+    if not isinstance(u, UncertainScenario):
+        raise DomainError("scenario must be an UncertainScenario instance")
     return (
         spread_report(u.n_exposed, u.prior_exposed, coverage, eps),
         spread_report(u.n_unexposed, u.prior_unexposed, coverage, eps),
@@ -219,6 +221,8 @@ def calibrated_scenario(
 ) -> UncertainScenario:
     """Lift a certain-parameter scenario by calibrating each arm's prior
     independently to the same spread-ratio target."""
+    if not isinstance(s, ExposureScenario):
+        raise DomainError("scenario must be an ExposureScenario instance")
     return UncertainScenario(
         n_exposed=s.n_exposed,
         n_unexposed=s.n_unexposed,

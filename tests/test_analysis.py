@@ -2,7 +2,9 @@
 
 Build counts pin that each command builds every distinct law once, and that
 calibration streams one window per probe (``_streamed_law``) and builds
-none; the effective relative risk of near-certain-zero arms is checked
+none.  Cell counts pin the step logs ``_run`` sums: ``widened`` while the
+windows widen, ``filled`` while they are filled.  Each settled cell's step
+log is computed once in each today, so the two are equal.  The effective relative risk of near-certain-zero arms is checked
 against a high-precision reference.  ``summarize`` stdout is pinned in
 ``test_pinned.py``.
 """
@@ -24,8 +26,17 @@ _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count every call to a distribution builder, through any binding."""
+    """Count every call to a distribution builder, through any binding, and
+    the cells each ``_run`` call sums, as ``filled`` where it writes a
+    window's log masses and ``widened`` where it does not."""
     counts = collections.Counter()
+    run = distributions._run
+
+    def counted_run(log_ratio, start, stop, step, carry=0.0, out=None):
+        counts["widened" if out is None else "filled"] += len(range(start, stop, step))
+        return run(log_ratio, start, stop, step, carry, out)
+
+    monkeypatch.setattr(distributions, "_run", counted_run)
     for name in _BUILDERS:
         original = getattr(distributions, name)
 
@@ -40,11 +51,14 @@ def builds(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["summarize", "la_rr106"], {"binomial_distribution": 5, "convolve": 1}),
-    (["summarize", "uncertain"], {"beta_binomial_distribution": 5, "convolve": 1}),
-    (["figure", "la_rr106", "--id", "1"], {"binomial_distribution": 2}),
-    (["figure", "la_rr106", "--id", "3"], {"binomial_distribution": 3, "convolve": 1}),
-    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22}),
+    (["summarize", "la_rr106"],
+     {"binomial_distribution": 5, "convolve": 1, "widened": 2_578, "filled": 2_578}),
+    (["summarize", "uncertain"],
+     {"beta_binomial_distribution": 5, "convolve": 1, "widened": 257, "filled": 257}),
+    (["figure", "la_rr106", "--id", "1"], {"binomial_distribution": 2, "widened": 957, "filled": 957}),
+    (["figure", "la_rr106", "--id", "3"],
+     {"binomial_distribution": 3, "convolve": 1, "widened": 1_621, "filled": 1_621}),
+    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22, "widened": 47_110, "filled": 47_110}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
     scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])

@@ -30,21 +30,10 @@ from riskcounts import (
     central_interval,
     convolve,
     mode,
-    poisson_distribution,
     quantile,
 )
 
 MASS_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# oracles
-# ---------------------------------------------------------------------------
-
-
-def exact_poisson_pmf(lam: float, k: int) -> float:
-    with mp.workdps(50):
-        return float(mp.e ** (-mp.mpf(lam)) * mp.mpf(lam) ** k / mp.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +62,6 @@ def test_beta_binomial_matches_mpmath(n, a, b):
         assert d.pmf(k) == pytest.approx(exact[k], rel=1e-12)
     dropped = sum(exact[: d.support_lo]) + sum(exact[d.support_hi + 1 :])
     assert dropped <= 1e-12
-
-
-@pytest.mark.parametrize("lam,k", [(0.5, 0), (3.0, 3), (100.0, 100), (100.0, 140)])
-def test_poisson_matches_mpmath(lam, k):
-    d = poisson_distribution(lam, eps=1e-12)
-    assert d.pmf(k) == pytest.approx(exact_poisson_pmf(lam, k), rel=1e-12)
 
 
 def test_binomial_log_pmf_reference_points():
@@ -190,19 +173,6 @@ def test_beta_binomial_overdispersion():
 # ---------------------------------------------------------------------------
 
 
-def test_poisson_approximates_rare_binomial():
-    # Le Cam: total variation between Bin(n, p) and Poisson(np) is at most
-    # n p^2.  Here that bound is 1e6 * (1e-4)^2 = 0.01.
-    n, p = 1_000_000, 1e-4
-    bino = binomial_distribution(n, p, eps=1e-12)
-    pois = poisson_distribution(n * p, eps=1e-12)
-    lo = min(bino.support_lo, pois.support_lo)
-    hi = max(bino.support_hi, pois.support_hi)
-    grid = np.arange(lo, hi + 1)
-    tv = 0.5 * sum(abs(bino.pmf(k) - pois.pmf(k)) for k in grid)
-    assert tv <= n * p * p
-
-
 def test_beta_binomial_tightens_to_binomial():
     n, p = 10_000, 0.003
     bino = binomial_distribution(n, p, eps=1e-12)
@@ -231,7 +201,7 @@ def test_convolve_binomial_additivity():
 
 def test_convolve_commutes():
     a = binomial_distribution(300, 0.01, eps=1e-10)
-    b = poisson_distribution(7.5, eps=1e-10)
+    b = beta_binomial_distribution(300, BetaParams(2.5, 97.5), eps=1e-10)
     ab = convolve(a, b, eps=1e-10)
     ba = convolve(b, a, eps=1e-10)
     assert ab.support_lo == ba.support_lo and ab.support_hi == ba.support_hi
@@ -328,7 +298,7 @@ def test_invalid_inputs_raise_domain_errors():
     with pytest.raises(DomainError):
         binomial_distribution(10, 0.5, eps=1e-3)
     with pytest.raises(DomainError):
-        poisson_distribution(-2.0)
+        beta_binomial_distribution(-1, BetaParams(1.0, 1.0))
     with pytest.raises(DomainError):
         BetaParams(0.0, 1.0)
 
@@ -361,7 +331,6 @@ def test_stored_arrays_are_read_only():
 #: Each constructor's first anchor, evaluated in a fresh interpreter.
 FIRST_BUILDS = {
     "binomial": "binomial_distribution(1000, 0.3)",
-    "poisson": "poisson_distribution(12.5)",
     "beta-binomial": "beta_binomial_distribution(5000, BetaParams(2.5, 7.0))",
 }
 

@@ -8,17 +8,32 @@ import numpy as np
 import pytest
 
 from riskcounts.cli import main
-from riskcounts.cohort import CausalSpec, CovariateRule
+from riskcounts.cohort import (
+    CausalSpec,
+    CovariateRule,
+    false_cause_rate,
+    generate,
+    proxy_study,
+    replication_study,
+)
+from riskcounts.comparison import prob_equal, prob_greater, summarize
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
     DomainError,
     beta_binomial_distribution,
     binomial_distribution,
+    central_interval,
     convolve,
-    poisson_distribution,
+    mode,
 )
-from riskcounts.predictive import posterior_update, spread_report
+from riskcounts.predictive import (
+    calibrated_scenario,
+    posterior_update,
+    predictive_arms,
+    spread_report,
+    spread_reports,
+)
 from riskcounts.scenarios import ScenarioError, bundled_text, parse_scenario
 
 MASS_TOL = 1e-9
@@ -104,6 +119,24 @@ def _spec(**fields):
     (lambda: posterior_update((1, 2), 1, 2), "prior must be a BetaParams instance"),
     (lambda: posterior_update(None, 1, 2), "prior must be a BetaParams instance"),
     (lambda: spread_report(10, (1, 2)), "prior must be a BetaParams instance"),
+    (lambda: calibrated_scenario((1, 2), 2.0), "scenario must be an ExposureScenario instance"),
+    (lambda: spread_reports((1, 2)), "scenario must be an UncertainScenario instance"),
+    (lambda: predictive_arms((1, 2)),
+     "scenario must be an ExposureScenario or UncertainScenario instance"),
+    (lambda: generate((1, 2), 0), "spec must be a CausalSpec instance"),
+    (lambda: replication_study((1, 2), 3), "spec must be a CausalSpec instance"),
+    (lambda: proxy_study((1, 2), 3), "spec must be a CausalSpec instance"),
+    (lambda: false_cause_rate((1, 2), 3), "spec must be a CausalSpec instance"),
+    (lambda: summarize((1, 2)), "scenario must be an ExposureScenario or UncertainScenario instance"),
+    (lambda: prob_greater((1, 2), binomial_distribution(10, 0.3)),
+     "x must be a CountDistribution instance"),
+    (lambda: prob_greater(binomial_distribution(10, 0.3), (1, 2)),
+     "y must be a CountDistribution instance"),
+    (lambda: convolve((1, 2), binomial_distribution(10, 0.3)), "a must be a CountDistribution instance"),
+    (lambda: convolve(binomial_distribution(10, 0.3), (1, 2)), "b must be a CountDistribution instance"),
+    (lambda: prob_equal(binomial_distribution(10, 0.3), (1, 2)), "y must be a CountDistribution instance"),
+    (lambda: central_interval((1, 2), 0.9), "d must be a CountDistribution instance"),
+    (lambda: mode((1, 2)), "d must be a CountDistribution instance"),
 ])
 def test_a_wrong_typed_argument_is_refused_with_a_domain_error(call, message):
     with pytest.raises(DomainError) as exc:
@@ -145,12 +178,6 @@ def test_binomial_two_at_smallest_subnormal():
     assert d.truncated_mass == 2.0**-1072
 
 
-def test_poisson_with_subnormal_rate_ends_at_last_finite_cell():
-    d = poisson_distribution(5e-324)
-    _check_contract(d, 1e-12)
-    assert (d.support_lo, d.support_hi) == (0, 1)
-
-
 def test_small_but_representable_risk_keeps_its_window():
     # No step underflows here, so nothing is dropped or added.
     d = binomial_distribution(1000, 1e-300)
@@ -167,7 +194,7 @@ def test_small_but_representable_risk_keeps_its_window():
     "build",
     [
         lambda: binomial_distribution(100_000, 0.01),
-        lambda: poisson_distribution(50.0),
+        lambda: beta_binomial_distribution(300, BetaParams(2.5, 97.5)),
         lambda: convolve(binomial_distribution(1000, 0.1), binomial_distribution(900, 0.2)),
         lambda: binomial_distribution(7, 0.0),
         lambda: binomial_distribution(2, 5e-324),

@@ -3,6 +3,7 @@ the constants, so that a changed constant fails here until README says the
 new figure."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,14 @@ FIGURES = {
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_readme_states_the_figure_its_constants_give(figure):
     assert FIGURES[figure] in README
+
+
+def test_readme_names_exactly_the_law_constructors():
+    """The ``riskcounts.distributions`` row of README's module table lists
+    one law per ``*_distribution`` constructor in ``__all__``, as
+    ``binomial_distribution`` reads "binomial"."""
+    laws = re.search(r"\| `riskcounts\.distributions` \| (.*?) count laws", README).group(1)
+    constructors = [name for name in distributions.__all__ if name.endswith("_distribution")]
+    assert sorted(laws.split(" / ")) == sorted(
+        name.removesuffix("_distribution").replace("_", "-") for name in constructors
+    )
