@@ -630,6 +630,8 @@ def banana_swap(
     cause.  A covariate whose threshold leaves one side empty cannot stand
     in for the grouping at all and raises instead.
     """
+    if not isinstance(cohort, Cohort):
+        raise DomainError("cohort must be a Cohort instance")
     alpha = _check_probability(alpha, "alpha")
     by_label = _variant_score(cohort, "true_exposure", continuity_correction)
     by_covariate = _variant_score(cohort, f"covariate_{covariate_name}", continuity_correction)

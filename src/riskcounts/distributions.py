@@ -43,11 +43,16 @@ would give.  Otherwise every cell is computed and the tails are trimmed from
 their running sums.  The computed cells go to ``_parallel.split``, which
 runs them in-process or in ranges across forked workers; each edge cell is
 charged for its own Python call, and a range that costs at least the whole
-correlate is sliced from one full call instead.  The cells are all that BLAS
-computes: each is the same dot product on the same operands as in one full
-call, on one OpenBLAS thread (``_parallel.one_blas_thread``), so the bits
-depend on neither the trim's path, the worker count nor the BLAS thread
-count.  Every other sum of products is ``np.sum``'s fixed pairwise order.
+correlate is sliced from one full call instead.  An edge cell reads one
+operand from an offset that moves by one element a cell, so ``_cells`` takes
+the edge cells in eight phases of that offset mod 8, each on a copy of the
+sliding operand in one reused buffer that starts every offset of the phase
+on a 64-byte boundary.  The cells are all that BLAS computes: each is the
+same dot product on the same values as in one full call, on one OpenBLAS
+thread (``_parallel.one_blas_thread``), and OpenBLAS's dot kernels round
+alike wherever their operands sit, so the bits depend on neither the trim's
+path, the worker count, the BLAS thread count nor the alignment.  Every
+other sum of products is ``np.sum``'s fixed pairwise order.
 """
 
 from __future__ import annotations
@@ -405,11 +410,17 @@ def _exact_sum(x: np.ndarray) -> float:
 def _aligned(x: np.ndarray) -> np.ndarray:
     """A writeable, C-contiguous copy of ``x`` that starts on a 64-byte
     boundary, so that ``np.correlate`` uses it as it is."""
-    buf = np.empty(len(x) + 8, dtype=np.float64)
-    start = (-buf.ctypes.data % 64) // 8
-    out = buf[start : start + len(x)]
+    out = _aligned_empty(len(x))
     out[...] = x
     return out
+
+
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised array of ``n`` doubles that starts on a 64-byte
+    boundary."""
+    buf = np.empty(n + 8, dtype=np.float64)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + n]
 
 
 def _run(
@@ -936,16 +947,46 @@ def _cells(x: np.ndarray, y: np.ndarray, start: int, stop: int, out: np.ndarray)
     "full")`` into ``out``, each the dot product that call computes, on the
     same operands: an edge cell (shorter than ``len(y)``) through numpy's dot
     function, the full-length cells through one ``"valid"`` correlate, which
-    takes the same small-kernel branch as the full call."""
+    takes the same small-kernel branch as the full call.
+
+    Left-edge cell k reads ``y`` from offset n2 - 1 - k, right-edge cell k
+    reads ``x`` from offset k - n2 + 1: that start slides by one element a
+    cell, so most cells would read it across cache lines.  The edge cells go
+    instead in phases of their sliding offset mod 8 (``_phases``), each on a
+    copy of the sliding operand in one reused buffer that puts every offset
+    of the phase on a 64-byte boundary; the other operand starts at its own.
+    Each cell is still the same dot product on the same values and length.
+    OpenBLAS's ddot kernels read unaligned and peel nothing off for
+    alignment, so the bits do not depend on where the operands sit, as the
+    ``_aligned`` copies in ``convolve`` also take."""
     n1, n2 = len(x), len(y)
     vdot = np.vdot
-    for k in range(start, min(stop, n2 - 1)):
-        out[k - start] = vdot(x[: k + 1], y[n2 - 1 - k :])
+    # the offsets into y of the left-edge cells and into x of the right-edge
+    # cells; either side copies at most n2 - 1 elements
+    y_lo, y_hi = n2 - min(stop, n2 - 1), n2 - start
+    x_lo, x_hi = max(start, n1) - n2 + 1, stop - n2 + 1
+    buf = _aligned_empty(n2 - 1)
+    for j0, w in _phases(y, y_lo, y_hi, buf):
+        for j in range(j0, y_hi, 8):
+            out[n2 - 1 - j - start] = vdot(x[: n2 - j], w[j - j0 :])
     lo, hi = max(start, n2 - 1), min(stop, n1)
     if lo < hi:
         out[lo - start : hi - start] = np.correlate(x[lo - n2 + 1 : hi], y, "valid")
-    for k in range(max(start, n1), stop):
-        out[k - start] = vdot(x[k - n2 + 1 :], y[: n1 + n2 - 1 - k])
+    for i0, w in _phases(x, x_lo, x_hi, buf):
+        for i in range(i0, x_hi, 8):
+            out[n2 - 1 + i - start] = vdot(w[i - i0 :], y[: n1 - i])
+
+
+def _phases(v: np.ndarray, lo: int, hi: int, buf: np.ndarray):
+    """For each of the first (at most) eight offsets ``j0`` of ``lo`` to
+    ``hi - 1``, one per phase mod 8, yield ``j0`` and ``v[j0:]`` copied to
+    the start of ``buf``, which starts on a 64-byte boundary: every offset
+    ``j0 + 8i`` of ``v`` then sits on one too.  Each phase overwrites the
+    last, so one copy is live at a time."""
+    for j0 in range(lo, min(lo + 8, hi)):
+        w = buf[: len(v) - j0]
+        w[...] = v[j0:]
+        yield j0, w
 
 
 def _cost_before(n1: int, n2: int, m: int) -> int:

@@ -4,9 +4,11 @@ Build counts pin that each command builds every distinct law once, and that
 calibration streams one window per probe (``_streamed_law``) and builds
 none.  Cell counts pin the step logs ``_run`` sums: ``widened`` while the
 windows widen, ``filled`` while they are filled.  Each settled cell's step
-log is computed once in each today, so the two are equal.  The effective relative risk of near-certain-zero arms is checked
-against a high-precision reference.  ``summarize`` stdout is pinned in
-``test_pinned.py``.
+log is computed once in each today, so the two are equal.  Work counts pin
+the cells and multiply-adds each convolution asks ``_correlate`` for, which
+no change to how the cells are computed may move.  The effective relative
+risk of near-certain-zero arms is checked against a high-precision
+reference.  ``summarize`` stdout is pinned in ``test_pinned.py``.
 """
 
 import collections
@@ -18,17 +20,19 @@ import pytest
 
 from oracles import beta_binomial_log_pmf
 from pinned import SMALL_UNCERTAIN, scenario_path
-from riskcounts import BetaParams, UncertainScenario, distributions, summarize
+from riskcounts import BetaParams, ExposureScenario, UncertainScenario, distributions, summarize
 from riskcounts.cli import main
+from riskcounts.comparison import ScenarioAnalysis
 
 _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count every call to a distribution builder, through any binding, and
-    the cells each ``_run`` call sums, as ``filled`` where it writes a
-    window's log masses and ``widened`` where it does not."""
+    """Count every call to a distribution builder, through any binding; the
+    cells each ``_run`` call sums, as ``filled`` where it writes a window's
+    log masses and ``widened`` where it does not; and the ``cells`` and
+    multiply-adds (``macs``) each convolution asks ``_correlate`` for."""
     counts = collections.Counter()
     run = distributions._run
 
@@ -37,6 +41,15 @@ def builds(monkeypatch):
         return run(log_ratio, start, stop, step, carry, out)
 
     monkeypatch.setattr(distributions, "_run", counted_run)
+    correlate = distributions._correlate
+
+    def counted_correlate(x, y, start, stop):
+        n1, n2 = len(x), len(y)
+        counts["cells"] += stop - start
+        counts["macs"] += sum(min(k + 1, n2, n1 + n2 - 1 - k) for k in range(start, stop))
+        return correlate(x, y, start, stop)
+
+    monkeypatch.setattr(distributions, "_correlate", counted_correlate)
     for name in _BUILDERS:
         original = getattr(distributions, name)
 
@@ -52,12 +65,15 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("argv, expected", [
     (["summarize", "la_rr106"],
-     {"binomial_distribution": 5, "convolve": 1, "widened": 2_578, "filled": 2_578}),
+     {"binomial_distribution": 5, "convolve": 1, "widened": 2_578, "filled": 2_578,
+      "cells": 414, "macs": 155_541}),
     (["summarize", "uncertain"],
-     {"beta_binomial_distribution": 5, "convolve": 1, "widened": 257, "filled": 257}),
+     {"beta_binomial_distribution": 5, "convolve": 1, "widened": 257, "filled": 257,
+      "cells": 65, "macs": 1_869}),
     (["figure", "la_rr106", "--id", "1"], {"binomial_distribution": 2, "widened": 957, "filled": 957}),
     (["figure", "la_rr106", "--id", "3"],
-     {"binomial_distribution": 3, "convolve": 1, "widened": 1_621, "filled": 1_621}),
+     {"binomial_distribution": 3, "convolve": 1, "widened": 1_621, "filled": 1_621,
+      "cells": 414, "macs": 155_541}),
     (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22, "widened": 47_110, "filled": 47_110}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
@@ -68,6 +84,13 @@ def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, cap
     assert main(argv) == 0
     capsys.readouterr()
     assert dict(builds) == expected
+
+
+def test_the_split_of_a_1e8_rung_asks_for_its_kept_cells_alone(builds):
+    # the cells the trim keeps of the 1e8-per-arm ladder rung's two laws,
+    # and the multiply-adds of their dot products
+    ScenarioAnalysis(ExposureScenario(10**8, 10**8, 0.011, 0.01)).split
+    assert (builds["cells"], builds["macs"]) == (21_368, 408_223_159)
 
 
 def _effective_rr_reference(n, prior_e, prior_u):

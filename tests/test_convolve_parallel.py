@@ -8,9 +8,14 @@ each, full-length cells through one ``"valid"`` correlate.  These tests
 force the worker count and a zero threshold and compare cell bytes with the
 single call, over kernels short enough for numpy's small-kernel branch,
 equal lengths, both operand orders, random lengths and random cell ranges.
+``_cells`` takes the edge cells in phases of their sliding offset mod 8,
+each on one reused aligned copy of the sliding operand: the bytes hold for
+ranges from every start and of every short length, on operands at every
+offset from a cache line, and one copy of an operand is live at a time.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +47,13 @@ def _operands(seed, n1, n2):
     return _aligned(x), _aligned(y)
 
 
+def _offset_operands(seed, n1, n2, shift_x, shift_y):
+    """``_operands`` as views ``shift_x`` and ``shift_y`` elements into
+    64-byte-aligned arrays, so each starts at its own offset from a cache line."""
+    x, y = _operands(seed, n1 + shift_x, n2 + shift_y)
+    return x[shift_x:], y[shift_y:]
+
+
 lengths = st.one_of(
     st.tuples(st.integers(1, 400), st.just(1)),  # a one-cell kernel
     st.tuples(st.integers(11, 400), st.integers(2, 11)),  # the small-kernel branch
@@ -62,14 +74,18 @@ FULL = (0, 1000)
 
 @settings(max_examples=60, deadline=None)
 @given(shape=lengths, workers=st.integers(1, 4), seed=st.integers(0, 2**32),
-       span=st.one_of(st.just(FULL), st.tuples(st.integers(0, 1000), st.integers(0, 1000))))
-@example(shape=(12, 12), workers=4, seed=0, span=FULL)
-@example(shape=(2, 2), workers=3, seed=1, span=FULL)  # a range of one costly edge cell
-@example(shape=(1, 1), workers=2, seed=2, span=FULL)
-@example(shape=(400, 30), workers=2, seed=3, span=(10, 990))  # both edges, cut
-@example(shape=(400, 30), workers=3, seed=4, span=(500, 510))  # full-length cells only
-def test_split_cells_are_the_bytes_of_one_call(shape, workers, seed, span):
-    x, y = _operands(seed, *shape)
+       span=st.one_of(st.just(FULL), st.tuples(st.integers(0, 1000), st.integers(0, 1000))),
+       shifts=st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 7), st.integers(0, 7))))
+@example(shape=(12, 12), workers=4, seed=0, span=FULL, shifts=(0, 0))
+@example(shape=(2, 2), workers=3, seed=1, span=FULL, shifts=(0, 0))  # a range of one costly edge cell
+@example(shape=(1, 1), workers=2, seed=2, span=FULL, shifts=(0, 0))
+@example(shape=(400, 30), workers=2, seed=3, span=(10, 990), shifts=(0, 0))  # both edges, cut
+@example(shape=(400, 30), workers=3, seed=4, span=(500, 510), shifts=(0, 0))  # full-length cells only
+@example(shape=(400, 300), workers=1, seed=5, span=(1, 999), shifts=(3, 6))  # operands off a cache line
+@example(shape=(300, 300), workers=2, seed=6, span=(990, 1000), shifts=(1, 1))  # no full-length cells
+@example(shape=(9, 9), workers=1, seed=7, span=(0, 999), shifts=(0, 5))  # fewer edge cells than phases
+def test_split_cells_are_the_bytes_of_one_call(shape, workers, seed, span, shifts):
+    x, y = _offset_operands(seed, *shape, *shifts)
     expected = np.correlate(x, y, "full")
     start, stop = _cell_range(len(expected), span)
     with pytest.MonkeyPatch.context() as mp:
@@ -176,6 +192,57 @@ def test_small_convolutions_run_in_process(monkeypatch):
     assert forked == []
     assert _correlate(x, y, 0, 1999).tobytes() == np.correlate(x, y, "full").tobytes()
     assert forked == [[(0, 999), (999, 1999)]]
+
+
+@pytest.mark.parametrize("shifts", [(0, 0), (1, 0), (0, 3), (5, 7), (7, 1)])
+def test_edge_cells_in_phases_are_the_bytes_of_one_call(shifts):
+    # every start, so every residue mod 8 on both edges, with ranges of 1 to
+    # 9 cells and to the last cell, which cross from the left edge into the
+    # full-length cells and from those into the right edge
+    x, y = _offset_operands(sum(shifts), 70, 33, *shifts)
+    expected = np.correlate(x, y, "full")
+    # the bits do not depend on where the operands sit
+    assert expected.tobytes() == np.correlate(_aligned(x), _aligned(y), "full").tobytes()
+    cells = len(expected)
+    for start in range(cells):
+        for stop in {*range(start + 1, min(start + 10, cells + 1)), cells}:
+            got = np.empty(stop - start)
+            distributions._cells(x, y, start, stop, got)
+            assert got.tobytes() == expected[start:stop].tobytes(), (start, stop)
+
+
+def test_edge_cells_hold_one_copy_of_an_operand_at_a_time(monkeypatch):
+    # the 1e8-per-arm ladder rung's operands, as ``convolve`` passes them
+    a = binomial_distribution(10**8, 0.011)
+    b = binomial_distribution(10**8, 0.01)
+    x, y = _aligned(a.masses), _aligned(b.masses[::-1])
+    n1, n2 = len(x), len(y)
+    assert n1 > n2 > 20_000
+    # the numpy data allocated since tracing started, read at every 97th dot
+    # product (a snapshot takes milliseconds), while the phase copies are live
+    calls, held = [], []
+    vdot = np.vdot
+
+    def traced_vdot(u, v):
+        if len(calls) % 97 == 0:
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            held.append(sum(trace.size for trace in snapshot.traces))
+        calls.append(1)
+        return vdot(u, v)
+
+    monkeypatch.setattr(np, "vdot", traced_vdot)
+    for start, stop in [(n2 - 1 - 4_000, n2 - 1), (n1, n1 + 4_000)]:
+        out = np.empty(stop - start)
+        calls.clear()
+        held.clear()
+        tracemalloc.start()
+        try:
+            distributions._cells(x, y, start, stop, out)
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == stop - start
+        assert 0 < max(held) <= y.nbytes + 16 * 8
 
 
 def _dying_cells(x, y, start, stop, out):

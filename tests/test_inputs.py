@@ -11,6 +11,7 @@ from riskcounts.cli import main
 from riskcounts.cohort import (
     CausalSpec,
     CovariateRule,
+    banana_swap,
     false_cause_rate,
     generate,
     proxy_study,
@@ -127,6 +128,7 @@ def _spec(**fields):
     (lambda: replication_study((1, 2), 3), "spec must be a CausalSpec instance"),
     (lambda: proxy_study((1, 2), 3), "spec must be a CausalSpec instance"),
     (lambda: false_cause_rate((1, 2), 3), "spec must be a CausalSpec instance"),
+    (lambda: banana_swap((1, 2), "x"), "cohort must be a Cohort instance"),
     (lambda: summarize((1, 2)), "scenario must be an ExposureScenario or UncertainScenario instance"),
     (lambda: prob_greater((1, 2), binomial_distribution(10, 0.3)),
      "x must be a CountDistribution instance"),
