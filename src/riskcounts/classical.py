@@ -75,10 +75,14 @@ def _score_test(
     cases_a: int, n_a: int, cases_b: int, n_b: int, continuity_correction: bool
 ) -> tuple[float, float]:
     """``(statistic, p_value)`` of ``two_proportion_test`` on counts the
-    caller vouches for (0 <= cases <= n, n >= 1); replication studies call
-    it directly, once per variant and replication.  A pure function of its
-    arguments, so the scores of the most recent counts are kept: studies of
-    small cohorts repeat the same counts many times."""
+    caller vouches for (0 <= cases <= n); replication studies call it
+    directly, once per variant and replication.  An empty arm, which a
+    ``TwoByTwo`` cannot have but a split of a cohort can, carries no
+    evidence either way.  A pure function of its arguments, so the scores of
+    the most recent counts are kept: studies of small cohorts repeat the
+    same counts many times."""
+    if n_a == 0 or n_b == 0:
+        return 0.0, 1.0
     pa = cases_a / n_a
     pb = cases_b / n_b
     pooled = (cases_a + cases_b) / (n_a + n_b)

@@ -6,6 +6,11 @@ accordingly.  Analyses are then run blind to that ground truth, which is
 what lets the replication studies measure how often a significance
 procedure "finds" a cause that is not one.
 
+The analyses see only which side of the cohort each individual is on: every
+variant is the score test of one side against the rest, group 1 for the
+label and a noiseless covariate alike, the side its split cuts for a proxy
+or a noisy covariate (``_scorer``).
+
 Determinism: every draw derives from numpy's SeedSequence/Philox
 counter-based scheme.  Replication ``i`` of a study draws from the entropy
 tuple ``(master_seed, i)``, so replications are independent and order-free.
@@ -49,7 +54,7 @@ import numpy as np
 
 from . import _parallel
 from .classical import TestResult, _score_test
-from .distributions import DomainError, _check_count, _check_probability
+from .distributions import DomainError, _check_count, _check_probability, _check_real
 
 __all__ = [
     "MAX_COHORT_SIZE",
@@ -131,7 +136,7 @@ class CovariateRule:
         if not self.name or not isinstance(self.name, str):
             raise DomainError("covariate rule needs a nonempty string name")
         for attr in ("intercept", "slope", "noise_sd"):
-            v = float(getattr(self, attr))
+            v = _check_real(getattr(self, attr), f"covariate {attr}")
             if not math.isfinite(v):
                 raise DomainError(f"covariate {attr} must be finite")
             object.__setattr__(self, attr, v)
@@ -517,19 +522,6 @@ def _cells(side: np.ndarray, outcome: np.ndarray) -> tuple[int, int]:
     return np.count_nonzero(side), np.count_nonzero(side & outcome)
 
 
-def _split_score(
-    n_a: int, cases_a: int, n: int, cases: int, continuity_correction: bool
-) -> tuple[float, float]:
-    """``(statistic, p_value)`` of the score test of a side of ``n_a`` of a
-    cohort's ``n`` individuals, holding ``cases_a`` of its ``cases``,
-    against the rest; a split with an empty side carries no evidence either
-    way."""
-    n_b = n - n_a
-    if n_a == 0 or n_b == 0:
-        return 0.0, 1.0
-    return _score_test(cases_a, n_a, cases - cases_a, n_b, continuity_correction)
-
-
 def _check_separates(rule: CovariateRule, n_a: int, n: int) -> None:
     """Refuse a covariate split that puts ``n_a`` of ``n`` on one side:
     all or none."""
@@ -542,50 +534,36 @@ def _check_separates(rule: CovariateRule, n_a: int, n: int) -> None:
 
 def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
     """The score test of ``variant`` on cohorts of ``spec``, as ``(split,
-    score)``.  ``score(c0, c1, cell)`` gives ``(statistic, p_value)`` from a
-    cohort's cases in group 0 and in group 1 and ``cell``, the ``_cells`` of
-    ``split``: the proxy rule or the covariate rule with noise the variant
-    splits the cohort by.  ``split`` and ``cell`` are None for a variant
-    scored from the group counts alone.
-
-    A rule without noise puts each group wholly on one side of its
-    threshold, so it is scored from the group counts.  A variant that cannot
-    be scored gets a function that raises its error: scoring a cohort
-    raises it after the variants listed before it.
+    score)``: the test of one side of the cohort against the rest.
+    ``score(c0, c1, cell)`` gives ``(statistic, p_value)`` from a cohort's
+    cases in group 0 and in group 1 and ``cell``, the ``_cells`` of the side
+    ``split`` cuts: the proxy rule, or a covariate rule with noise, whose
+    side must be neither empty nor all.  The label and a covariate rule
+    without noise test group 1, ``split`` and ``cell`` being None: such a
+    rule puts each group wholly on one side of its threshold, and
+    ``fl(intercept + slope / 2)`` never rounds past group 0's level, the
+    intercept, so group 1 is the side beyond it.  A variant that cannot be
+    scored gets a function that raises its error: scoring a cohort raises it
+    after the variants listed before it.
     """
     n = spec.n_per_group
+    split = None
     try:
-        if variant == "true_exposure":
-            # the label split is the two halves of the cohort
-            return None, lambda c0, c1, cell: _score_test(c1, n, c0, n, continuity_correction)
         if variant == "proxy_exposure":
-            proxy = spec.proxy_rule
-            if proxy is None:
+            split = spec.proxy_rule
+            if split is None:
                 raise DomainError("spec has no proxy_rule; proxy_exposure unavailable")
-            return proxy, lambda c0, c1, cell: _split_score(
-                *cell, 2 * n, c0 + c1, continuity_correction
-            )
-        if not variant.startswith("covariate_"):
-            raise DomainError(f"unknown analysis variant {variant!r}")
-        rule = spec.rule(variant[len("covariate_") :])
-        if rule.slope == 0.0:
-            raise DomainError(
-                f"covariate {rule.name!r} cannot separate the cohort: its rule does "
-                "not vary with group"
-            )
-        if rule.noise_sd > 0.0:
-
-            def score(c0: int, c1: int, cell) -> tuple[float, float]:
-                n_a, cases_a = cell
-                _check_separates(rule, n_a, 2 * n)
-                return _split_score(n_a, cases_a, 2 * n, c0 + c1, continuity_correction)
-
-            return rule, score
-        sides = _side(rule, np.array(_levels(rule)))
-        _check_separates(rule, np.count_nonzero(sides), 2)
-        if sides[1]:
-            return None, lambda c0, c1, cell: _score_test(c1, n, c0, n, continuity_correction)
-        return None, lambda c0, c1, cell: _score_test(c0, n, c1, n, continuity_correction)
+        elif variant != "true_exposure":
+            if not variant.startswith("covariate_"):
+                raise DomainError(f"unknown analysis variant {variant!r}")
+            rule = spec.rule(variant[len("covariate_") :])
+            if rule.slope == 0.0:
+                raise DomainError(f"covariate {rule.name!r} cannot separate the cohort: "
+                                  "its rule does not vary with group")
+            if rule.noise_sd > 0.0:
+                split = rule
+            else:
+                _check_separates(rule, np.count_nonzero(_side(rule, np.array(_levels(rule)))), 2)
     except DomainError as exc:
         error = exc
 
@@ -593,6 +571,14 @@ def _scorer(spec: CausalSpec, variant: str, continuity_correction: bool):
             raise error
 
         return None, fail
+
+    def score(c0: int, c1: int, cell) -> tuple[float, float]:
+        n_a, cases_a = (n, c1) if cell is None else cell
+        if isinstance(split, CovariateRule):
+            _check_separates(split, n_a, 2 * n)
+        return _score_test(cases_a, n_a, c0 + c1 - cases_a, 2 * n - n_a, continuity_correction)
+
+    return split, score
 
 
 def _variant_score(

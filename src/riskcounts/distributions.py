@@ -58,6 +58,7 @@ other sum of products is ``np.sum``'s fixed pairwise order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -135,8 +136,19 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_real(value: float, name: str) -> float:
+    """Return ``value`` as a ``float`` if it is a real number other than a
+    bool; otherwise raise ``DomainError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError(f"{name} is beyond the float range") from None
+
+
 def _check_probability(value: float, name: str) -> float:
-    value = float(value)
+    value = _check_real(value, name)
     if not (0.0 <= value <= 1.0):  # also rejects NaN
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
     return value
@@ -152,7 +164,7 @@ def _check_count(value: int, name: str, minimum: int = 0) -> int:
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
+    eps = _check_real(eps, "eps")
     if not (0.0 < eps <= MAX_EPS):
         raise DomainError(f"eps must lie in (0, {MAX_EPS}], got {eps!r}")
     return eps
@@ -179,7 +191,7 @@ class BetaParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
-            v = float(getattr(self, name))
+            v = _check_real(getattr(self, name), name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, v)
@@ -209,7 +221,7 @@ def _check_finite(log_mass: np.ndarray) -> None:
 
 
 def _check_truncated(truncated_mass: float) -> float:
-    trunc = float(truncated_mass)
+    trunc = _check_real(truncated_mass, "truncated_mass")
     if not (0.0 <= trunc <= 1.0):
         raise DomainError(f"truncated_mass must lie in [0, 1], got {trunc!r}")
     return trunc
@@ -1020,7 +1032,7 @@ def quantile(d: CountDistribution, q: float) -> int:
     of 1 clamps to the top of the window.
     """
     _check_law(d, "d", streamed=True)
-    q = float(q)
+    q = _check_real(q, "q")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
     return min(d.support_lo + d._search(q), d.support_hi)
@@ -1036,7 +1048,7 @@ def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
     ``d`` is read only through its support, ``_search`` and ``cdf``, which
     a ``_StreamedCdf`` gives as well.
     """
-    coverage = float(coverage)
+    coverage = _check_real(coverage, "coverage")
     if not (0.0 < coverage < 1.0):
         raise DomainError(f"coverage must lie in (0, 1), got {coverage!r}")
     tail = (1.0 - coverage) / 2.0

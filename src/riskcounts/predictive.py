@@ -22,6 +22,7 @@ from .distributions import (
     _check_count,
     _check_eps,
     _check_probability,
+    _check_real,
     _streamed_law,
     central_interval,
 )
@@ -159,7 +160,7 @@ def _calibrate(
     p_mean = _check_probability(p_mean, "p_mean")
     if not (0.0 < p_mean < 1.0):
         raise DomainError("p_mean must be strictly inside (0, 1) to calibrate")
-    target_ratio = float(target_ratio)
+    target_ratio = _check_real(target_ratio, "target_ratio")
     if not (target_ratio >= 1.0 and math.isfinite(target_ratio)):
         raise DomainError(f"target_ratio must be >= 1, got {target_ratio!r}")
     eps = _check_eps(eps)

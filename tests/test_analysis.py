@@ -6,9 +6,11 @@ none.  Cell counts pin the step logs ``_run`` sums: ``widened`` while the
 windows widen, ``filled`` while they are filled.  Each settled cell's step
 log is computed once in each today, so the two are equal.  Work counts pin
 the cells and multiply-adds each convolution asks ``_correlate`` for, which
-no change to how the cells are computed may move.  The effective relative
-risk of near-certain-zero arms is checked against a high-precision
-reference.  ``summarize`` stdout is pinned in ``test_pinned.py``.
+no change to how the cells are computed may move.  Replication counts pin
+the replications and individuals each bundled study draws and the score
+tests it asks for and computes.  The effective relative risk of
+near-certain-zero arms is checked against a high-precision reference.
+``summarize`` stdout is pinned in ``test_pinned.py``.
 """
 
 import collections
@@ -21,8 +23,11 @@ import pytest
 from oracles import beta_binomial_log_pmf
 from pinned import SMALL_UNCERTAIN, scenario_path
 from riskcounts import BetaParams, ExposureScenario, UncertainScenario, distributions, summarize
+from riskcounts import _parallel, cohort
+from riskcounts.classical import _score_test
 from riskcounts.cli import main
 from riskcounts.comparison import ScenarioAnalysis
+from riskcounts.scenarios import load_bundled
 
 _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
 
@@ -91,6 +96,34 @@ def test_the_split_of_a_1e8_rung_asks_for_its_kept_cells_alone(builds):
     # and the multiply-adds of their dot products
     ScenarioAnalysis(ExposureScenario(10**8, 10**8, 0.011, 0.01)).split
     assert (builds["cells"], builds["macs"]) == (21_368, 408_223_159)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("null_spec", (10_000, 20_000_000, 10_000, 427)),
+    ("banana_spec", (2_000, 4_000_000, 4_000, 224)),
+    ("proxy_spec", (2_000, 4_000_000, 4_000, 2_580)),
+])
+def test_simulate_draws_and_scores_each_replication_once(name, expected, monkeypatch):
+    """A bundled spec's study, in-process: the replications and individuals
+    drawn, and the score tests asked for and computed (cache misses).  The
+    banana covariate tests the label's side, so its scores are cache hits."""
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+    counts = collections.Counter()
+    draw = cohort._draw
+
+    def counted_draw(spec, streams, dests, reduce):
+        rows = draw(spec, streams, dests, reduce)
+        counts["replications"] += rows
+        counts["individuals"] += rows * 2 * spec.n_per_group
+        return rows
+
+    monkeypatch.setattr(cohort, "_draw", counted_draw)
+    sf = load_bundled(name)
+    _score_test.cache_clear()
+    cohort.replication_study(sf.payload, sf.replications, alpha=sf.alpha, seed=sf.seed)
+    info = _score_test.cache_info()
+    assert (counts["replications"], counts["individuals"], info.hits + info.misses,
+            info.misses) == expected
 
 
 def _effective_rr_reference(n, prior_e, prior_u):

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from riskcounts.cli import main
+from riskcounts.classical import TwoByTwo, two_proportion_test
 from riskcounts.cohort import (
     CausalSpec,
     CovariateRule,
+    ProxyRule,
     banana_swap,
     false_cause_rate,
     generate,
     proxy_study,
     replication_study,
 )
-from riskcounts.comparison import prob_equal, prob_greater, summarize
+from riskcounts.comparison import ExposureScenario, prob_equal, prob_greater, summarize
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
@@ -27,8 +29,10 @@ from riskcounts.distributions import (
     central_interval,
     convolve,
     mode,
+    quantile,
 )
 from riskcounts.predictive import (
+    calibrate_prior,
     calibrated_scenario,
     posterior_update,
     predictive_arms,
@@ -139,6 +143,28 @@ def _spec(**fields):
     (lambda: prob_equal(binomial_distribution(10, 0.3), (1, 2)), "y must be a CountDistribution instance"),
     (lambda: central_interval((1, 2), 0.9), "d must be a CountDistribution instance"),
     (lambda: mode((1, 2)), "d must be a CountDistribution instance"),
+    # a real argument must be a real number, not None, a string or a bool
+    (lambda: ExposureScenario(1, 1, None, 0.5), "p_exposed must be a real number, got None"),
+    (lambda: ExposureScenario(10, 10, True, False), "p_exposed must be a real number, got True"),
+    (lambda: ExposureScenario(10, 10, 0.5, "0.5"), "p_unexposed must be a real number, got '0.5'"),
+    (lambda: ExposureScenario(10, 10, 10**400, 0.5), "p_exposed is beyond the float range"),
+    (lambda: _spec(baseline_p="abc"), "baseline_p must be a real number, got 'abc'"),
+    (lambda: ProxyRule(False), "accuracy must be a real number, got False"),
+    (lambda: two_proportion_test(TwoByTwo(1, 2, 1, 2), alpha=None),
+     "alpha must be a real number, got None"),
+    (lambda: BetaParams(None, 1), "alpha must be a real number, got None"),
+    (lambda: BetaParams(1, "abc"), "beta must be a real number, got 'abc'"),
+    (lambda: binomial_distribution(10, 0.5, eps=None), "eps must be a real number, got None"),
+    (lambda: binomial_distribution(10, 0.5, eps=True), "eps must be a real number, got True"),
+    (lambda: CountDistribution("binomial", 0, 0, np.zeros(1), None),
+     "truncated_mass must be a real number, got None"),
+    (lambda: quantile(binomial_distribution(10, 0.3), "0.5"), "q must be a real number, got '0.5'"),
+    (lambda: central_interval(binomial_distribution(10, 0.3), None),
+     "coverage must be a real number, got None"),
+    (lambda: CovariateRule("x", None, 1.0), "covariate intercept must be a real number, got None"),
+    (lambda: CovariateRule("x", 0.0, 1.0, True), "covariate noise_sd must be a real number, got True"),
+    (lambda: calibrate_prior(10, 0.1, None), "target_ratio must be a real number, got None"),
+    (lambda: calibrate_prior(10, 0.1, "2"), "target_ratio must be a real number, got '2'"),
 ])
 def test_a_wrong_typed_argument_is_refused_with_a_domain_error(call, message):
     with pytest.raises(DomainError) as exc:

@@ -219,6 +219,21 @@ def test_one_sided_covariate_split_raises_the_oracle_error(slope):
     assert str(swapped.value) == str(want.value)
 
 
+EXTREMES = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                            -1.7976931348623157e308])
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]) | EXTREMES,
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool) | EXTREMES,
+)
+def test_group_0_never_lies_beyond_a_noiseless_threshold(intercept, slope):
+    # fl(intercept + slope / 2) never rounds past the intercept, group 0's
+    # level, so a noiseless covariate tests group 1's side or none
+    rule = CovariateRule("x", intercept, slope)
+    assert not cohort._side(rule, np.array(cohort._levels(rule)))[0]
+
+
 @pytest.mark.parametrize("continuity", [True, False])
 @pytest.mark.parametrize("noise_sd", [0.0, 0.7])
 def test_banana_swap_matches_the_oracle(noise_sd, continuity):
