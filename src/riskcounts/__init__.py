@@ -11,145 +11,25 @@ that show what that test can and cannot establish about cause.
 Numerics are deterministic: distribution construction is closed-form
 log-space arithmetic with explicit truncation budgets, and every simulation
 is driven by counter-based streams keyed on a declared seed.
+
+Every name a module lists in its ``__all__`` is importable from here: each
+public name is declared once, in its own module.
 """
 
 # Set before the submodule imports: figures stamps it into CSV headers.
 __version__ = "0.1.0"
 
-from .classical import TestResult, TwoByTwo, relative_risk_estimate, two_proportion_test
-from .cohort import (
-    CausalSpec,
-    Cohort,
-    CovariateRule,
-    ProxyRule,
-    ReplicationReport,
-    VariantStats,
-    banana_swap,
-    false_cause_rate,
-    generate,
-    proxy_study,
-    replication_study,
-)
-from .comparison import (
-    BoundedProbability,
-    ComparisonSummary,
-    ExposureScenario,
-    LivesSavedBounds,
-    SplitComparison,
-    counterfactual_all_low,
-    lives_saved_bounds,
-    more_in_high,
-    observed_comparison,
-    prob_equal,
-    prob_greater,
-    prob_less,
-    summarize,
-    split_vs_counterfactual,
-    times_as_many,
-)
-from .distributions import (
-    DEFAULT_EPS,
-    BetaParams,
-    CountDistribution,
-    CredibleInterval,
-    DomainError,
-    beta_binomial_distribution,
-    binomial_distribution,
-    binomial_log_pmf,
-    central_interval,
-    convolve,
-    mode,
-    quantile,
-)
-from .figures import FigureTable, build_figure, render_figure_csv, write_text_atomic
-from .predictive import (
-    CalibrationError,
-    SpreadReport,
-    UncertainScenario,
-    calibrate_prior,
-    calibrated_scenario,
-    posterior_update,
-    predictive_arms,
-    spread_report,
-    spread_reports,
-)
-from .scenarios import (
-    BUNDLED_SCENARIOS,
-    ScenarioError,
-    ScenarioFile,
-    load_bundled,
-    load_scenario,
-    parse_scenario,
-)
+from . import classical, cohort, comparison, distributions, figures, predictive, scenarios
+from .distributions import *
+from .comparison import *
+from .predictive import *
+from .classical import *
+from .cohort import *
+from .figures import *
+from .scenarios import *
 
-__all__ = [
-    "__version__",
-    # distributions
-    "DEFAULT_EPS",
-    "BetaParams",
-    "CountDistribution",
-    "CredibleInterval",
-    "DomainError",
-    "beta_binomial_distribution",
-    "binomial_distribution",
-    "binomial_log_pmf",
-    "central_interval",
-    "convolve",
-    "mode",
-    "quantile",
-    # comparison
-    "BoundedProbability",
-    "ComparisonSummary",
-    "ExposureScenario",
-    "LivesSavedBounds",
-    "SplitComparison",
-    "counterfactual_all_low",
-    "lives_saved_bounds",
-    "more_in_high",
-    "observed_comparison",
-    "prob_equal",
-    "prob_greater",
-    "prob_less",
-    "summarize",
-    "split_vs_counterfactual",
-    "times_as_many",
-    # predictive
-    "CalibrationError",
-    "SpreadReport",
-    "UncertainScenario",
-    "calibrate_prior",
-    "calibrated_scenario",
-    "posterior_update",
-    "predictive_arms",
-    "spread_report",
-    "spread_reports",
-    # classical
-    "TestResult",
-    "TwoByTwo",
-    "relative_risk_estimate",
-    "two_proportion_test",
-    # cohort
-    "CausalSpec",
-    "Cohort",
-    "CovariateRule",
-    "ProxyRule",
-    "ReplicationReport",
-    "VariantStats",
-    "banana_swap",
-    "false_cause_rate",
-    "generate",
-    "proxy_study",
-    "replication_study",
-    # figures
-    "FigureTable",
-    "build_figure",
-    "render_figure_csv",
-    "write_text_atomic",
-    # scenarios
-    "BUNDLED_SCENARIOS",
-    "ScenarioError",
-    "ScenarioFile",
-    "load_bundled",
-    "load_scenario",
-    "parse_scenario",
-]
+__all__ = list(dict.fromkeys(["__version__", *(
+    name
+    for module in (distributions, comparison, predictive, classical, cohort, figures, scenarios)
+    for name in module.__all__
+)]))

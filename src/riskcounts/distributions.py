@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -155,9 +156,18 @@ def _check_probability(value: float, name: str) -> float:
 
 
 def _check_count(value: int, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as an ``int`` if it is an integer other than a bool
+    and at least ``minimum``; otherwise raise ``DomainError``.  Every count
+    passes here before a message formats it, so one that ``str`` refuses
+    (past its digit limit, far beyond the float range) is refused here."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}".lstrip())
     value = int(value)
+    if abs(value) > sys.float_info.max:
+        try:
+            str(value)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise DomainError(f"{name} is beyond the float range".lstrip()) from None
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}".lstrip())
     return value
@@ -361,6 +371,7 @@ def binomial_log_pmf(n: int, p: float, k: int) -> float:
         return 0.0 if k == 0 else -math.inf
     if p == 1.0:
         return 0.0 if k == n else -math.inf
+    _check_real(n, "n")
     choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     return choose + k * math.log(p) + (n - k) * math.log1p(-p)
 
@@ -643,47 +654,19 @@ def _streamed_law(args: CountDistribution | dict) -> CountDistribution | _Stream
 # start-up, and ``pvalue`` and ``simulate`` never evaluate an anchor.
 
 
-def _binomial_anchor(n: int, p: float):
+def _anchor(n: int, terms):
+    """The log-pmf at k as a double: log C(n, k) plus the two kind-specific
+    ``terms(mpmath, k)``, added in that order at ``_ANCHOR_DPS`` digits."""
     import mpmath
 
     def anchor(k: int) -> float:
         with mpmath.workdps(_ANCHOR_DPS):
-            x = mpmath.mpf(p)
-            v = (
-                mpmath.loggamma(n + 1)
-                - mpmath.loggamma(k + 1)
-                - mpmath.loggamma(n - k + 1)
-                + k * mpmath.log(x)
-                + (n - k) * mpmath.log(1 - x)
-            )
-            return float(v)
+            lg = mpmath.loggamma
+            log_choose = lg(n + 1) - lg(k + 1) - lg(n - k + 1)
+            first, second = terms(mpmath, k)
+            return float(log_choose + first + second)
 
     return anchor
-
-
-def _beta_binomial_anchor(n: int, a: float, b: float):
-    import mpmath
-
-    def anchor(k: int) -> float:
-        with mpmath.workdps(_ANCHOR_DPS):
-            aa = mpmath.mpf(a)
-            bb = mpmath.mpf(b)
-            v = (
-                mpmath.loggamma(n + 1)
-                - mpmath.loggamma(k + 1)
-                - mpmath.loggamma(n - k + 1)
-                + _log_beta(k + aa, n - k + bb)
-                - _log_beta(aa, bb)
-            )
-            return float(v)
-
-    return anchor
-
-
-def _log_beta(x, y):
-    import mpmath
-
-    return mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +692,7 @@ def _binomial_args(n: int, p: float, eps: float) -> CountDistribution | dict:
         return _point_mass("binomial", 0)
     if p == 1.0:
         return _point_mass("binomial", n)
+    _check_real(n, "n")
 
     q = 1.0 - p
 
@@ -722,7 +706,7 @@ def _binomial_args(n: int, p: float, eps: float) -> CountDistribution | dict:
         sd=math.sqrt(n * p * q),
         n_max=n,
         log_ratio=log_ratio,
-        anchor_fn=_binomial_anchor(n, p),
+        anchor_fn=_anchor(n, lambda mp, k: (k * mp.log(p), (n - k) * mp.log(1 - mp.mpf(p)))),
         anchor_at=min(int((n + 1) * p), n),
         eps=eps,
     )
@@ -753,10 +737,18 @@ def _beta_binomial_args(n: int, prior: BetaParams, eps: float) -> CountDistribut
     eps = _check_eps(eps)
     if n == 0:
         return _point_mass("beta-binomial", 0)
+    _check_real(n, "n")
     a, b = prior.alpha, prior.beta
 
     def log_ratio(ks: np.ndarray) -> np.ndarray:
         return np.log((n - ks) * (ks + a) / ((ks + 1.0) * (n - ks - 1.0 + b)))
+
+    def log_beta_terms(mp, k: int):
+        # log B(k + a, n - k + b) and -log B(a, b): adding the negated term
+        # keeps the bits of subtracting it
+        lg, a_, b_ = mp.loggamma, mp.mpf(a), mp.mpf(b)
+        x, y = k + a_, n - k + b_
+        return lg(x) + lg(y) - lg(x + y), -(lg(a_) + lg(b_) - lg(a_ + b_))
 
     c = a + b
     mean = n * a / c
@@ -773,7 +765,7 @@ def _beta_binomial_args(n: int, prior: BetaParams, eps: float) -> CountDistribut
         sd=math.sqrt(var),
         n_max=n,
         log_ratio=log_ratio,
-        anchor_fn=_beta_binomial_anchor(n, a, b),
+        anchor_fn=_anchor(n, log_beta_terms),
         anchor_at=int(round(mean)),
         eps=eps,
         monotone_lo=a >= 1.0,

@@ -79,6 +79,7 @@ def posterior_update(prior: BetaParams, successes: int, trials: int) -> BetaPara
     trials = _check_count(trials, "trials")
     if successes > trials:
         raise DomainError(f"successes {successes} exceed trials {trials}")
+    _check_real(trials, "trials")
     return BetaParams(prior.alpha + successes, prior.beta + trials - successes)
 
 

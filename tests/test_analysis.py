@@ -80,6 +80,24 @@ def builds(monkeypatch):
      {"binomial_distribution": 3, "convolve": 1, "widened": 1_621, "filled": 1_621,
       "cells": 414, "macs": 155_541}),
     (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22, "widened": 47_110, "filled": 47_110}),
+    (["summarize", "la_rr2"],
+     {"binomial_distribution": 5, "convolve": 1, "widened": 55, "filled": 55, "cells": 14, "macs": 99}),
+    (["summarize", "ny_rr2"],
+     {"binomial_distribution": 5, "convolve": 1, "widened": 64, "filled": 64, "cells": 17, "macs": 135}),
+    (["summarize", "us_rr2"],
+     {"binomial_distribution": 5, "convolve": 1, "widened": 438, "filled": 438,
+      "cells": 102, "macs": 5_043}),
+    (["figure", "us_rr2", "--id", "3"],
+     {"binomial_distribution": 3, "convolve": 1, "widened": 270, "filled": 270,
+      "cells": 102, "macs": 5_043}),
+    (["figure", "la_rr106", "--id", "2", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 22, "beta_binomial_distribution": 2, "widened": 48_841, "filled": 48_841}),
+    (["figure", "la_rr106", "--id", "4", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 22, "beta_binomial_distribution": 3, "convolve": 1, "widened": 50_473,
+      "filled": 50_473, "cells": 832, "macs": 546_954}),
+    (["calibrate", "la_rr2", "2.0"], {"_streamed_law": 10, "widened": 9_372, "filled": 9_372}),
+    (["calibrate", "ny_rr2", "2.0"], {"_streamed_law": 14, "widened": 834, "filled": 834}),
+    (["calibrate", "us_rr2", "2.0"], {"_streamed_law": 20, "widened": 7_373, "filled": 7_373}),
 ])
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
     scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])

@@ -1,6 +1,7 @@
-"""No dead private code: every private module-level function, class or
-constant of the package is named somewhere in its source other than its
-own definition."""
+"""No dead code: every private module-level function, class or constant of
+the package is named somewhere in its source other than its own
+definition, and every module-level import is read by its module or listed
+in its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,43 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
     )
 
 
+def _imports(tree: ast.Module):
+    """The names a module's top-level imports bind; star imports and
+    ``from __future__`` bind none that need reading."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name
+
+
+def _exported(tree: ast.Module):
+    """The strings of a top-level ``__all__`` list or tuple literal."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            for elt in node.value.elts:
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                    yield elt.value
+
+
+def _unread_imports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each name a top-level import of a module in
+    ``sources`` binds that the module never reads nor exports."""
+    unread = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read.update(_exported(tree))
+        unread += [f"{module}.{name}" for name in _imports(tree) if name not in read]
+    return sorted(unread)
+
+
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     assert _unreferenced(sources) == []
@@ -70,3 +108,19 @@ def test_the_guard_finds_a_definition_left_behind():
     )
     other = "from m import _helper\nimport m\nm._Kept, m._ALSO_USED\n"
     assert _unreferenced({"m": source, "n": other}) == ["m._LEFT", "m._orphan"]
+
+
+def test_every_import_is_read_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert _unread_imports(sources) == []
+
+
+def test_the_guard_finds_an_import_left_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\nimport os.path\nimport numpy as np\n"
+        "from .a import *\nfrom .b import used, kept, left as gone\n"
+        "__all__ = ['kept']\n"
+        "def f(x: np.ndarray):\n    return used(os.path.sep)\n"
+    )
+    assert _unread_imports({"m": source}) == ["m.gone", "m.json"]

@@ -216,6 +216,15 @@ def test_pvalue_command_prints_result_and_caution(capsys):
     assert "cause" in out
 
 
+def test_pvalue_without_cases_in_arm_b_prints_no_relative_risk(capsys):
+    # relative_risk_estimate refuses a zero-case denominator arm; the
+    # command reports the test without that line
+    assert main(["pvalue", "5", "100", "0", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "p-value:" in out and "caution" in out
+    assert "relative-risk estimate" not in out
+
+
 def test_pvalue_no_continuity_flag(capsys):
     main(["pvalue", "15", "1000", "5", "1000", "--no-continuity"])
     out_nc = capsys.readouterr().out

@@ -14,6 +14,7 @@ from riskcounts.cohort import (
     CovariateRule,
     ProxyRule,
     banana_swap,
+    check_seed,
     false_cause_rate,
     generate,
     proxy_study,
@@ -26,6 +27,7 @@ from riskcounts.distributions import (
     DomainError,
     beta_binomial_distribution,
     binomial_distribution,
+    binomial_log_pmf,
     central_interval,
     convolve,
     mode,
@@ -165,6 +167,17 @@ def _spec(**fields):
     (lambda: CovariateRule("x", 0.0, 1.0, True), "covariate noise_sd must be a real number, got True"),
     (lambda: calibrate_prior(10, 0.1, None), "target_ratio must be a real number, got None"),
     (lambda: calibrate_prior(10, 0.1, "2"), "target_ratio must be a real number, got '2'"),
+    # a count beyond the float range, where it would enter float arithmetic
+    # or a message (str refuses an integer past 4,300 digits)
+    (lambda: binomial_distribution(10**400, 0.5), "n is beyond the float range"),
+    (lambda: beta_binomial_distribution(10**400, BetaParams(1, 1)), "n is beyond the float range"),
+    (lambda: calibrate_prior(10**400, 0.1, 2.0), "n is beyond the float range"),
+    (lambda: posterior_update(BetaParams(1, 1), 10**400, 10**400), "trials is beyond the float range"),
+    (lambda: binomial_log_pmf(10**400, 0.5, 1), "n is beyond the float range"),
+    (lambda: binomial_distribution(-10**5000, 0.5), "n is beyond the float range"),
+    (lambda: check_seed(-10**5000), "seed is beyond the float range"),
+    (lambda: TwoByTwo(1, 10**5000, 1, 2), "n_a is beyond the float range"),
+    (lambda: replication_study(_spec(), 10**5000), "replications is beyond the float range"),
 ])
 def test_a_wrong_typed_argument_is_refused_with_a_domain_error(call, message):
     with pytest.raises(DomainError) as exc:

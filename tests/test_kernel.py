@@ -623,7 +623,7 @@ def test_walking_toward_the_cap_keeps_every_law_and_refusal(build, cap):
     assert law_or_refusal(build, cap) == law_or_refusal(build, cap, oracle=True)
 
 
-ANCHOR_FACTORIES = ("_binomial_anchor", "_beta_binomial_anchor")
+ANCHOR_FACTORIES = ("_anchor",)
 
 
 def sums_and_anchors(build, cap):
@@ -833,8 +833,8 @@ def binomial_window(n, p, anchor, n_max=None, eps=1e-12, whole=True):
 
     return distributions._build_windowed(
         kind="binomial", mean=n * p, sd=math.sqrt(n * p * q), n_max=n if n_max is None else n_max,
-        log_ratio=log_ratio, anchor_fn=distributions._binomial_anchor(n, p), anchor_at=anchor,
-        eps=eps, monotone_lo=not whole, monotone_hi=not whole,
+        log_ratio=log_ratio, anchor_fn=distributions._binomial_args(n, p, eps)["anchor_fn"],
+        anchor_at=anchor, eps=eps, monotone_lo=not whole, monotone_hi=not whole,
     )
 
 

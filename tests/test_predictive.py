@@ -430,6 +430,13 @@ def test_calibration_rejects_bad_inputs():
         calibrate_prior(1_000, 0.05, target_ratio=0.5)
 
 
+@pytest.mark.parametrize("n, p_mean", [(1, 1e-9), (10, 1e-6)])
+def test_a_zero_plug_in_width_leaves_no_ratio_to_target(n, p_mean):
+    with pytest.raises(DomainError) as got:
+        calibrate_prior(n, p_mean, 2.0)
+    assert str(got.value) == "plug-in interval width is zero; no ratio to target"
+
+
 def test_calibrated_scenario_carries_sizes_and_means():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no stray warnings on the happy path
