@@ -10,7 +10,6 @@ MODULES = (distributions, comparison, predictive, classical, cohort, figures, sc
 def test_the_package_exports_each_modules_public_names_once():
     names = ["__version__", *(name for module in MODULES for name in module.__all__)]
     assert riskcounts.__all__ == list(dict.fromkeys(names))
-    assert len(set(riskcounts.__all__)) == len(riskcounts.__all__)
 
 
 def test_each_exported_name_is_its_modules_own_object():
