@@ -32,17 +32,17 @@ listed by ``_phases``) and hands each block of raw draws to a reducer;
 ``_transform`` turns a block into what the cohort holds.  ``generate``
 stores every block.  A range reduces its cohorts to the counts its tests
 read: the cases in each group, and the individuals and cases on one side
-of each proxy or noisy-covariate split.  Cohorts of at most half a block
-are drawn in tiles of many replications: each cohort's phases are drawn
-whole into the tile's buffers, one row per replication, the tile is
-reduced at once to one row of counts per replication, and the rows are
+of each proxy or noisy-covariate split.  ``_draw`` reduces a block once
+the last of its rows has drawn it.  Cohorts of at most half a block are
+drawn in tiles of many replications, one row each, so each phase of a tile
+is reduced at once to one row of counts per replication, and the rows are
 scored in order, the score tests of counts met lately read from a cache.
-Wider cohorts are streamed, one replication at a time, each block reduced
-as it is drawn, so a range holds a per-individual array only while a later
-phase reads it: the latent factor until the outcomes are drawn, and the
-outcomes only when a proxy or noisy covariate is tested.  Covariate noise
-is drawn in blocks too, which gives the values of one call and leaves the
-stream where one call leaves it.
+Wider cohorts are streamed, one replication at a time, so each block is
+reduced as it is drawn and a range holds a per-individual array only while
+a later phase reads it: the latent factor until the outcomes are drawn,
+and the outcomes only when a proxy or noisy covariate is tested.
+Covariate noise is drawn in blocks too, which gives the values of one call
+and leaves the stream where one call leaves it.
 """
 
 from __future__ import annotations
@@ -354,18 +354,18 @@ def _cut(n: int, start: int, k: int) -> int:
     return min(max(n - start, 0), k)
 
 
-def _draw(spec: CausalSpec, streams, dests: list[np.ndarray | None], reduce) -> int:
-    """Draw one cohort of ``spec`` from each generator ``streams`` yields,
-    one row each, and hand the raw draws to ``reduce``; return the rows.
+def _draw(spec: CausalSpec, streams, rows: int, dests: list[np.ndarray | None], reduce) -> None:
+    """Draw one cohort of ``spec`` from each of the ``rows`` generators
+    ``streams`` yields, one row each, and hand the raw draws to ``reduce``.
 
-    ``dests`` come from ``_buffers``, one per phase of ``_phases(spec)``.
-    Each phase is drawn into its row of its buffer in blocks of the
-    buffer's width, and ``reduce(phase, rule, start, raw)`` reads a block
-    ``raw`` of every row, ``start`` being its first individual.  With
-    one-row buffers each block is reduced as it is drawn.  A tile's
-    buffers hold each phase of a cohort whole, so it draws every row before
-    it reduces each phase over all of them at once, in phase order.
-    Individuals 0..n-1 are group 0, n..2n-1 group 1.
+    Each phase of ``_phases(spec)`` is drawn into its row of its buffer in
+    ``dests`` (from ``_buffers``) in blocks of the buffer's width, and
+    ``reduce(phase, rule, start, raw)`` reads a block once the last row has
+    drawn it, ``raw`` being that block of every row and ``start`` its first
+    individual.  So a stream (one row) reduces each block before its shared
+    buffer is drawn over, and a tile, whose buffers hold each phase whole,
+    reduces each phase over all its rows, in phase order.  Individuals
+    0..n-1 are group 0, n..2n-1 group 1.
 
     The draw order is fixed: latent factor (two draws: mixing uniforms,
     then fair coins; only when the latent factor is in play), outcomes,
@@ -381,33 +381,24 @@ def _draw(spec: CausalSpec, streams, dests: list[np.ndarray | None], reduce) -> 
     The fair coins stay one call: numpy's bounded int8 draw buffers bits
     within a call, which blocks would change.
     """
-    phases = list(zip(_phases(spec), dests))
     n2 = 2 * spec.n_per_group
-    tile = len(dests[0]) > 1
-    rows = 0
-    for rng in streams:
+    phases = list(zip(_phases(spec), dests))
+    for row, rng in enumerate(streams):
         for (phase, rule), dest in phases:
             if phase == "coins":
                 coins = rng.integers(0, 2, size=n2, dtype=np.int8)
-                if tile:
-                    dest[rows] = coins
+                if dest is None:
+                    dest = coins[None]
                 else:
-                    reduce(phase, rule, 0, coins[None])
-                continue
-            width = dest.shape[1]
-            for start in range(0, n2, width):
-                raw = dest[rows, : n2 - start]  # at most the buffer's width
+                    dest[row] = coins
+            for start in range(0, n2, dest.shape[1]):
+                raw = dest[row, : n2 - start]  # at most the buffer's width
                 if phase == "noise":
                     raw[...] = rng.normal(0.0, rule.noise_sd, size=len(raw))
-                else:
+                elif phase != "coins":
                     rng.random(out=raw)
-                if not tile:
-                    reduce(phase, rule, start, dest[:, : len(raw)])
-        rows += 1
-    if tile:
-        for (phase, rule), dest in phases:
-            reduce(phase, rule, 0, dest[:rows])
-    return rows
+                if row == rows - 1:
+                    reduce(phase, rule, start, dest[:rows, : len(raw)])
 
 
 def _transform(spec: CausalSpec, phase: str, rule, start: int, raw: np.ndarray,
@@ -485,7 +476,7 @@ def generate(spec: CausalSpec, seed: Seed) -> Cohort:
         if phase == "noise":
             covariates[rule.name][block] = values[0]
 
-    _draw(spec, (_rng(seed),), _buffers(spec, 1), keep)
+    _draw(spec, (_rng(seed),), 1, _buffers(spec, 1), keep)
     for arr in (group, true_exposure, outcome, latent, proxy, *covariates.values()):
         if arr is not None:
             arr.setflags(write=False)
@@ -730,16 +721,15 @@ def _replicate_range(
     checks them against numpy's own); no ``SeedSequence`` is built.
 
     Replications are drawn in tiles of min(``_KEY_BLOCK``, ``_BLOCK`` //
-    2n), at least one: ``_draw`` draws every phase of each cohort of a tile
-    into the tile's buffers, ``_Tally`` reduces the tile to one row of
-    counts per cohort (the cases in each group and the ``_cells`` of each
-    split), and the rows are scored in index order, each variant's score
-    test on counts it has scored lately read from ``_score_test``'s cache.
-    A tile of one cohort, and so every cohort wider than half a block
-    (the ``MAX_COHORT_SIZE`` rung among them), takes the streamed path:
-    each block is reduced as it is drawn, outcomes are kept one per
-    individual only when a split is scored, and no proxy flag or covariate
-    value outlives its block.
+    2n), at least one, ``_draw`` being told each tile's key count: ``_Tally``
+    reduces each phase of a tile to one row of counts per cohort (the cases
+    in each group and the ``_cells`` of each split), and the rows are scored
+    in index order, each variant's score test on counts it has scored
+    lately read from ``_score_test``'s cache.  A cohort wider than half a
+    block (the ``MAX_COHORT_SIZE`` rung among them) is a tile of one on
+    one-row buffers, so each block is reduced as it is drawn, outcomes are
+    kept one per individual only when a split is scored, and no proxy flag
+    or covariate value outlives its block.
     """
     n2 = 2 * spec.n_per_group
     scorers = [_scorer(spec, v, continuity_correction) for v in variants]
@@ -767,10 +757,10 @@ def _replicate_range(
     row = 0
     for at in range(start, stop, _KEY_BLOCK):
         keys = _replication_keys(seed, at, min(at + _KEY_BLOCK, stop))
-        for first in range(0, len(keys), tile):
+        for tile_keys in np.split(keys, range(tile, len(keys), tile)):
             tally.clear()
-            drawn = _draw(spec, streams(keys[first : first + tile]), dests, tally)
-            for c in tally.counts[:drawn].tolist():
+            _draw(spec, streams(tile_keys), len(tile_keys), dests, tally)
+            for c in tally.counts[: len(tile_keys)].tolist():
                 rows[row] = [score(c[0], c[1], None if col is None else c[col : col + 2])[1]
                              for col, score in plan]
                 row += 1

@@ -359,6 +359,8 @@ class CredibleInterval:
 def binomial_log_pmf(n: int, p: float, k: int) -> float:
     """log P(K = k) for K ~ Binomial(n, p).
 
+    Evaluated as a window's anchor is, at ``_ANCHOR_DPS`` digits, so it
+    stays within an ulp where a double log-gamma identity would not.
     Degenerate probabilities are handled exactly: p == 0 puts certainty at
     k == 0 (symmetrically p == 1 at k == n), never a NaN.
     """
@@ -372,8 +374,7 @@ def binomial_log_pmf(n: int, p: float, k: int) -> float:
     if p == 1.0:
         return 0.0 if k == n else -math.inf
     _check_real(n, "n")
-    choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return choose + k * math.log(p) + (n - k) * math.log1p(-p)
+    return _anchor(n, _binomial_terms(n, p))(k)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +670,12 @@ def _anchor(n: int, terms):
     return anchor
 
 
+def _binomial_terms(n: int, p: float):
+    """Binomial(n, p)'s two ``_anchor`` terms at k: k log p and
+    (n - k) log(1 - p)."""
+    return lambda mp, k: (k * mp.log(p), (n - k) * mp.log(1 - mp.mpf(p)))
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -706,7 +713,7 @@ def _binomial_args(n: int, p: float, eps: float) -> CountDistribution | dict:
         sd=math.sqrt(n * p * q),
         n_max=n,
         log_ratio=log_ratio,
-        anchor_fn=_anchor(n, lambda mp, k: (k * mp.log(p), (n - k) * mp.log(1 - mp.mpf(p)))),
+        anchor_fn=_anchor(n, _binomial_terms(n, p)),
         anchor_at=min(int((n + 1) * p), n),
         eps=eps,
     )

@@ -27,7 +27,8 @@ from riskcounts import _parallel, cohort
 from riskcounts.classical import _score_test
 from riskcounts.cli import main
 from riskcounts.comparison import ScenarioAnalysis
-from riskcounts.scenarios import load_bundled
+from riskcounts.cohort import CausalSpec
+from riskcounts.scenarios import BUNDLED_SCENARIOS, load_bundled
 
 _BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
 
@@ -68,7 +69,10 @@ def builds(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("argv, expected", [
+#: Each bundled command's counts: every command on each fixed-risk bundled
+#: scenario, those an uncertain scenario takes on the small one, and
+#: ``pvalue``, which builds nothing.
+COMMAND_COUNTS = [
     (["summarize", "la_rr106"],
      {"binomial_distribution": 5, "convolve": 1, "widened": 2_578, "filled": 2_578,
       "cells": 414, "macs": 155_541}),
@@ -98,10 +102,41 @@ def builds(monkeypatch):
     (["calibrate", "la_rr2", "2.0"], {"_streamed_law": 10, "widened": 9_372, "filled": 9_372}),
     (["calibrate", "ny_rr2", "2.0"], {"_streamed_law": 14, "widened": 834, "filled": 834}),
     (["calibrate", "us_rr2", "2.0"], {"_streamed_law": 20, "widened": 7_373, "filled": 7_373}),
-])
+    (["figure", "la_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 22, "filled": 22}),
+    (["figure", "ny_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 25, "filled": 25}),
+    (["figure", "us_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 168, "filled": 168}),
+    (["figure", "la_rr2", "--id", "3"],
+     {"binomial_distribution": 3, "convolve": 1, "widened": 33, "filled": 33, "cells": 14, "macs": 99}),
+    (["figure", "ny_rr2", "--id", "3"],
+     {"binomial_distribution": 3, "convolve": 1, "widened": 39, "filled": 39, "cells": 17, "macs": 135}),
+    (["figure", "la_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 10, "beta_binomial_distribution": 2, "widened": 9_524, "filled": 9_524}),
+    (["figure", "ny_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 14, "beta_binomial_distribution": 2, "widened": 993, "filled": 993}),
+    (["figure", "us_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 20, "beta_binomial_distribution": 2, "widened": 7_778, "filled": 7_778}),
+    (["figure", "la_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 10, "beta_binomial_distribution": 3, "convolve": 1, "widened": 9_602,
+      "filled": 9_602, "cells": 35, "macs": 630}),
+    (["figure", "ny_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 14, "beta_binomial_distribution": 3, "convolve": 1, "widened": 1_078,
+      "filled": 1_078, "cells": 41, "macs": 861}),
+    (["figure", "us_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
+     {"_streamed_law": 20, "beta_binomial_distribution": 3, "convolve": 1, "widened": 8_049,
+      "filled": 8_049, "cells": 212, "macs": 21_912}),
+    (["figure", "uncertain", "--id", "2"], {"beta_binomial_distribution": 2, "widened": 98, "filled": 98}),
+    (["figure", "uncertain", "--id", "4"],
+     {"beta_binomial_distribution": 3, "convolve": 1, "widened": 159, "filled": 159,
+      "cells": 65, "macs": 1_869}),
+    (["pvalue", "15", "1000", "5", "1000"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", COMMAND_COUNTS)
 def test_each_command_builds_each_law_once(argv, expected, builds, tmp_path, capsys):
-    scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])
-    argv = [argv[0], scenario, *argv[2:]]
+    if argv[0] != "pvalue":
+        scenario = scenario_path(tmp_path, SMALL_UNCERTAIN if argv[1] == "uncertain" else argv[1])
+        argv = [argv[0], scenario, *argv[2:]]
     if argv[0] == "figure":
         argv += ["--out", str(tmp_path / "fig.csv")]
     assert main(argv) == 0
@@ -116,11 +151,34 @@ def test_the_split_of_a_1e8_rung_asks_for_its_kept_cells_alone(builds):
     assert (builds["cells"], builds["macs"]) == (21_368, 408_223_159)
 
 
-@pytest.mark.parametrize("name, expected", [
+#: ``simulate``'s counts on each bundled spec.
+SIMULATE_COUNTS = [
     ("null_spec", (10_000, 20_000_000, 10_000, 427)),
     ("banana_spec", (2_000, 4_000_000, 4_000, 224)),
     ("proxy_spec", (2_000, 4_000_000, 4_000, 2_580)),
-])
+]
+
+#: The commands each kind of scenario takes, as (command, options).
+_FIXED_COMMANDS = [("summarize",), ("figure", "--id", "1"), ("figure", "--id", "3"),
+                   ("figure", "--id", "2", "--calibrate-ratio", "2.0"),
+                   ("figure", "--id", "4", "--calibrate-ratio", "2.0"), ("calibrate", "2.0")]
+_UNCERTAIN_COMMANDS = [("summarize",), ("figure", "--id", "2"), ("figure", "--id", "4")]
+
+
+def test_the_count_tables_hold_one_row_per_bundled_command():
+    kinds = {name: type(load_bundled(name).payload) for name in BUNDLED_SCENARIOS}
+    assert set(kinds.values()) == {ExposureScenario, CausalSpec}
+    wanted = [[command, name, *options] for name in BUNDLED_SCENARIOS
+              if kinds[name] is ExposureScenario for command, *options in _FIXED_COMMANDS]
+    wanted += [[command, "uncertain", *options] for command, *options in _UNCERTAIN_COMMANDS]
+    wanted.append(["pvalue", "15", "1000", "5", "1000"])
+    assert sorted(argv for argv, _ in COMMAND_COUNTS) == sorted(wanted)
+    assert sorted(name for name, _ in SIMULATE_COUNTS) == sorted(
+        name for name in BUNDLED_SCENARIOS if kinds[name] is CausalSpec
+    )
+
+
+@pytest.mark.parametrize("name, expected", SIMULATE_COUNTS)
 def test_simulate_draws_and_scores_each_replication_once(name, expected, monkeypatch):
     """A bundled spec's study, in-process: the replications and individuals
     drawn, and the score tests asked for and computed (cache misses).  The
@@ -129,11 +187,14 @@ def test_simulate_draws_and_scores_each_replication_once(name, expected, monkeyp
     counts = collections.Counter()
     draw = cohort._draw
 
-    def counted_draw(spec, streams, dests, reduce):
-        rows = draw(spec, streams, dests, reduce)
-        counts["replications"] += rows
-        counts["individuals"] += rows * 2 * spec.n_per_group
-        return rows
+    def counted(streams, n2):
+        for rng in streams:
+            counts["replications"] += 1
+            counts["individuals"] += n2
+            yield rng
+
+    def counted_draw(spec, streams, rows, dests, reduce):
+        draw(spec, counted(streams, 2 * spec.n_per_group), rows, dests, reduce)
 
     monkeypatch.setattr(cohort, "_draw", counted_draw)
     sf = load_bundled(name)

@@ -102,6 +102,7 @@ def test_greater_and_less_are_exact_mirrors():
     y = binomial_distribution(1_400, 0.004, eps=1e-12)
     assert prob_less(x, y).value == prob_greater(y, x).value
     assert prob_greater(x, y).value == prob_less(y, x).value
+    assert float(prob_greater(x, y)) == prob_greater(x, y).value
 
 
 def test_triple_sums_to_one():

@@ -74,6 +74,20 @@ def test_binomial_log_pmf_reference_points():
     assert binomial_log_pmf(4, 0.5, 2) == pytest.approx(math.log(0.375), rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [10**6, 10**8, 10**9, 2**32 - 1])
+@pytest.mark.parametrize("p", [0.5, 0.011, 1e-7])
+@pytest.mark.parametrize("sds", [0, 5])
+def test_binomial_log_pmf_is_within_one_ulp_at_large_n(n, p, sds):
+    # at the mode and 5 sd above it, where a double log-gamma difference
+    # of terms ~1e10 would be off by 1e-10 to 1e-5
+    k = int((n + 1) * p) + round(sds * math.sqrt(n * p * (1.0 - p)))
+    got = binomial_log_pmf(n, p, k)
+    with mp.workdps(50):
+        lg = mp.loggamma
+        want = lg(n + 1) - lg(k + 1) - lg(n - k + 1) + k * mp.log(p) + (n - k) * mp.log1p(-mp.mpf(p))
+        assert abs(got - want) <= math.ulp(float(want))
+
+
 # ---------------------------------------------------------------------------
 # large-n anchoring
 # ---------------------------------------------------------------------------
@@ -262,6 +276,12 @@ def test_quantile_is_monotone_and_bounded():
     assert qs == sorted(qs)
     assert d.support_lo <= qs[0] and qs[-1] <= d.support_hi
     assert d.cdf(quantile(d, 0.5)) >= 0.5
+
+
+def test_a_law_stores_nothing_outside_its_window():
+    d = binomial_distribution(2_000_000, 0.000189, eps=1e-12)
+    assert d.support_lo > 0
+    assert d.pmf(d.support_lo - 1) == d.pmf(d.support_hi + 1) == d.cdf(d.support_lo - 1) == 0.0
 
 
 def test_central_interval_covers_what_it_claims():

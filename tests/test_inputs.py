@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from riskcounts.cli import main
+from riskcounts.classical import TestResult as Result
 from riskcounts.classical import TwoByTwo, two_proportion_test
 from riskcounts.cohort import (
     CausalSpec,
@@ -20,7 +21,14 @@ from riskcounts.cohort import (
     proxy_study,
     replication_study,
 )
-from riskcounts.comparison import ExposureScenario, prob_equal, prob_greater, summarize
+from riskcounts.comparison import (
+    ComparisonSummary,
+    ExposureScenario,
+    UncertainScenario,
+    prob_equal,
+    prob_greater,
+    summarize,
+)
 from riskcounts.distributions import (
     BetaParams,
     CountDistribution,
@@ -145,6 +153,18 @@ def _spec(**fields):
     (lambda: prob_equal(binomial_distribution(10, 0.3), (1, 2)), "y must be a CountDistribution instance"),
     (lambda: central_interval((1, 2), 0.9), "d must be a CountDistribution instance"),
     (lambda: mode((1, 2)), "d must be a CountDistribution instance"),
+    (lambda: UncertainScenario(10, 10, 0.5, BetaParams(1, 1)),
+     "prior_exposed must be a BetaParams instance"),
+    # a value that breaks its type's own invariant
+    (lambda: CountDistribution("poisson", 0, 0, np.zeros(1), 0.0), "unknown distribution kind 'poisson'"),
+    (lambda: CountDistribution("binomial", 2, 1, np.zeros(1), 0.0), "support_lo 2 exceeds support_hi 1"),
+    (lambda: CountDistribution("binomial", 0, 1, np.zeros(1), 0.0),
+     "log_mass length must equal the support size"),
+    (lambda: binomial_log_pmf(5, 0.5, 6), "k must satisfy k <= n, got k=6, n=5"),
+    (lambda: ComparisonSummary(0.5, 0.5, 0.5, None, None, 0.0, 0.0, 0.0),
+     "comparison triple sums to 1.5, not 1"),
+    (lambda: Result(1.0, 0.01, 0.05, False), "reject flag must equal (p_value < alpha)"),
+    (lambda: replication_study(_spec(), 1).row("proxy_exposure"), "no variant named 'proxy_exposure'"),
     # a real argument must be a real number, not None, a string or a bool
     (lambda: ExposureScenario(1, 1, None, 0.5), "p_exposed must be a real number, got None"),
     (lambda: ExposureScenario(10, 10, True, False), "p_exposed must be a real number, got True"),

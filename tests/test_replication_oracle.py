@@ -28,6 +28,8 @@ from riskcounts.cohort import (
     CausalSpec,
     CovariateRule,
     ProxyRule,
+    _buffers,
+    _draw,
     _replicate_range,
     _replication_keys,
     _variant_score,
@@ -483,6 +485,36 @@ def test_a_range_of_tiles_matches_the_per_cohort_loop(tile):
     assert assert_range_matches_the_per_cohort_loop(
         spec, 2**40 + 3, variants, True, start, stop
     ) == stop - start
+
+
+_PHASES = ("mix", "coins", "outcome", "noise", "proxy")
+
+
+@pytest.mark.parametrize("n, rows, buffer_rows, expected", [
+    # a tile of three, and a partial tile: two rows drawn into three-row
+    # buffers; each phase is reduced whole, over the rows drawn
+    (10, 3, 3, [(phase, 0, (3, 20)) for phase in _PHASES]),
+    (10, 2, 3, [(phase, 0, (2, 20)) for phase in _PHASES]),
+    # one stream: each block as it is drawn, the coins in one call
+    (40_000, 1, 1, [
+        ("mix", 0, (1, 65_536)), ("mix", 65_536, (1, 14_464)),
+        ("coins", 0, (1, 80_000)),
+        ("outcome", 0, (1, 65_536)), ("outcome", 65_536, (1, 14_464)),
+        *[("noise", start, (1, 16_384)) for start in (0, 16_384, 32_768, 49_152)],
+        ("noise", 65_536, (1, 14_464)),
+        ("proxy", 0, (1, 65_536)), ("proxy", 65_536, (1, 14_464)),
+    ]),
+])
+def test_the_draw_reduces_each_block_once_its_last_row_has_drawn_it(n, rows, buffer_rows, expected):
+    spec = CausalSpec(
+        n, "latent-factor", 0.1, 0.3, covariate_rules=(CovariateRule("x", 0.0, 1.0, 0.5),),
+        proxy_rule=ProxyRule(0.8), latent_group_correlation=0.6,
+    )
+    calls = []
+    streams = (np.random.Generator(np.random.Philox(i)) for i in range(rows))
+    _draw(spec, streams, rows, _buffers(spec, buffer_rows),
+          lambda phase, rule, start, raw: calls.append((phase, start, raw.shape)))
+    assert calls == expected
 
 
 @pytest.mark.parametrize("key_block, start, stop", [(5, 3, 20), (4, 0, 4), (7, 6, 8)])

@@ -183,6 +183,8 @@ def test_scenario_document_carries_controls():
     assert sf.coverage == 0.99
     assert sf.seed == 7
     assert sf.alpha is None
+    with pytest.raises(ScenarioError, match="^unknown output control 'bogus'$"):
+        scenario_document(ExposureScenario(10, 10, 0.1, 0.1), bogus=1)
 
 
 def test_compact_json_is_canonical():
