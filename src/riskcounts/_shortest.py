@@ -13,13 +13,15 @@ keeps two digits for tiny subnormals is left out: ``repr(5e-324)`` is
 
 ``write_reprs`` writes each value's ``repr`` into a row of ``SLOT`` bytes of
 a ``uint8`` matrix, with pad bytes 0 where a layout leaves columns unused;
-dropping every 0 byte leaves the text.  The layouts are ``repr``'s, with
-``decpt`` the position of the decimal point after the first digit's:
+dropping every 0 byte leaves the text.  Below 1 the layouts are ``repr``'s,
+with ``decpt`` the position of the decimal point after the first digit's:
 
 * ``d.ddde-XX`` (at least two exponent digits, no ``.`` after a single
-  digit) where decpt <= -4 or decpt > 16;
-* ``0.000ddd`` for -4 < decpt <= 0, and ``0.0`` for zero;
-* ``ddd.ddd`` or ``ddd0.0`` for 0 < decpt <= 16.
+  digit) where decpt <= -4;
+* ``0.000ddd`` for -4 < decpt <= 0, and ``0.0`` for zero.
+
+Values of 1 and above go through ``repr`` itself, one at a time: figure mass
+cells are probabilities, and a point mass's 1.0 is the only one that large.
 
 Values go through in chunks of ``_CHUNK``: numpy temporaries of that size
 come from the allocator's free lists, where larger ones can cost fresh
@@ -44,9 +46,9 @@ _M63 = _U((1 << 63) - 1)
 _C_MIN = 1 << 52
 _Q_MIN = -1074
 _K_MIN, _K_MAX = -324, 292
-#: decpt of 5e-324 and of the largest double
-_DECPT_MIN, _DECPT_MAX = -323, 309
-_PAD, _ZERO, _DOT = 0, ord("0"), ord(".")
+#: decpt of 5e-324
+_DECPT_MIN = -323
+_ZERO = ord("0")
 
 
 @cache
@@ -184,7 +186,7 @@ def _write_chunk(x: np.ndarray, out: np.ndarray) -> None:
     lz[zero], tz[zero] = 16, 0  # 0.0 prints one digit, at decpt 0
     length = 17 - lz
     decpt = np.where(zero, 0, length + k)
-    sci = (decpt <= -4) | (decpt > 16)
+    sci = decpt <= -4
 
     # the lead character, the point and the zeros of 0.000ddd
     prefix = np.where(sci, 4 + (length - tz == 1), np.maximum(-decpt, 0))
@@ -195,9 +197,9 @@ def _write_chunk(x: np.ndarray, out: np.ndarray) -> None:
     shown = np.take(shown_table, (sci * 17 + lz) * 17 + tz, axis=0)
     np.multiply(text20[:, 3:], shown, out=out[:, 5:22])
     out[:, 22:] = np.take(suffix_table, np.where(sci, decpt - _DECPT_MIN, -1), axis=0)
-    wide = ~sci & (decpt > 0)
-    if wide.any():
-        out[wide] = _positional(f[wide], lz[wide], length[wide] - tz[wide], decpt[wide])
+    big = x >= 1.0
+    reprs = [repr(v) for v in x[big].tolist()]
+    out[big] = np.array(reprs, dtype=f"S{SLOT}").view(np.uint8).reshape(-1, SLOT)
 
 
 @cache
@@ -213,22 +215,10 @@ def _layout_tables():
         for sci in (False, True) for lz in range(17) for tz in range(17)
     ]
     prefix = [b"0." + b"0" * z + b"\0" * (3 - z) for z in range(4)] + [b"\0.\0\0\0", b"\0\0\0\0\0"]
-    suffix = [f"e{d - 1:+03d}".encode().ljust(5, b"\0") for d in range(_DECPT_MIN, _DECPT_MAX + 1)]
+    suffix = [f"e{d - 1:+03d}".encode().ljust(5, b"\0") for d in range(_DECPT_MIN, -3)]
     suffix.append(b"\0" * 5)
 
     def table(items):
         return np.frombuffer(b"".join(items), dtype=np.uint8).reshape(len(items), -1)
 
     return np.array(shown, dtype=np.uint8), table(prefix), table(suffix)
-
-
-def _positional(f, lz, n, decpt) -> np.ndarray:
-    """Slots ``ddd.ddd`` or ``ddd0.0`` for the ``n`` significant digits of
-    ``f``, ``decpt`` of them (zeros past ``n``) before the point."""
-    col = np.arange(SLOT)
-    text = np.zeros((len(f), SLOT + 1), dtype=np.uint8)
-    text[:, 1:18] = digits(f * _U(10) ** lz.astype(np.uint64), 17)
-    at = decpt[:, None]
-    slot = np.where(col < at, text[:, 1:], np.where(col == at, _DOT, text[:, :-1]))
-    slot[col > np.maximum(n, decpt + 1)[:, None]] = _PAD
-    return slot

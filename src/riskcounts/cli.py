@@ -205,6 +205,9 @@ def cmd_figure(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float,
                 "priors to this fixed-risk scenario"
             )
         table = calibrated_figure(args.id, sf.payload, args.calibrate_ratio, coverage, eps)
+    elif args.calibrate_ratio is not None:
+        return _fail("--calibrate-ratio applies only to figures 2 and 4 of an "
+                     "exposure_scenario file")
     else:
         table = build_figure(args.id, sf.payload, eps)
     text = render_figure_csv(table)

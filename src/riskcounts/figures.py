@@ -19,15 +19,16 @@ distribution was not evaluated, so rows between disjoint supports are
 
 Figure bodies are rendered as bytes, in blocks of at most ``_BLOCK_ROWS``
 rows.  One call of ``_shortest.write_reprs`` per block writes every mass
-cell's ``repr`` (its digits computed in numpy) into a fixed-width slot
-padded with 0 bytes.  Within a block, each piece of rows that shares one
-count width and one set of evaluated columns is one ``uint8`` matrix: the
-counts as fixed-width digits from a four-digit table, commas, the slots and
-line feeds.  A piece with no evaluated column has no pad byte and is taken
-as it is; the others are compacted by dropping the pad bytes.  Each piece is
-decoded to a string and the strings are joined once; assembling the bytes
-of the whole text first kept more memory resident (about a sixth more peak
-RSS over the benchmark's exact-ladder ops).  No figure field ever needs
+cell's ``repr`` into a fixed-width slot padded with 0 bytes: computed in
+numpy below 1, and by ``repr`` itself for a point mass's 1.0.  Within a
+block, each piece of rows that shares one count width and one set of
+evaluated columns is one ``uint8`` matrix: the counts as fixed-width digits
+from a four-digit table, commas, the slots and line feeds.  A piece with no
+evaluated column has no pad byte and is taken as it is; the others are
+compacted by dropping the pad bytes.  Each piece is decoded to a string and
+the strings are joined once; assembling the bytes of the whole text first
+kept more memory resident (about a sixth more peak RSS over the benchmark's
+exact-ladder ops).  No figure field ever needs
 quoting (counts, ``repr`` floats and empty cells), so the bytes are those
 ``csv.writer`` would produce.  Replication rows, whose variant names carry
 covariate names, go through ``csv.writer`` itself.

@@ -146,17 +146,28 @@ def calibrate_prior(
     cap's ``DomainError``.  A cap refusal met at a midpoint ends the search
     with that refusal.  Because the widths are integer counts the ratio
     moves in steps; if no step lands within 0.01 of the target, calibration
-    fails explicitly rather than returning a silently-off prior.
+    fails explicitly rather than returning a silently-off prior.  A target
+    of 1 is the no-uncertainty limit: it returns the concentration cap 1e12
+    with a ``UserWarning``.
     """
-    return _calibrate(n, p_mean, target_ratio, coverage, eps)[0]
+    prior = _calibrate(n, p_mean, target_ratio, coverage, eps)[0]
+    if target_ratio == 1.0:
+        warnings.warn(
+            "target_ratio 1 is the no-uncertainty limit; returning the "
+            "concentration cap",
+            UserWarning,
+            stacklevel=2,
+        )
+    return prior
 
 
 def _calibrate(
     n: int, p_mean: float, target_ratio: float, coverage: float, eps: float
 ) -> tuple[BetaParams, SpreadReport]:
-    """``calibrate_prior`` plus the spread report of the prior it returns,
-    taken from the widths the search already measured.  The bisection stops
-    at its first midpoint already probed: an end of the bracket."""
+    """``calibrate_prior``, without its warning at a target of 1, plus the
+    spread report of the prior it returns, taken from the widths the search
+    already measured.  The bisection stops at its first midpoint already
+    probed: an end of the bracket."""
     n = _check_count(n, "n", minimum=1)
     p_mean = _check_probability(p_mean, "p_mean")
     if not (0.0 < p_mean < 1.0):
@@ -168,12 +179,6 @@ def _calibrate(
 
     lo_c, hi_c = CONCENTRATION_BOUNDS
     if target_ratio == 1.0:
-        warnings.warn(
-            "target_ratio 1 is the no-uncertainty limit; returning the "
-            "concentration cap",
-            UserWarning,
-            stacklevel=3,
-        )
         prior = BetaParams(hi_c * p_mean, hi_c * (1.0 - p_mean))
         return prior, spread_report(n, prior, coverage, eps)
 
@@ -222,14 +227,13 @@ def calibrated_scenario(
     eps: float = DEFAULT_EPS,
 ) -> UncertainScenario:
     """Lift a certain-parameter scenario by calibrating each arm's prior
-    independently to the same spread-ratio target."""
+    independently to the same spread-ratio target.  A target of 1 returns
+    the concentration cap without a warning."""
     if not isinstance(s, ExposureScenario):
         raise DomainError("scenario must be an ExposureScenario instance")
     return UncertainScenario(
         n_exposed=s.n_exposed,
         n_unexposed=s.n_unexposed,
-        prior_exposed=calibrate_prior(s.n_exposed, s.p_exposed, target_ratio, coverage, eps),
-        prior_unexposed=calibrate_prior(
-            s.n_unexposed, s.p_unexposed, target_ratio, coverage, eps
-        ),
+        prior_exposed=_calibrate(s.n_exposed, s.p_exposed, target_ratio, coverage, eps)[0],
+        prior_unexposed=_calibrate(s.n_unexposed, s.p_unexposed, target_ratio, coverage, eps)[0],
     )

@@ -12,15 +12,17 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinned import DELETE, all_paths, mutated
+from pinned import DELETE, all_paths, mutated, scenario_path
 from riskcounts.cli import main
 from riskcounts.comparison import MAX_POPULATION, ExposureScenario, UncertainScenario, summarize
 from riskcounts.distributions import BetaParams, DomainError, beta_binomial_distribution
+from riskcounts.scenarios import BUNDLED_SCENARIOS, load_bundled
 
 EXPOSURE = {
     "schema_version": 1,
@@ -71,9 +73,12 @@ def _commands(path, out):
 
 
 def _run(argv):
-    """Exit code, stdout and stderr of one in-process CLI run."""
+    """Exit code, stdout and stderr of one in-process CLI run.  A Python
+    warning, which a shell user would see on stderr, raises."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -236,3 +241,13 @@ def test_the_unmutated_documents_run(tmp_path, doc, command, extra):
     scenario = tmp_path / "ok.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     assert _run([command, str(scenario), *extra])[0] == 0
+
+
+@pytest.mark.parametrize("name", [name for name in BUNDLED_SCENARIOS
+                                  if isinstance(load_bundled(name).payload, ExposureScenario)])
+def test_a_target_ratio_of_one_runs_without_a_warning(tmp_path, name):
+    # the no-uncertainty limit returns the concentration cap
+    scenario = scenario_path(tmp_path, name)
+    assert _assert_clean_exit(["calibrate", scenario, "1.0"]) is None
+    assert _assert_clean_exit(["figure", scenario, "--id", "2", "--calibrate-ratio", "1.0",
+                               "--out", str(tmp_path / "f.csv")]) is None

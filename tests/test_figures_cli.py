@@ -269,6 +269,18 @@ def test_figure_two_requires_priors_or_calibration(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, figure_id", [("la_rr2", "1"), ("la_rr106_c1e3", "2")],
+                         ids=["fixed-risk-figure-1", "uncertain-figure-2"])
+def test_calibrate_ratio_is_refused_where_it_does_not_apply(tmp_path, capsys, scenario, figure_id):
+    out = tmp_path / "x.csv"
+    code = main(["figure", scenario_path(tmp_path, scenario), "--id", figure_id,
+                 "--calibrate-ratio", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --calibrate-ratio applies only to figures 2 "
+                                       "and 4 of an exposure_scenario file\n")
+    assert not out.exists()
+
+
 def test_figure_two_with_calibration_replays(tmp_path, capsys):
     scenario = scenario_path(tmp_path, "la_rr106")
     out = tmp_path / "fig2.csv"
