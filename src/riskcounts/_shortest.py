@@ -22,6 +22,7 @@ with ``decpt`` the position of the decimal point after the first digit's:
 
 Values of 1 and above go through ``repr`` itself, one at a time: figure mass
 cells are probabilities, and a point mass's 1.0 is the only one that large.
+They never enter Schubfach, so its g table holds k in [-324, -16] only.
 
 Values go through in chunks of ``_CHUNK``: numpy temporaries of that size
 come from the allocator's free lists, where larger ones can cost fresh
@@ -45,7 +46,7 @@ _M32 = _U(0xFFFFFFFF)
 _M63 = _U((1 << 63) - 1)
 _C_MIN = 1 << 52
 _Q_MIN = -1074
-_K_MIN, _K_MAX = -324, 292
+_K_MIN = -324
 #: decpt of 5e-324
 _DECPT_MIN = -323
 _ZERO = ord("0")
@@ -56,20 +57,17 @@ def _tables():
     """``(digit4, lead4, trail4, g)``: the four ASCII digits of 0..9999 as
     one ``uint32`` each (the bytes in memory order); the leading and the
     trailing zeros of those four digits; and, one row each, the 32-bit
-    limbs of g1 and of g0, then g1 itself, for k in [-324, 292], where g =
+    limbs of g1 and of g0, then g1 itself, for k in [-324, -16], where g =
     floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1 = g1 * 2**63 + g0."""
     text = [f"{i:04d}" for i in range(10_000)]
     digit4 = np.frombuffer("".join(text).encode(), dtype=np.uint32)
     lead4 = np.array([len(t) - len(t.lstrip("0")) for t in text], dtype=np.int64)
     trail4 = np.array([len(t) - len(t.rstrip("0")) for t in text], dtype=np.int64)
     g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 10 ** abs(k)
-        if k <= 0:
-            shift = 125 - (p.bit_length() - 1)
-            gk = (p << shift if shift >= 0 else p >> -shift) + 1
-        else:
-            gk = (1 << (125 + p.bit_length())) // p + 1
+    for k in range(_K_MIN, -15):  # -16 is the k of nextafter(1, 0)
+        p = 10**-k
+        shift = 125 - (p.bit_length() - 1)
+        gk = (p << shift if shift >= 0 else p >> -shift) + 1
         g1, g0 = gk >> 63, gk & ((1 << 63) - 1)
         g.append((g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32, g1))
     return digit4, lead4, trail4, np.array(g, dtype=np.uint64).T.copy()
@@ -117,8 +115,8 @@ def _rop(g, cp):
 
 def shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(f, k)`` with ``f * 10**k`` the decimal ``repr`` prints for each of
-    the non-negative finite doubles ``x``; ``f`` may end in zeros, has at
-    most 17 digits, and is 0 for 0.0."""
+    the doubles ``x`` in [0, 1); ``f`` may end in zeros, has at most 17
+    digits and is 0 for 0.0; k lies in [-324, -16]."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     biased = (bits >> _U(52)).astype(np.int64)
     c = bits & _U(_C_MIN - 1)
@@ -166,7 +164,8 @@ def write_reprs(x: np.ndarray, out: np.ndarray) -> None:
 def _write_chunk(x: np.ndarray, out: np.ndarray) -> None:
     digit4, lead4, trail4, _ = _tables()
     shown_table, prefix_table, suffix_table = _layout_tables()
-    f, k = shortest(x)
+    big = x >= 1.0
+    f, k = shortest(np.where(big, 0.0, x))
     rows = len(f)
     # f's digits as 20, in groups of four; f < 10**17, so the first 3 are 0
     groups = np.empty((5, rows), dtype=np.int64)
@@ -189,7 +188,7 @@ def _write_chunk(x: np.ndarray, out: np.ndarray) -> None:
     sci = decpt <= -4
 
     # the lead character, the point and the zeros of 0.000ddd
-    prefix = np.where(sci, 4 + (length - tz == 1), np.maximum(-decpt, 0))
+    prefix = np.where(sci, 4 + (length - tz == 1), -decpt)
     out[:, :5] = np.take(prefix_table, prefix, axis=0)
     # in d.ddde-XX the first digit moves to column 0
     first = text20.ravel()[np.arange(rows) * 20 + 3 + lz]
@@ -197,7 +196,6 @@ def _write_chunk(x: np.ndarray, out: np.ndarray) -> None:
     shown = np.take(shown_table, (sci * 17 + lz) * 17 + tz, axis=0)
     np.multiply(text20[:, 3:], shown, out=out[:, 5:22])
     out[:, 22:] = np.take(suffix_table, np.where(sci, decpt - _DECPT_MIN, -1), axis=0)
-    big = x >= 1.0
     reprs = [repr(v) for v in x[big].tolist()]
     out[big] = np.array(reprs, dtype=f"S{SLOT}").view(np.uint8).reshape(-1, SLOT)
 

@@ -2,13 +2,16 @@
 byte, over every non-negative finite double: hypothesis, named hard cases,
 every power of two, and a seeded sweep of random bit patterns."""
 
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskcounts import _shortest
 from riskcounts._shortest import SLOT, digits, write_reprs
 
 
@@ -107,3 +110,26 @@ def test_digits_are_the_zero_filled_decimal_tail(width):
     values = np.array([0, 1, 9, 10, 99, 1000, 9999, 10**width - 1, 12345678901234567 % 10**width])
     got = [bytes(row).decode() for row in digits(values, width)]
     assert got == [f"{v:0{width}d}"[-width:] for v in values.tolist()]
+
+
+def test_the_g_table_holds_one_row_per_k_of_a_double_below_1():
+    g = _shortest._tables()[3]
+    assert g.shape == (5, 309)  # k from -324, the k of 0.0, to -16, of nextafter(1, 0)
+    for column, k in zip(g.T.tolist(), range(-324, -15)):
+        p = 10**-k
+        gk = math.floor(Fraction(p) * Fraction(2) ** (125 - (p.bit_length() - 1))) + 1
+        g1, g0 = divmod(gk, 2**63)
+        assert column == [g1 % 2**32, g1 // 2**32, g0 % 2**32, g0 // 2**32, g1]
+
+
+def test_values_of_1_and_above_never_enter_schubfach(monkeypatch):
+    seen, shortest = [], _shortest.shortest
+
+    def spy(x):
+        seen.extend(x.tolist())
+        return shortest(x)
+
+    monkeypatch.setattr(_shortest, "shortest", spy)
+    values = [0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0, sys.float_info.max]
+    assert rendered(values) == expected(values)
+    assert seen and max(seen) < 1.0
