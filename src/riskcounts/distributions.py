@@ -30,9 +30,10 @@ bound, 0 or n, and each unsettled round moves a failing edge out by a
 doubling step or onto that bound, so within 20 rounds the window settles
 or outgrows the cap.  The window it settles on is then filled once into
 one array of log masses.  ``_build_windowed`` stores that array as a law;
-callers that need only an interval (calibration and spread reports) turn it
-in place into its cdf (``_StreamedCdf``), through the same checks and to the
-same bits, holding 8 bytes per cell where a law holds 16 and its cdf 8 more.
+callers that need only an interval (calibration and spread reports) read it
+from ``_streamed_interval``, which turns the array in place into its cdf
+through the same checks and to the same bits, holding 8 bytes per cell where
+a law holds 16 and its cdf 8 more.
 
 Convolution is a direct ``np.correlate`` that computes only the cells its
 trim keeps.  Each tail is dropped while its running sum stays at most eps/4;
@@ -180,10 +181,15 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _check_law(law, name: str, streamed: bool = False) -> None:
-    """Refuse a ``law`` that is not a ``CountDistribution``, or where
-    ``streamed`` is set a ``_StreamedCdf`` either."""
-    if not isinstance(law, (CountDistribution, _StreamedCdf) if streamed else CountDistribution):
+def _check_open_unit(value: float, name: str) -> float:
+    value = _check_real(value, name)
+    if not (0.0 < value < 1.0):  # also rejects NaN
+        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _check_law(law, name: str) -> None:
+    if not isinstance(law, CountDistribution):
         raise DomainError(f"{name} must be a CountDistribution instance")
 
 
@@ -219,8 +225,8 @@ _KINDS = ("binomial", "beta-binomial", "convolution")
 
 
 # The mass contract's checks, shared by ``CountDistribution`` and the
-# streamed interval probe (``_StreamedCdf``), which reads a window it never
-# stores.
+# streamed interval probe (``_streamed_interval``), which reads a window it
+# never stores.
 
 
 def _check_finite(log_mass: np.ndarray) -> None:
@@ -300,10 +306,6 @@ class CountDistribution:
         c = np.cumsum(self.masses)
         c.setflags(write=False)
         return c
-
-    def _search(self, q: float) -> int:
-        """``np.searchsorted(cdf, q, side="left")`` on the stored cdf."""
-        return int(np.searchsorted(self._cdf, q, side="left"))
 
     @property
     def stored_mass(self) -> float:
@@ -507,7 +509,7 @@ def _window(
     settles on as ``(lo, hi, log_mass, dropped)``: ``log_mass[i]`` is the
     log mass of count ``lo + i``, and ``dropped`` bounds the mass cut off
     past an underflowed step ratio (0 where none was).  ``_build_windowed``
-    stores ``log_mass`` as a law; ``_StreamedCdf`` turns it into its cdf.
+    stores ``log_mass`` as a law; ``_streamed_interval`` as its cdf.
 
     Every window lies in the domain ``0..n_max``.  ``monotone_lo`` /
     ``monotone_hi`` declare that the step ratios are nonincreasing past the
@@ -611,41 +613,28 @@ def _build_windowed(kind: str, **args) -> CountDistribution:
     )
 
 
-class _StreamedCdf:
-    """What ``central_interval`` reads of the law ``_build_windowed`` makes
-    of a window -- its support, ``cdf`` and ``_search`` -- without the law.
+def _streamed_interval(args: CountDistribution | dict, coverage: float) -> CredibleInterval:
+    """``central_interval`` at ``coverage`` of the law a constructor's
+    checked arguments ``args`` describe (``_binomial_args``,
+    ``_beta_binomial_args``), bit for bit, or the same error after the same
+    checks, without the law.  A point mass is its own law.
 
-    The window's log masses (``_window``) are turned in place into its cdf:
+    A window's log masses (``_window``) are turned in place into its cdf:
     they pass the law's finiteness check, are exponentiated, summed exactly
     and then by ``np.cumsum``, the same bits as the law's masses and
     ``_cdf``.  The stored mass then passes the law's truncated-mass and
-    identity checks, in the law's order.  The cdf, written over the window,
-    is all it holds: 8 bytes per cell, where a law holds 16 and its cdf 8
-    more, read by the law's own quantile search and cdf lookup without
-    recomputing a cell.
+    identity checks, in the law's order, before ``coverage`` is checked.
+    The cdf, written over the window, is all it holds: 8 bytes per cell,
+    where a law holds 16 and its cdf 8 more.
     """
-
-    def __init__(self, window: tuple[int, int, np.ndarray, float], eps: float) -> None:
-        self.support_lo, self.support_hi, cdf, dropped = window
-        _check_finite(cdf)
-        stored = _exact_sum(np.exp(cdf, out=cdf))
-        self._cdf = np.cumsum(cdf, out=cdf)
-        _check_identity(stored, _check_truncated(_truncated(stored, dropped, eps)))
-
-    _search = CountDistribution._search
-    stored_mass = CountDistribution.stored_mass
-    cdf = CountDistribution.cdf
-
-
-def _streamed_law(args: CountDistribution | dict) -> CountDistribution | _StreamedCdf:
-    """The law a constructor's checked arguments ``args`` describe
-    (``_binomial_args``, ``_beta_binomial_args``), as ``central_interval``
-    reads it: a point mass as it is, a window as a ``_StreamedCdf``.
-    ``central_interval`` of it is that of the constructor's law, bit for
-    bit, or raises the same error after the same checks."""
     if isinstance(args, CountDistribution):
-        return args
-    return _StreamedCdf(_window(**args), args["eps"])
+        return central_interval(args, coverage)
+    lo, hi, cdf, dropped = _window(**args)
+    _check_finite(cdf)
+    stored = _exact_sum(np.exp(cdf, out=cdf))
+    np.cumsum(cdf, out=cdf)
+    _check_identity(stored, _check_truncated(_truncated(stored, dropped, args["eps"])))
+    return _interval(lo, hi, cdf, _check_open_unit(coverage, "coverage"))
 
 
 # The anchor evaluations are the one place extended precision is needed:
@@ -1030,11 +1019,9 @@ def quantile(d: CountDistribution, q: float) -> int:
     Quantiles are taken against the stored mass; a q within truncated_mass
     of 1 clamps to the top of the window.
     """
-    _check_law(d, "d", streamed=True)
-    q = _check_real(q, "q")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    return min(d.support_lo + d._search(q), d.support_hi)
+    _check_law(d, "d")
+    q = _check_open_unit(q, "q")
+    return min(d.support_lo + int(np.searchsorted(d._cdf, q, side="left")), d.support_hi)
 
 
 def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
@@ -1043,21 +1030,28 @@ def central_interval(d: CountDistribution, coverage: float) -> CredibleInterval:
     The reported ``achieved`` coverage is the stored mass inside the
     interval, which by construction is >= the request; a request within the
     truncation budget of 1 cannot be certified and raises instead.
-
-    ``d`` is read only through its support, ``_search`` and ``cdf``, which
-    a ``_StreamedCdf`` gives as well.
+    ``_streamed_interval`` reads the same interval from a window it never
+    stores as a law.
     """
-    coverage = _check_real(coverage, "coverage")
-    if not (0.0 < coverage < 1.0):
-        raise DomainError(f"coverage must lie in (0, 1), got {coverage!r}")
+    coverage = _check_open_unit(coverage, "coverage")
+    _check_law(d, "d")
+    return _interval(d.support_lo, d.support_hi, d._cdf, coverage)
+
+
+def _interval(lo: int, hi: int, cdf: np.ndarray, coverage: float) -> CredibleInterval:
+    """``central_interval`` at the checked ``coverage`` of the law on
+    ``lo..hi`` whose stored cdf is ``cdf``.  Each quantile is ``quantile``'s,
+    and is refused as ``quantile`` refuses it: at coverage 1 - 2^-53 the
+    upper one, 1 - tail, rounds to 1."""
     tail = (1.0 - coverage) / 2.0
-    lo = quantile(d, tail)
-    hi = quantile(d, 1.0 - tail)
-    below = d.cdf(lo - 1) if lo > d.support_lo else 0.0
-    achieved = d.cdf(hi) - below
+    q_lo, q_hi = (
+        min(lo + int(np.searchsorted(cdf, _check_open_unit(q, "q"), side="left")), hi)
+        for q in (tail, 1.0 - tail)
+    )
+    achieved = float(cdf[q_hi - lo]) - (float(cdf[q_lo - lo - 1]) if q_lo > lo else 0.0)
     if achieved < coverage - 1e-12:
         raise DomainError(
             f"achieved coverage {achieved!r} falls short of {coverage!r}; "
             "rebuild the distribution with a smaller eps"
         )
-    return CredibleInterval(lo=lo, hi=hi, coverage=coverage, achieved=achieved)
+    return CredibleInterval(lo=q_lo, hi=q_hi, coverage=coverage, achieved=achieved)

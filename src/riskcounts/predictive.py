@@ -23,8 +23,7 @@ from .distributions import (
     _check_eps,
     _check_probability,
     _check_real,
-    _streamed_law,
-    central_interval,
+    _streamed_interval,
 )
 from .comparison import (
     ExposureScenario,
@@ -98,12 +97,10 @@ def spread_report(
 
     The plug-in law is the binomial evaluated at the prior mean; both widths
     are measured at the same equal-tail coverage.  Neither law is stored:
-    each interval is read from its window as it streams (``_streamed_law``).
+    each interval streams from its window (``_streamed_interval``).
     """
-    predictive = _streamed_law(_beta_binomial_args(n, prior, eps))
-    plugin = _streamed_law(_binomial_args(n, prior.mean, eps))
-    w_pred = central_interval(predictive, coverage).width
-    w_plug = central_interval(plugin, coverage).width
+    w_pred = _streamed_interval(_beta_binomial_args(n, prior, eps), coverage).width
+    w_plug = _streamed_interval(_binomial_args(n, prior.mean, eps), coverage).width
     ratio = w_pred / w_plug if w_plug > 0 else None
     return SpreadReport(width_predictive=w_pred, width_plugin=w_plug, ratio=ratio)
 
@@ -182,7 +179,7 @@ def _calibrate(
         prior = BetaParams(hi_c * p_mean, hi_c * (1.0 - p_mean))
         return prior, spread_report(n, prior, coverage, eps)
 
-    w_plug = central_interval(_streamed_law(_binomial_args(n, p_mean, eps)), coverage).width
+    w_plug = _streamed_interval(_binomial_args(n, p_mean, eps), coverage).width
     if w_plug == 0:
         raise DomainError("plug-in interval width is zero; no ratio to target")
 
@@ -191,7 +188,7 @@ def _calibrate(
     def probe(c: float) -> tuple[BetaParams, SpreadReport]:
         if c not in probes:
             prior = BetaParams(c * p_mean, c * (1.0 - p_mean))
-            w = central_interval(_streamed_law(_beta_binomial_args(n, prior, eps)), coverage).width
+            w = _streamed_interval(_beta_binomial_args(n, prior, eps), coverage).width
             probes[c] = prior, SpreadReport(w, w_plug, w / w_plug)
         return probes[c]
 

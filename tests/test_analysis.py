@@ -1,7 +1,7 @@
 """One analysis path for fixed and beta-uncertain scenarios.
 
 Build counts pin that each command builds every distinct law once, and that
-calibration streams one window per probe (``_streamed_law``) and builds
+calibration streams one window per probe (``_streamed_interval``) and builds
 none.  Cell counts pin the step logs ``_run`` sums: ``widened`` while the
 windows widen, ``filled`` while they are filled.  Each settled cell's step
 log is computed once in each today, so the two are equal.  Work counts pin
@@ -30,7 +30,7 @@ from riskcounts.comparison import ScenarioAnalysis
 from riskcounts.cohort import CausalSpec
 from riskcounts.scenarios import BUNDLED_SCENARIOS, load_bundled
 
-_BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_law")
+_BUILDERS = ("binomial_distribution", "beta_binomial_distribution", "convolve", "_streamed_interval")
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ COMMAND_COUNTS = [
     (["figure", "la_rr106", "--id", "3"],
      {"binomial_distribution": 3, "convolve": 1, "widened": 1_621, "filled": 1_621,
       "cells": 414, "macs": 155_541}),
-    (["calibrate", "la_rr106", "2.0"], {"_streamed_law": 22, "widened": 47_110, "filled": 47_110}),
+    (["calibrate", "la_rr106", "2.0"], {"_streamed_interval": 22, "widened": 47_110, "filled": 47_110}),
     (["summarize", "la_rr2"],
      {"binomial_distribution": 5, "convolve": 1, "widened": 55, "filled": 55, "cells": 14, "macs": 99}),
     (["summarize", "ny_rr2"],
@@ -95,13 +95,13 @@ COMMAND_COUNTS = [
      {"binomial_distribution": 3, "convolve": 1, "widened": 270, "filled": 270,
       "cells": 102, "macs": 5_043}),
     (["figure", "la_rr106", "--id", "2", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 22, "beta_binomial_distribution": 2, "widened": 48_841, "filled": 48_841}),
+     {"_streamed_interval": 22, "beta_binomial_distribution": 2, "widened": 48_841, "filled": 48_841}),
     (["figure", "la_rr106", "--id", "4", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 22, "beta_binomial_distribution": 3, "convolve": 1, "widened": 50_473,
+     {"_streamed_interval": 22, "beta_binomial_distribution": 3, "convolve": 1, "widened": 50_473,
       "filled": 50_473, "cells": 832, "macs": 546_954}),
-    (["calibrate", "la_rr2", "2.0"], {"_streamed_law": 10, "widened": 9_372, "filled": 9_372}),
-    (["calibrate", "ny_rr2", "2.0"], {"_streamed_law": 14, "widened": 834, "filled": 834}),
-    (["calibrate", "us_rr2", "2.0"], {"_streamed_law": 20, "widened": 7_373, "filled": 7_373}),
+    (["calibrate", "la_rr2", "2.0"], {"_streamed_interval": 10, "widened": 9_372, "filled": 9_372}),
+    (["calibrate", "ny_rr2", "2.0"], {"_streamed_interval": 14, "widened": 834, "filled": 834}),
+    (["calibrate", "us_rr2", "2.0"], {"_streamed_interval": 20, "widened": 7_373, "filled": 7_373}),
     (["figure", "la_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 22, "filled": 22}),
     (["figure", "ny_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 25, "filled": 25}),
     (["figure", "us_rr2", "--id", "1"], {"binomial_distribution": 2, "widened": 168, "filled": 168}),
@@ -110,19 +110,19 @@ COMMAND_COUNTS = [
     (["figure", "ny_rr2", "--id", "3"],
      {"binomial_distribution": 3, "convolve": 1, "widened": 39, "filled": 39, "cells": 17, "macs": 135}),
     (["figure", "la_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 10, "beta_binomial_distribution": 2, "widened": 9_524, "filled": 9_524}),
+     {"_streamed_interval": 10, "beta_binomial_distribution": 2, "widened": 9_524, "filled": 9_524}),
     (["figure", "ny_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 14, "beta_binomial_distribution": 2, "widened": 993, "filled": 993}),
+     {"_streamed_interval": 14, "beta_binomial_distribution": 2, "widened": 993, "filled": 993}),
     (["figure", "us_rr2", "--id", "2", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 20, "beta_binomial_distribution": 2, "widened": 7_778, "filled": 7_778}),
+     {"_streamed_interval": 20, "beta_binomial_distribution": 2, "widened": 7_778, "filled": 7_778}),
     (["figure", "la_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 10, "beta_binomial_distribution": 3, "convolve": 1, "widened": 9_602,
+     {"_streamed_interval": 10, "beta_binomial_distribution": 3, "convolve": 1, "widened": 9_602,
       "filled": 9_602, "cells": 35, "macs": 630}),
     (["figure", "ny_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 14, "beta_binomial_distribution": 3, "convolve": 1, "widened": 1_078,
+     {"_streamed_interval": 14, "beta_binomial_distribution": 3, "convolve": 1, "widened": 1_078,
       "filled": 1_078, "cells": 41, "macs": 861}),
     (["figure", "us_rr2", "--id", "4", "--calibrate-ratio", "2.0"],
-     {"_streamed_law": 20, "beta_binomial_distribution": 3, "convolve": 1, "widened": 8_049,
+     {"_streamed_interval": 20, "beta_binomial_distribution": 3, "convolve": 1, "widened": 8_049,
       "filled": 8_049, "cells": 212, "macs": 21_912}),
     (["figure", "uncertain", "--id", "2"], {"beta_binomial_distribution": 2, "widened": 98, "filled": 98}),
     (["figure", "uncertain", "--id", "4"],

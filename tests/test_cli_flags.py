@@ -12,6 +12,7 @@ past ``MAX_REPLICATIONS`` are refused by their own test.
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -21,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcounts import cli, scenarios
+from riskcounts.classical import two_proportion_test
 from riskcounts.cli import main
+from riskcounts.cohort import replication_study
+from riskcounts.predictive import calibrate_prior, calibrated_scenario, spread_report, spread_reports
 
 EXPOSURE = {"schema_version": 1, "exposure_scenario": {
     "n_exposed": 10_000, "n_unexposed": 8_000, "p_exposed": 0.01, "p_unexposed": 0.005,
@@ -207,6 +211,24 @@ def test_the_cli_declares_exactly_the_scenario_file_controls():
                 for command, parser in commands.choices.items()
                 for action in parser._actions if action.dest in cli._CONTROLS}
     assert declared == set(PRECEDENCE)
+
+
+#: The library functions that take each control, with a default, as a
+#: keyword of the control's name.
+LIBRARY_DEFAULTS = {
+    "coverage": (spread_report, spread_reports, calibrate_prior, calibrated_scenario),
+    "eps": (spread_report, spread_reports, calibrate_prior, calibrated_scenario),
+    "alpha": (replication_study, two_proportion_test),
+    "seed": (replication_study,),
+}
+
+
+@pytest.mark.parametrize("control", sorted(LIBRARY_DEFAULTS))
+def test_a_controls_cli_default_is_the_librarys(control):
+    default = cli._CONTROLS[control][2]
+    for function in LIBRARY_DEFAULTS[control]:
+        got = inspect.signature(function).parameters[control].default
+        assert (got, type(got)) == (default, type(default)), f"{function.__name__}({control}=...)"
 
 
 #: Runs whose resolved value the output does not print: the default eps is

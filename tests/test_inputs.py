@@ -198,6 +198,8 @@ def _spec(**fields):
     (lambda: check_seed(-10**5000), "seed is beyond the float range"),
     (lambda: TwoByTwo(1, 10**5000, 1, 2), "n_a is beyond the float range"),
     (lambda: replication_study(_spec(), 10**5000), "replications is beyond the float range"),
+    # a bad coverage is refused before a law that is not one
+    (lambda: central_interval((1, 2), 2.0), "coverage must lie in (0, 1), got 2.0"),
 ])
 def test_a_wrong_typed_argument_is_refused_with_a_domain_error(call, message):
     with pytest.raises(DomainError) as exc:

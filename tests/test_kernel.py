@@ -9,8 +9,8 @@
   stood.  Each constructor's call is run through both with the same step
   ratio and anchor functions.  Its widening, which has no round limit,
   must settle or be refused within ``MAX_ROUNDS`` rounds.
-* The streamed interval probe (``_streamed_law``) must give the interval of
-  the law it never stores, bit for bit, or the same error.
+* The streamed interval probe (``_streamed_interval``) must give the
+  interval of the law it never stores, bit for bit, or the same error.
 * ``prob_greater``, ``prob_equal``, ``mean`` and ``variance`` must lie
   within the rounding bound of numpy's pairwise sum of their products.
 """
@@ -36,7 +36,7 @@ from riskcounts.distributions import (
     _aligned,
     _exact_sum,
     _kept_cells,
-    _streamed_law,
+    _streamed_interval,
     beta_binomial_distribution,
     binomial_distribution,
     central_interval,
@@ -552,7 +552,7 @@ def test_a_neginf_cell_below_the_anchor_is_refused_cut_or_not(both_builders):
     assert dropped == distributions._UNDERFLOW_TAIL
     for interval in (
         lambda: central_interval(distributions._build_windowed(kind="binomial", **args), 0.9),
-        lambda: central_interval(_streamed_law(args), 0.9),
+        lambda: _streamed_interval(args, 0.9),
     ):
         with pytest.raises(DomainError, match="every stored log_mass must be finite"):
             interval()
@@ -913,7 +913,7 @@ def law_and_probe(constructor, params, coverage):
     """The interval of the constructor's law and that of the probe."""
     return (
         interval_or_error(lambda: central_interval(constructor(*params), coverage)),
-        interval_or_error(lambda: central_interval(_streamed_law(ARGS[constructor](*params)), coverage)),
+        interval_or_error(lambda: _streamed_interval(ARGS[constructor](*params), coverage)),
     )
 
 
@@ -1022,7 +1022,7 @@ def test_the_probe_raises_the_laws_errors_first(monkeypatch, coverage, fault, tr
     want = interval_or_error(
         lambda: central_interval(distributions._build_windowed(kind="binomial", **args), coverage)
     )
-    got = interval_or_error(lambda: central_interval(_streamed_law(args), coverage))
+    got = interval_or_error(lambda: _streamed_interval(args, coverage))
     assert got == want
     if error is not None:
         assert got[0] == "DomainError" and error in got[1]
@@ -1070,36 +1070,49 @@ def test_blocked_exp_and_carried_cumsum_equal_one_call(size, seed):
             assert np.concatenate(sums).tobytes() == cdf.tobytes()
 
 
-def test_the_probe_reads_its_window_once_in_place():
+def test_the_probe_reads_its_window_once_in_place(monkeypatch):
     """The probe's cdf is written over its window's one array of log
-    masses: 8 bytes a cell in all.  Intervals then read that cdf and
+    masses: 8 bytes a cell in all.  Its interval then reads that cdf and
     nothing else: no further step log, no recomputed cell, and the law's
-    interval bit for bit."""
+    interval bit for bit at every coverage."""
     params = (10**6, BetaParams(0.5, 9.5))  # alpha < 1: a window down to 0, over many blocks
     args = distributions._beta_binomial_args(*params, 1e-12)
-    calls = []
-    log_ratio = args["log_ratio"]
+    calls, seen = [], {}
+    log_ratio, window, interval = args["log_ratio"], distributions._window, distributions._interval
 
     def counted(ks):
         calls.append(len(ks))
         return log_ratio(ks)
 
+    def spied_window(**kwargs):
+        seen["window"] = window(**kwargs)
+        seen["read"] = len(calls)
+        return seen["window"]
+
+    def spied_interval(*iv_args):
+        seen["interval"] = iv_args
+        return interval(*iv_args)
+
+    law = beta_binomial_distribution(*params)
+    want = central_interval(law, 0.9999)
     args["log_ratio"] = counted
-    window = distributions._window(**args)
-    lo, hi, log_mass, _ = window
-    probe = distributions._StreamedCdf(window, args["eps"])
+    monkeypatch.setattr(distributions, "_window", spied_window)
+    monkeypatch.setattr(distributions, "_interval", spied_interval)
+    assert _streamed_interval(args, 0.9999) == want
+    lo, hi, log_mass, _ = seen["window"]
+    cdf = seen["interval"][2]
     cells = hi - lo + 1
     assert lo == 0 and cells > 3 * BLOCK
-    assert np.shares_memory(probe._cdf, log_mass) and probe._cdf.nbytes == log_mass.nbytes == 8 * cells
-    read = len(calls)
-    law = beta_binomial_distribution(*params)
-    assert probe._cdf.tobytes() == law._cdf.tobytes()
+    assert np.shares_memory(cdf, log_mass) and cdf.nbytes == log_mass.nbytes == 8 * cells
+    assert cdf.tobytes() == law._cdf.tobytes()
+    assert len(calls) == seen["read"]
     for coverage in COVERAGES:
-        got, peak = traced_peak(lambda: interval_or_error(lambda: central_interval(probe, coverage)))
+        if not 0.0 < coverage < 1.0:
+            continue  # refused before the cdf is read
+        got, peak = traced_peak(lambda: interval_or_error(lambda: interval(lo, hi, cdf, coverage)))
         assert got == interval_or_error(lambda: central_interval(law, coverage))
         # under half a block: recomputing a block took two block-sized arrays
         assert peak < 4 * BLOCK, f"an interval peaked at {peak} bytes"
-    assert len(calls) == read
 
 
 # ---------------------------------------------------------------------------
@@ -1155,14 +1168,12 @@ def test_a_streamed_interval_holds_only_its_running_sums():
     ``central_interval`` caches on it peaked at 91.6 MiB."""
     cells = 4_000_001
     bound = 8 * cells + (2 << 20)
-
-    def probe():
-        law = _streamed_law(distributions._beta_binomial_args(*NY_RR2_C10, 1e-12))
-        return law, central_interval(law, 0.9999)
-
-    (law, iv), peak = traced_peak(probe)
+    iv, peak = traced_peak(
+        lambda: _streamed_interval(distributions._beta_binomial_args(*NY_RR2_C10, 1e-12), 0.9999)
+    )
+    law = beta_binomial_distribution(*NY_RR2_C10)
     assert law.support_hi - law.support_lo + 1 == cells
-    assert iv == central_interval(beta_binomial_distribution(*NY_RR2_C10), 0.9999)
+    assert iv == central_interval(law, 0.9999)
     assert peak < bound, f"the probe peaked at {peak} bytes, bound {bound}"
     report, peak = traced_peak(lambda: spread_report(*NY_RR2_C10))
     assert (report.width_predictive, report.width_plugin) == (0, 6)

@@ -326,20 +326,18 @@ def search_and_oracle(monkeypatch, n, p_mean, target, coverage, eps, width_at=No
 
     if width_at is None:
         def width_at(c):
-            law = predictive._streamed_law(predictive._beta_binomial_args(n, prior(c), eps))
-            return predictive.central_interval(law, coverage).width
+            args = predictive._beta_binomial_args(n, prior(c), eps)
+            return predictive._streamed_interval(args, coverage).width
 
-        plug = predictive._streamed_law(predictive._binomial_args(n, p_mean, eps))
-        w_plug = predictive.central_interval(plug, coverage).width
+        w_plug = predictive._streamed_interval(predictive._binomial_args(n, p_mean, eps), coverage).width
     else:
         w_plug = 5
         monkeypatch.setattr(predictive, "_binomial_args", lambda n, p, eps: None)
         monkeypatch.setattr(predictive, "_beta_binomial_args", lambda n, prior, eps: prior)
-        monkeypatch.setattr(predictive, "_streamed_law", lambda args: args)
         monkeypatch.setattr(
-            predictive, "central_interval",
-            lambda law, coverage: SimpleNamespace(
-                width=w_plug if law is None else width_at(law.concentration)
+            predictive, "_streamed_interval",
+            lambda args, coverage: SimpleNamespace(
+                width=w_plug if args is None else width_at(args.concentration)
             ),
         )
     outcome, probed = capped_bisection(target, w_plug, width_at)
