@@ -30,9 +30,10 @@ from .distributions import DEFAULT_EPS, CountDistribution, DomainError, central_
 from .predictive import CalibrationError, _calibrate
 from .figures import (
     FIGURE_IDS,
+    _figure_pieces,
+    _write_atomic,
     build_figure,
     calibrated_figure,
-    render_figure_csv,
     render_replication_csv,
     replay_file,
     replay_text,
@@ -210,9 +211,15 @@ def cmd_figure(args: argparse.Namespace, sf: ScenarioFile, *, coverage: float,
                      "exposure_scenario file")
     else:
         table = build_figure(args.id, sf.payload, eps)
-    text = render_figure_csv(table)
-    write_text_atomic(args.out, text)
-    lines = text.count("\n")
+    lines = 0
+
+    def counted(pieces):
+        nonlocal lines
+        for piece in pieces:
+            lines += piece.count("\n")
+            yield piece
+
+    _write_atomic(args.out, counted(_figure_pieces(table)))
     print(f"wrote figure {args.id} ({lines} lines) to {args.out}")
     return 0
 

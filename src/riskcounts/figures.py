@@ -25,13 +25,15 @@ block, each piece of rows that shares one count width and one set of
 evaluated columns is one ``uint8`` matrix: the counts as fixed-width digits
 from a four-digit table, commas, the slots and line feeds.  A piece with no
 evaluated column has no pad byte and is taken as it is; the others are
-compacted by dropping the pad bytes.  Each piece is decoded to a string and
-the strings are joined once; assembling the bytes of the whole text first
-kept more memory resident (about a sixth more peak RSS over the benchmark's
-exact-ladder ops).  No figure field ever needs
-quoting (counts, ``repr`` floats and empty cells), so the bytes are those
-``csv.writer`` would produce.  Replication rows, whose variant names carry
-covariate names, go through ``csv.writer`` itself.
+compacted by dropping the pad bytes.  Each piece is decoded to a string
+and yielded, so no whole copy of the text is held on the way to disk:
+``figure --out`` writes the pieces one at a time, and a figure's replay
+compares each regenerated piece with the text at its offset and returns
+its input when every piece matches.  ``render_figure_csv`` joins them.  No
+figure field ever needs quoting (counts, ``repr`` floats and empty cells),
+so the bytes are those ``csv.writer`` would produce.  Replication rows,
+whose variant names carry covariate names, go through ``csv.writer``
+itself.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import io
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,9 +198,15 @@ def calibrated_figure(
 
 def render_figure_csv(table: FigureTable) -> str:
     """Render a table to the exact text written to disk."""
+    return "".join(_figure_pieces(table))
+
+
+def _figure_pieces(table: FigureTable):
+    """Yield ``render_figure_csv``'s text in pieces: the header, then runs of
+    rows that share one count width and one set of evaluated columns, each
+    within one block of ``_BLOCK_ROWS`` rows."""
     lo, hi = table.count_range()
-    parts = [_header_text(table.metadata), ",".join(("count",) + table.column_names), "\n"]
-    # pieces of rows with one count width and one set of evaluated columns
+    yield _header_text(table.metadata) + ",".join(("count",) + table.column_names) + "\n"
     cuts = {c for d in table.columns for c in (d.support_lo, d.support_hi + 1)}
     cuts.update(10**j for j in range(1, len(str(hi)) + 1) if lo < 10**j <= hi)
     block = _BLOCK_ROWS
@@ -217,8 +224,7 @@ def render_figure_csv(table: FigureTable) -> str:
         for a, b in zip([start, *inner], [*inner, stop]):
             shown = [s[a - first : b - first] if first <= a < first + len(s) else None
                      for first, s in zip(firsts, cells)]
-            parts.append(str(_rows(a, b, shown), "ascii"))
-    return "".join(parts)
+            yield str(_rows(a, b, shown), "ascii")
 
 
 def _rows(start: int, stop: int, columns: list[np.ndarray | None]) -> np.ndarray:
@@ -320,7 +326,9 @@ def replay_text(text: str) -> str:
     makes a good integrity check for archived tables.  A header this build
     cannot replay (unknown layout, another release's ``tool_version``, a
     missing or malformed line, values outside their domain) raises
-    ``ScenarioError``.
+    ``ScenarioError``.  A figure's text is compared piece by piece as it
+    is regenerated: where it matches, the result is ``text`` itself, and no
+    second copy is made.
     """
     meta = read_metadata(text)
     kind = _line(meta, "kind")
@@ -346,7 +354,13 @@ def replay_text(text: str) -> str:
             items = tuple(meta.items())
             head = _figure_head(figure_id, eps, meta["scenario"])
             extra = items[len(head) : len(items) - 2 * len(_ARM_COLUMNS)]
-            return render_figure_csv(build_figure(figure_id, payload, eps, extra))
+            pieces = _figure_pieces(build_figure(figure_id, payload, eps, extra))
+            at = 0
+            for piece in pieces:
+                if not text.startswith(piece, at):
+                    return text[:at] + "".join((piece, *pieces))
+                at += len(piece)
+            return text if at == len(text) else text[:at]
         if kind == "replication-report":
             if not isinstance(payload, CausalSpec):
                 raise ScenarioError("replication-report metadata must carry a causal_spec")
@@ -379,19 +393,29 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     Goes through a temporary file in the destination directory followed by
     ``os.replace``; a crash mid-write never leaves a truncated file at the
-    final path.  Bytes are UTF-8 with LF endings on every platform.
+    final path.  Bytes are UTF-8 with LF endings on every platform.  The
+    file takes the mode a plain ``open`` gives a new file: 0o666 less the
+    process umask.
 
     A failure raises ``OSError`` naming ``path``, not the temporary file,
     whose random name would make the message differ from run to run.
     """
+    _write_atomic(path, (text,))
+
+
+def _write_atomic(path: str | Path, pieces) -> None:
+    """``write_text_atomic`` of the text the str ``pieces`` spell, written
+    one piece at a time; an exception from ``pieces`` removes the
+    temporary file and leaves the target as it was."""
     target = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-        )
+        # O_EXCL, as mkstemp, but with mode 0o666 so that the umask applies
+        tmp_name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(text.encode("utf-8"))
+                for piece in pieces:
+                    handle.write(piece.encode("utf-8"))
             os.replace(tmp_name, target)
         except BaseException:
             try:

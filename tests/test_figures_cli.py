@@ -5,14 +5,18 @@ import io
 import json
 import os
 import re
+import stat
+import tracemalloc
 import warnings
 
 import pytest
 
 from pinned import SMALL, SMALL_UNCERTAIN, scenario_path
-from riskcounts import DomainError, build_figure, render_figure_csv, write_text_atomic
+from riskcounts import (
+    DomainError, ExposureScenario, build_figure, figures, render_figure_csv, write_text_atomic,
+)
 from riskcounts.cli import main, replay_file, replay_text
-from riskcounts.figures import read_metadata
+from riskcounts.figures import _figure_pieces, _write_atomic, read_metadata
 
 
 def parse_csv(text):
@@ -110,6 +114,52 @@ def test_figure_replay_is_byte_identical(figure_id, payload):
     assert replay_text(text) == text
 
 
+def test_replay_returns_its_input_when_it_matches_and_the_regenerated_text_otherwise(
+    monkeypatch,
+):
+    # small blocks, so that each difference falls inside a later piece
+    monkeypatch.setattr(figures, "_BLOCK_ROWS", 16)
+    table = build_figure(3, SMALL)
+    text = render_figure_csv(table)
+    first, second, *rest = _figure_pieces(table)
+    later = len(first) + len(second)
+    assert rest and later < len(text) // 2
+    assert replay_text(text) is text
+
+    mid = next(i for i in range(len(text) // 2, len(text)) if text[i].isdigit())
+    changed = text[:mid] + str((int(text[mid]) + 1) % 10) + text[mid + 1 :]
+    cut = text[: text.index("\n", mid) - 2]
+    appended = text + f"{table.count_range()[1] + 1},,\n"
+    for damaged in (changed, cut, appended):
+        replayed = replay_text(damaged)
+        assert replayed == text and replayed != damaged
+
+
+def test_figure_write_and_replay_hold_no_copy_of_the_text(tmp_path, monkeypatch, capsys):
+    # disjoint supports: 209,170 rows, mostly "count,,"
+    monkeypatch.setattr(figures, "_BLOCK_ROWS", 1024)
+    scenario = scenario_path(tmp_path, ExposureScenario(10**6, 10**6, 0.3, 0.1))
+    out = tmp_path / "fig3.csv"
+    argv = ["figure", scenario, "--id", "3", "--out", str(out)]
+    # a first run pays the one-time imports and tables
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        write_peak = tracemalloc.get_traced_memory()[1]
+        text = out.read_text(encoding="utf-8")
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert replay_text(text) is text
+        replay_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert text.count("\n") == 209_170
+    assert write_peak < len(text) / 2
+    assert replay_peak < len(text) / 2
+
+
 def test_replay_rejects_missing_metadata():
     with pytest.raises(Exception, match="scenario"):
         replay_text("# kind: figure\ncount\n")
@@ -139,6 +189,40 @@ def test_failed_write_leaves_no_partial_target(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert not target.exists()
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("error", [DomainError("no more rows"), KeyboardInterrupt()],
+                         ids=["DomainError", "KeyboardInterrupt"])
+@pytest.mark.parametrize("old", [None, b"old,bytes\n"], ids=["no-target", "a-target"])
+def test_a_failure_mid_stream_leaves_the_target_as_it_was(tmp_path, error, old):
+    target = tmp_path / "out.csv"
+    if old is not None:
+        target.write_bytes(old)
+
+    def pieces():
+        yield "count,mass\n"
+        raise error
+
+    with pytest.raises(type(error)):
+        _write_atomic(target, pieces())
+    # no temporary file either
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.csv"])
+    if old is not None:
+        assert target.read_bytes() == old
+
+
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, capsys):
+    figure, report = tmp_path / "fig.csv", tmp_path / "sim.csv"
+    old = os.umask(0o022)
+    try:
+        assert main(["figure", scenario_path(tmp_path, "la_rr2"), "--id", "1",
+                     "--out", str(figure)]) == 0
+        assert main(["simulate", scenario_path(tmp_path, "null_spec"), "--replications", "5",
+                     "--out", str(report)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (figure, report)] == [0o644, 0o644]
 
 
 # ---------------------------------------------------------------------------
